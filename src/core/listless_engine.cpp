@@ -1,43 +1,17 @@
 #include "core/listless_engine.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <deque>
 
-#include "common/error.hpp"
-#include "common/timer.hpp"
 #include "core/fotf_mover.hpp"
 #include "dtype/normalize.hpp"
 #include "dtype/serialize.hpp"
 #include "mpiio/mergeview.hpp"
-#include "mpiio/pipeline.hpp"
-#include "mpiio/sieve.hpp"
-#include "mpiio/twophase.hpp"
-#include "obs/trace.hpp"
 
 namespace llio::core {
 
-using mpiio::AccessRange;
-using mpiio::Domain;
-using mpiio::MergeContig;
-using mpiio::SieveContext;
 using mpiio::View;
 
 namespace {
-
-void put_off(ByteVec& out, Off v) {
-  Byte raw[sizeof(Off)];
-  std::memcpy(raw, &v, sizeof(Off));
-  out.insert(out.end(), raw, raw + sizeof(Off));
-}
-
-Off get_off(ConstByteSpan data, std::size_t at) {
-  LLIO_REQUIRE(at + sizeof(Off) <= data.size(), Errc::Protocol,
-               "short message");
-  Off v;
-  std::memcpy(&v, data.data() + at, sizeof(Off));
-  return v;
-}
 
 fotf::PackConfig pack_config(const mpiio::Options& o) {
   fotf::PackConfig c;
@@ -49,506 +23,122 @@ fotf::PackConfig pack_config(const mpiio::Options& o) {
 
 }  // namespace
 
-void ListlessEngine::set_view(const View& v) {
-  validate_view(v);
-  view_ = v;
-  ++view_epoch_;  // invalidates cached mergeview verdicts
+void CachedViewCodec::set_view(sim::Comm& comm, const View& v,
+                               const fotf::PackConfig& pc,
+                               mpiio::IoOpStats* stats) {
   // Normalize once: the cursor then sees the largest regular strata, and
   // the cached wire form shrinks.  The typemap is provably unchanged.
   const dt::Type ft = dt::normalize(v.filetype);
-  const fotf::PackConfig pc = pack_config(opts_);
+  disp_ = v.disp;
   nav_ = std::make_unique<ListlessNav>(ft, pc);
-  nav_->bind_stats(&stats_);
+  nav_->bind_stats(stats);
 
   // Fileview caching (§3.2.3): exchange the compact representation once.
   ByteVec blob;
-  put_off(blob, v.disp);
+  mpiio::put_off(blob, v.disp);
   const ByteVec enc = dt::serialize(ft);
   blob.insert(blob.end(), enc.begin(), enc.end());
-  auto all = comm_->allgather(blob, sim::MsgClass::Meta);
+  auto all = comm.allgather(blob, sim::MsgClass::Meta);
 
   cached_.clear();
   cached_.reserve(all.size());
   for (auto& raw : all) {
     CachedView cv;
-    cv.disp = get_off(raw, 0);
+    cv.disp = mpiio::get_off(raw, 0);
     cv.filetype = dt::deserialize(
         ConstByteSpan(raw.data() + sizeof(Off), raw.size() - sizeof(Off)));
     cv.nav = std::make_unique<ListlessNav>(cv.filetype, pc);
-    cv.nav->bind_stats(&stats_);
+    cv.nav->bind_stats(stats);
     cached_.push_back(std::move(cv));
   }
 }
 
-void ListlessEngine::on_tuning_changed() {
-  const int threads = std::max(1, opts_.pack_threads);
+void CachedViewCodec::set_pack_threads(int threads) {
   if (nav_) nav_->set_pack_threads(threads);
   for (CachedView& cv : cached_)
     if (cv.nav) cv.nav->set_pack_threads(threads);
+}
+
+void CachedViewCodec::describe(const mpiio::AccessRange& mine,
+                               const std::vector<mpiio::Domain>& doms,
+                               std::vector<mpiio::StreamSlice>& slices) {
+  // Two file_to_stream calls per IOP find the stream bytes landing in its
+  // domain; the IOP needs nothing more, it holds my view.
+  const Off s_end = mine.stream_lo + mine.nbytes;
+  for (std::size_t i = 0; i < doms.size(); ++i) {
+    const Off lo = std::max(doms[i].lo, mine.abs_lo);
+    const Off hi = std::min(doms[i].hi, mine.abs_hi);
+    if (hi <= lo) continue;
+    slices[i] = {
+        std::clamp(nav_->file_to_stream(lo - disp_), mine.stream_lo, s_end),
+        std::clamp(nav_->file_to_stream(hi - disp_), mine.stream_lo, s_end)};
+  }
+}
+
+void CachedViewCodec::serve(const std::vector<mpiio::PeerSlice>& peers) {
+  peers_ = peers;
+  queued_.clear();
+}
+
+mpiio::DomainWindows CachedViewCodec::analyze(
+    const mpiio::Domain& dom, Off win,
+    const std::vector<mpiio::AccessRange>& ranges) {
+  std::vector<mpiio::ViewContribution> contribs;
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    const mpiio::AccessRange& ar = ranges[r];
+    if (ar.nbytes <= 0) continue;
+    contribs.push_back({cached_[r].filetype, cached_[r].disp, ar.stream_lo,
+                        ar.stream_lo + ar.nbytes});
+  }
+  return mpiio::analyze_view_domain(dom.lo, dom.hi, win, contribs);
+}
+
+bool CachedViewCodec::plan_window(Off lo, Off hi) {
+  // The navs stay on the compute thread: slices are found here and only
+  // consumed by fill_window.
+  std::vector<Slice> slices;
+  for (const mpiio::PeerSlice& p : peers_) {
+    const CachedView& cv = cached_[to_size(Off{p.src})];
+    const Off s1 = std::clamp(cv.nav->file_to_stream(lo - cv.disp),
+                              p.slice.s1, p.slice.s2);
+    const Off s2 = std::clamp(cv.nav->file_to_stream(hi - cv.disp),
+                              p.slice.s1, p.slice.s2);
+    if (s2 > s1) slices.push_back({&p, s1, s2});
+  }
+  if (slices.empty()) return false;
+  queued_.push_back(std::move(slices));
+  return true;
+}
+
+Off CachedViewCodec::fill_window(Off lo, ByteSpan win, bool write) {
+  const std::vector<Slice> slices = std::move(queued_.front());
+  queued_.pop_front();
+  for (const Slice& sl : slices) {
+    const CachedView& cv = cached_[to_size(Off{sl.peer->src})];
+    Byte* data = sl.peer->data + (sl.s1 - sl.peer->slice.s1);
+    if (write)
+      cv.nav->scatter(win.data(), lo - cv.disp, sl.s1, data, sl.s2 - sl.s1);
+    else
+      cv.nav->gather(data, win.data(), lo - cv.disp, sl.s1, sl.s2 - sl.s1);
+  }
+  return to_off(slices.size());
+}
+
+void ListlessEngine::set_view(const View& v) {
+  validate_view(v);
+  view_ = v;
+  ++view_epoch_;  // invalidates cached mergeview verdicts
+  codec_.set_view(*comm_, v, pack_config(opts_), &stats_);
+}
+
+void ListlessEngine::on_tuning_changed() {
+  codec_.set_pack_threads(std::max(1, opts_.pack_threads));
 }
 
 std::unique_ptr<mpiio::StreamMover> ListlessEngine::make_nc_mover(
     const void* buf, Off count, const dt::Type& mt) {
   return std::make_unique<FotfMover>(buf, count, mt, pack_config(opts_),
                                      &stats_);
-}
-
-Off ListlessEngine::do_write_at(Off stream_lo, const void* buf, Off count,
-                                const dt::Type& mt) {
-  const Off nbytes = count * mt->size();
-  if (nbytes == 0) return 0;
-  auto mover = make_mover(buf, count, mt);
-  return indep_write(*nav_, stream_lo, nbytes, *mover);
-}
-
-Off ListlessEngine::do_read_at(Off stream_lo, void* buf, Off count,
-                               const dt::Type& mt) {
-  const Off nbytes = count * mt->size();
-  if (nbytes == 0) return 0;
-  auto mover = make_mover(buf, count, mt);
-  return indep_read(*nav_, stream_lo, nbytes, *mover);
-}
-
-Off ListlessEngine::do_write_at_all(Off stream_lo, const void* buf, Off count,
-                                    const dt::Type& mt) {
-  if (!opts_.cb_write) {  // collective buffering disabled (hint)
-    const Off n = do_write_at(stream_lo, buf, count, mt);
-    comm_->barrier();
-    return n;
-  }
-  const Off nbytes = count * mt->size();
-  const int p = comm_->size();
-  const int niops = mpiio::effective_iops(opts_.io_procs, p);
-  const Off fbs = opts_.file_buffer_size;
-
-  // Phase 0: exchange access ranges (tiny, Meta).
-  AccessRange mine{stream_lo, nbytes, 0, 0};
-  if (nbytes > 0) {
-    mine.abs_lo = view_.disp + nav_->stream_to_file_start(stream_lo);
-    mine.abs_hi = view_.disp + nav_->stream_to_file_end(stream_lo + nbytes);
-  }
-  StopWatch xw;
-  std::vector<AccessRange> ranges;
-  {
-    obs::Span span("exchange");
-    span.arg("what", "ranges");
-    xw.start();
-    ranges = mpiio::exchange_ranges(*comm_, mine);
-    xw.stop();
-  }
-  stats_.exchange_s += xw.seconds();
-
-  const auto g = mpiio::global_range(ranges);
-  if (!g.any) {
-    comm_->barrier();
-    return 0;
-  }
-
-  // Mergeview bypass: every participant's restriction to its access range
-  // is one contiguous extent and the extents are pairwise disjoint — each
-  // rank writes its own extent directly, no exchange, no RMW.
-  if (opts_.merge_contig != MergeContig::Off &&
-      mpiio::ranges_dense_disjoint(ranges)) {
-    if (nbytes > 0) {
-      SieveContext ctx{*file_, *locks_, opts_, stats_};
-      auto m = make_mover(buf, count, mt);
-      pfs::ScopedRangeLock lock(*locks_, mine.abs_lo, mine.abs_hi);
-      mpiio::dense_write(ctx, mine.abs_lo, nbytes, *m);
-    }
-    comm_->barrier();
-    ++stats_.merge_contig_ops;
-    return nbytes;  // dense_write already counted bytes_moved
-  }
-
-  const auto domains = mpiio::partition_domains(g, niops, fbs);
-
-  // Phase 1 (AP side): for each IOP, ship the slice of my packed stream
-  // that falls into its file domain.  Header: [s_lo][s_hi], then data.
-  // With llio_zerocopy=auto the data rides as gather-on-send runs
-  // referencing the user buffer (materialized once, into the mailbox);
-  // otherwise — or when the run budget declines — it is packed behind
-  // the header exactly as before.
-  std::unique_ptr<mpiio::StreamMover> mover;
-  if (nbytes > 0) mover = make_mover(buf, count, mt);
-  std::vector<sim::GatherMsg> outgoing(to_size(Off{p}));
-  if (nbytes > 0) {
-    obs::Span span("pack");
-    span.arg("what", "phase1_gather");
-    const mpiio::RunBudget budget = mpiio::zerocopy_budget(opts_);
-    std::vector<ByteSpan> runs;
-    for (int i = 0; i < niops; ++i) {
-      const Domain& d = domains[to_size(Off{i})];
-      const Off lo = std::max(d.lo, mine.abs_lo);
-      const Off hi = std::min(d.hi, mine.abs_hi);
-      if (hi <= lo) continue;
-      const Off s1 = std::clamp(nav_->file_to_stream(lo - view_.disp),
-                                stream_lo, stream_lo + nbytes);
-      const Off s2 = std::clamp(nav_->file_to_stream(hi - view_.disp),
-                                stream_lo, stream_lo + nbytes);
-      if (s2 <= s1) continue;
-      sim::GatherMsg& msg = outgoing[to_size(Off{i})];
-      put_off(msg.header, s1);
-      put_off(msg.header, s2);
-      runs.clear();
-      if (opts_.zerocopy == mpiio::Zerocopy::Auto &&
-          mover->mem_runs(s1 - stream_lo, s2 - s1, budget, runs)) {
-        msg.runs.assign(runs.begin(), runs.end());
-        ++stats_.zerocopy_windows;
-        stats_.iov_runs += runs.size();
-        stats_.staging_bytes_saved += s2 - s1;
-      } else {
-        if (opts_.zerocopy == mpiio::Zerocopy::Auto)
-          ++stats_.staged_fallback_windows;
-        const std::size_t hdr = msg.header.size();
-        msg.header.resize(hdr + to_size(s2 - s1));
-        StopWatch cw;
-        cw.start();
-        mover->to_stream(msg.header.data() + hdr, s1 - stream_lo, s2 - s1);
-        cw.stop();
-        stats_.copy_s += cw.seconds();
-      }
-      stats_.data_bytes_sent += s2 - s1;
-    }
-  }
-  xw.reset();
-  std::vector<ByteVec> incoming;
-  {
-    obs::Span span("exchange");
-    span.arg("what", "data");
-    xw.start();
-    incoming = comm_->alltoall_gather(std::move(outgoing), sim::MsgClass::Data);
-    xw.stop();
-  }
-  stats_.exchange_s += xw.seconds();
-
-  // Phase 2 (IOP side): patch file blocks with the received stream slices
-  // driven by the cached fileviews.
-  const int rank = comm_->rank();
-  if (rank < niops && !domains[to_size(Off{rank})].empty()) {
-    const Domain dom = domains[to_size(Off{rank})];
-    SieveContext ctx{*file_, *locks_, opts_, stats_};
-
-    // Mergeview analysis (§3.2.4): per-window hole-freeness over the
-    // cached fileviews, memoized across repeated collectives on the same
-    // view.  Off/Force skip the analysis entirely.
-    const MergeContig mode = opts_.merge_contig;
-    const mpiio::DomainWindows* verdict = nullptr;
-    if (mode == MergeContig::Auto) {
-      obs::Span span("merge_analysis");
-      StopWatch mw;
-      mw.start();
-      verdict = &merge_cache_.get(
-          mpiio::MergeCache::Key{view_epoch_, dom.lo, dom.hi, fbs, ranges},
-          [&] {
-            std::vector<mpiio::ViewContribution> contribs;
-            for (int r = 0; r < p; ++r) {
-              const AccessRange& ar = ranges[to_size(Off{r})];
-              if (ar.nbytes <= 0) continue;
-              const CachedView& cv = cached_[to_size(Off{r})];
-              contribs.push_back({cv.filetype, cv.disp, ar.stream_lo,
-                                  ar.stream_lo + ar.nbytes});
-            }
-            return mpiio::analyze_view_domain(dom.lo, dom.hi, fbs, contribs);
-          });
-      mw.stop();
-      stats_.merge_analysis_s += mw.seconds();
-    }
-
-    struct Incoming {
-      int src;
-      Off s_lo, s_hi;
-      const Byte* data;
-      ListlessNav* nav;
-      Off disp;
-    };
-    std::vector<Incoming> srcs;
-    for (int r = 0; r < p; ++r) {
-      const ByteVec& msg = incoming[to_size(Off{r})];
-      if (msg.empty()) continue;
-      Incoming in;
-      in.src = r;
-      in.s_lo = get_off(msg, 0);
-      in.s_hi = get_off(msg, sizeof(Off));
-      in.data = msg.data() + 2 * sizeof(Off);
-      in.nav = cached_[to_size(Off{r})].nav.get();
-      in.disp = cached_[to_size(Off{r})].disp;
-      LLIO_REQUIRE(msg.size() == 2 * sizeof(Off) + to_size(in.s_hi - in.s_lo),
-                   Errc::Protocol, "write_at_all: bad payload size");
-      srcs.push_back(in);
-    }
-    struct Slice {
-      const Incoming* in;
-      Off s1, s2;
-    };
-    // Slices are computed by `next` (the navs stay on the compute thread)
-    // and consumed by `fill` in the same window order.
-    std::deque<std::vector<Slice>> queued;
-    Off pos = dom.lo;
-    auto next = [&](mpiio::WindowPlan& plan) {
-      while (pos < dom.hi) {
-        const Off win_lo = pos;
-        const Off win_hi = std::min(dom.hi, pos + fbs);
-        pos = win_hi;
-        std::vector<Slice> slices;
-        for (const Incoming& in : srcs) {
-          const Off s1 = std::clamp(in.nav->file_to_stream(win_lo - in.disp),
-                                    in.s_lo, in.s_hi);
-          const Off s2 = std::clamp(in.nav->file_to_stream(win_hi - in.disp),
-                                    in.s_lo, in.s_hi);
-          if (s2 <= s1) continue;
-          slices.push_back({&in, s1, s2});
-        }
-        if (slices.empty()) continue;
-        plan.lo = win_lo;
-        plan.hi = win_hi;
-        plan.preread = mode == MergeContig::Off    ? true
-                       : mode == MergeContig::Force ? false
-                                                    : !verdict->dense_at(win_lo);
-        plan.writeback = true;
-        plan.lock = true;
-        queued.push_back(std::move(slices));
-        return true;
-      }
-      return false;
-    };
-    auto fill = [&](const mpiio::WindowPlan& plan, ByteSpan fbuf) {
-      std::vector<Slice> slices = std::move(queued.front());
-      queued.pop_front();
-      obs::Span span("pack");
-      span.arg("win", plan.index);
-      span.arg("slices", to_off(slices.size()));
-      StopWatch cw;
-      cw.start();
-      for (const Slice& sl : slices) {
-        sl.in->nav->scatter(fbuf.data(), plan.lo - sl.in->disp, sl.s1,
-                            sl.in->data + (sl.s1 - sl.in->s_lo), sl.s2 - sl.s1);
-      }
-      cw.stop();
-      stats_.copy_s += cw.seconds();
-    };
-    mpiio::run_window_pipeline(ctx, opts_.pipeline_depth,
-                               std::min(fbs, dom.hi - dom.lo), next, fill);
-  }
-  comm_->barrier();
-  stats_.bytes_moved += nbytes;
-  return nbytes;
-}
-
-Off ListlessEngine::do_read_at_all(Off stream_lo, void* buf, Off count,
-                                   const dt::Type& mt) {
-  if (!opts_.cb_read) {
-    const Off n = do_read_at(stream_lo, buf, count, mt);
-    comm_->barrier();
-    return n;
-  }
-  const Off nbytes = count * mt->size();
-  const int p = comm_->size();
-  const int rank = comm_->rank();
-  const int niops = mpiio::effective_iops(opts_.io_procs, p);
-  const Off fbs = opts_.file_buffer_size;
-
-  AccessRange mine{stream_lo, nbytes, 0, 0};
-  if (nbytes > 0) {
-    mine.abs_lo = view_.disp + nav_->stream_to_file_start(stream_lo);
-    mine.abs_hi = view_.disp + nav_->stream_to_file_end(stream_lo + nbytes);
-  }
-  StopWatch xw;
-  std::vector<AccessRange> ranges;
-  {
-    obs::Span span("exchange");
-    span.arg("what", "ranges");
-    xw.start();
-    ranges = mpiio::exchange_ranges(*comm_, mine);
-    xw.stop();
-  }
-  stats_.exchange_s += xw.seconds();
-
-  const auto g = mpiio::global_range(ranges);
-  if (!g.any) {
-    comm_->barrier();
-    return 0;
-  }
-
-  // Mergeview bypass (read side): every participant's restriction is one
-  // contiguous extent — each rank reads its own extent directly, no
-  // exchange.  Unlike the write bypass, overlap between readers is
-  // harmless, so disjointness is not required.
-  if (opts_.merge_contig != MergeContig::Off && mpiio::ranges_dense(ranges)) {
-    if (nbytes > 0) {
-      SieveContext ctx{*file_, *locks_, opts_, stats_};
-      auto m = make_mover(buf, count, mt);
-      mpiio::dense_read(ctx, mine.abs_lo, nbytes, *m);
-    }
-    comm_->barrier();
-    ++stats_.merge_contig_ops;
-    return nbytes;  // dense_read already counted bytes_moved
-  }
-
-  const auto domains = mpiio::partition_domains(g, niops, fbs);
-
-  // Phase 1: request the stream slice [s1, s2) from each IOP (Meta).
-  std::vector<ByteVec> requests(to_size(Off{p}));
-  std::vector<std::pair<Off, Off>> my_slices(to_size(Off{p}), {0, 0});
-  if (nbytes > 0) {
-    for (int i = 0; i < niops; ++i) {
-      const Domain& d = domains[to_size(Off{i})];
-      const Off lo = std::max(d.lo, mine.abs_lo);
-      const Off hi = std::min(d.hi, mine.abs_hi);
-      if (hi <= lo) continue;
-      const Off s1 = std::clamp(nav_->file_to_stream(lo - view_.disp),
-                                stream_lo, stream_lo + nbytes);
-      const Off s2 = std::clamp(nav_->file_to_stream(hi - view_.disp),
-                                stream_lo, stream_lo + nbytes);
-      if (s2 <= s1) continue;
-      my_slices[to_size(Off{i})] = {s1, s2};
-      ByteVec& msg = requests[to_size(Off{i})];
-      put_off(msg, s1);
-      put_off(msg, s2);
-    }
-  }
-  xw.reset();
-  std::vector<ByteVec> reqs;
-  {
-    obs::Span span("exchange");
-    span.arg("what", "requests");
-    xw.start();
-    reqs = comm_->alltoall(std::move(requests), sim::MsgClass::Meta);
-    xw.stop();
-  }
-  stats_.exchange_s += xw.seconds();
-
-  // Phase 2 (IOP side): read my domain blockwise, gather each AP's slice
-  // through its cached fileview, reply with pure data.
-  std::vector<ByteVec> replies(to_size(Off{p}));
-  if (rank < niops && !domains[to_size(Off{rank})].empty()) {
-    const Domain dom = domains[to_size(Off{rank})];
-    SieveContext ctx{*file_, *locks_, opts_, stats_};
-    struct Req {
-      Off s_lo, s_hi;
-      ListlessNav* nav;
-      Off disp;
-      ByteVec* reply;
-    };
-    std::vector<Req> active;
-    for (int r = 0; r < p; ++r) {
-      const ByteVec& msg = reqs[to_size(Off{r})];
-      if (msg.empty()) continue;
-      Req rq;
-      rq.s_lo = get_off(msg, 0);
-      rq.s_hi = get_off(msg, sizeof(Off));
-      rq.nav = cached_[to_size(Off{r})].nav.get();
-      rq.disp = cached_[to_size(Off{r})].disp;
-      rq.reply = &replies[to_size(Off{r})];
-      rq.reply->resize(to_size(rq.s_hi - rq.s_lo));
-      active.push_back(rq);
-    }
-    struct Slice {
-      const Req* rq;
-      Off s1, s2;
-    };
-    std::deque<std::vector<Slice>> queued;
-    Off pos = dom.lo;
-    auto next = [&](mpiio::WindowPlan& plan) {
-      while (pos < dom.hi) {
-        const Off win_lo = pos;
-        const Off win_hi = std::min(dom.hi, pos + fbs);
-        pos = win_hi;
-        std::vector<Slice> slices;
-        for (const Req& rq : active) {
-          const Off s1 = std::clamp(rq.nav->file_to_stream(win_lo - rq.disp),
-                                    rq.s_lo, rq.s_hi);
-          const Off s2 = std::clamp(rq.nav->file_to_stream(win_hi - rq.disp),
-                                    rq.s_lo, rq.s_hi);
-          if (s2 <= s1) continue;
-          slices.push_back({&rq, s1, s2});
-        }
-        if (slices.empty()) continue;
-        plan.lo = win_lo;
-        plan.hi = win_hi;
-        plan.preread = true;
-        plan.writeback = false;
-        plan.lock = false;
-        queued.push_back(std::move(slices));
-        return true;
-      }
-      return false;
-    };
-    auto fill = [&](const mpiio::WindowPlan& plan, ByteSpan fbuf) {
-      std::vector<Slice> slices = std::move(queued.front());
-      queued.pop_front();
-      obs::Span span("pack");
-      span.arg("win", plan.index);
-      span.arg("slices", to_off(slices.size()));
-      StopWatch cw;
-      cw.start();
-      for (const Slice& sl : slices) {
-        sl.rq->nav->gather(sl.rq->reply->data() + (sl.s1 - sl.rq->s_lo),
-                           fbuf.data(), plan.lo - sl.rq->disp, sl.s1,
-                           sl.s2 - sl.s1);
-      }
-      cw.stop();
-      stats_.copy_s += cw.seconds();
-    };
-    mpiio::run_window_pipeline(ctx, opts_.pipeline_depth,
-                               std::min(fbs, dom.hi - dom.lo), next, fill);
-    for (const Req& rq : active) stats_.data_bytes_sent += rq.s_hi - rq.s_lo;
-  }
-  // Scatter-on-recv (llio_zerocopy=auto): replies whose stream slice
-  // materializes into memory runs under the budget are delivered by the
-  // exchange straight into the user buffer; their incoming slot comes
-  // back empty and phase 3 skips it.
-  std::unique_ptr<mpiio::StreamMover> mover;
-  if (nbytes > 0) mover = make_mover(buf, count, mt);
-  std::vector<std::vector<ByteSpan>> scatter(to_size(Off{p}));
-  if (nbytes > 0 && opts_.zerocopy == mpiio::Zerocopy::Auto) {
-    const mpiio::RunBudget budget = mpiio::zerocopy_budget(opts_);
-    for (int i = 0; i < niops; ++i) {
-      const auto [s1, s2] = my_slices[to_size(Off{i})];
-      if (s2 <= s1) continue;
-      std::vector<ByteSpan> runs;
-      if (mover->mem_runs(s1 - stream_lo, s2 - s1, budget, runs)) {
-        ++stats_.zerocopy_windows;
-        stats_.iov_runs += runs.size();
-        stats_.staging_bytes_saved += s2 - s1;
-        scatter[to_size(Off{i})] = std::move(runs);
-      } else {
-        ++stats_.staged_fallback_windows;
-      }
-    }
-  }
-  xw.reset();
-  std::vector<ByteVec> incoming;
-  {
-    obs::Span span("exchange");
-    span.arg("what", "data");
-    xw.start();
-    incoming =
-        comm_->alltoall_scatter(std::move(replies), scatter, sim::MsgClass::Data);
-    xw.stop();
-  }
-  stats_.exchange_s += xw.seconds();
-
-  // Phase 3 (AP side): unpack the replies that were not scatter-delivered.
-  if (nbytes > 0) {
-    obs::Span span("pack");
-    span.arg("what", "phase3_unpack");
-    StopWatch cw;
-    cw.start();
-    for (int i = 0; i < niops; ++i) {
-      const auto [s1, s2] = my_slices[to_size(Off{i})];
-      if (s2 <= s1) continue;
-      if (!scatter[to_size(Off{i})].empty()) continue;  // already delivered
-      const ByteVec& reply = incoming[to_size(Off{i})];
-      LLIO_REQUIRE(reply.size() == to_size(s2 - s1), Errc::Protocol,
-                   "read_at_all: bad reply size");
-      mover->from_stream(reply.data(), s1 - stream_lo, s2 - s1);
-    }
-    cw.stop();
-    stats_.copy_s += cw.seconds();
-  }
-  comm_->barrier();
-  stats_.bytes_moved += nbytes;
-  return nbytes;
 }
 
 }  // namespace llio::core

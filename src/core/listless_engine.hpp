@@ -1,20 +1,11 @@
-// The listless I/O engine (paper §3): independent access via the shared
-// sieving skeleton with fotf navigation, and collective two-phase access
-// with *fileview caching* — each rank's (disp, filetype) is exchanged in
-// compact form exactly once, at set_view, so collective operations move
-// only file data, never ol-lists.
-//
-// The *mergeview* write optimization (§3.2.4) lives in mpiio/mergeview:
-// per file-buffer window the IOP decides — exactly, via a k-way segment
-// merge over the cached fileviews clamped to the ranks' access ranges —
-// whether the combined accesses tile the window hole-free, and skips the
-// read-modify-write pre-read when they do.  This is the paper's
-// "MPIR_Type_ff_size(mergetype, ...) == extent" test without ever
-// building the merge struct.  When additionally every rank's restriction
-// is one contiguous extent and the extents are disjoint, the engine
-// bypasses the two-phase exchange with direct per-rank writes.
+// The listless I/O engine (paper §3): flattening-on-the-fly navigation
+// for independent access, and *fileview caching* for two-phase collective
+// access — each rank's (disp, filetype) is exchanged in compact form
+// exactly once, at set_view, so collective operations move only file
+// data, never ol-lists.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -23,6 +14,54 @@
 
 namespace llio::core {
 
+/// The listless AccessCodec (§3.2.3): an AP describes its slice by the
+/// stream interval alone; the IOP maps each window onto it by navigating
+/// the sender's cached fileview (file_to_stream) and copies with fotf
+/// scatter/gather.  The merge analysis runs k-way over the cached views
+/// (analyze_view_domain).
+class CachedViewCodec final : public mpiio::AccessCodec {
+ public:
+  /// Collective: normalize my fileview and cache every rank's.  Navigator
+  /// counters land in `stats`, which must outlive the codec.
+  void set_view(sim::Comm& comm, const mpiio::View& v,
+                const fotf::PackConfig& pc, mpiio::IoOpStats* stats);
+
+  /// Navigator over my own view (valid after set_view).
+  ListlessNav& own_nav() { return *nav_; }
+
+  void set_pack_threads(int threads);
+
+  bool ships_lists() const override { return false; }
+  void describe(const mpiio::AccessRange& mine,
+                const std::vector<mpiio::Domain>& doms,
+                std::vector<mpiio::StreamSlice>& slices) override;
+  void serve(const std::vector<mpiio::PeerSlice>& peers) override;
+  mpiio::DomainWindows analyze(
+      const mpiio::Domain& dom, Off win,
+      const std::vector<mpiio::AccessRange>& ranges) override;
+  bool plan_window(Off lo, Off hi) override;
+  Off fill_window(Off lo, ByteSpan win, bool write) override;
+
+ private:
+  /// A rank's cached fileview.
+  struct CachedView {
+    Off disp = 0;
+    dt::Type filetype;
+    std::unique_ptr<ListlessNav> nav;
+  };
+  /// Stream bytes [s1, s2) of a peer inside the current window.
+  struct Slice {
+    const mpiio::PeerSlice* peer;
+    Off s1, s2;
+  };
+
+  Off disp_ = 0;
+  std::unique_ptr<ListlessNav> nav_;  ///< my own view
+  std::vector<CachedView> cached_;    ///< one per rank, incl. self
+  std::vector<mpiio::PeerSlice> peers_;
+  std::deque<std::vector<Slice>> queued_;  ///< planned, not yet filled
+};
+
 class ListlessEngine final : public mpiio::IoEngine {
  public:
   using mpiio::IoEngine::IoEngine;
@@ -30,14 +69,8 @@ class ListlessEngine final : public mpiio::IoEngine {
   void set_view(const mpiio::View& v) override;
 
  protected:
-  Off do_read_at(Off stream_lo, void* buf, Off count,
-                 const dt::Type& mt) override;
-  Off do_write_at(Off stream_lo, const void* buf, Off count,
-                  const dt::Type& mt) override;
-  Off do_read_at_all(Off stream_lo, void* buf, Off count,
-                     const dt::Type& mt) override;
-  Off do_write_at_all(Off stream_lo, const void* buf, Off count,
-                      const dt::Type& mt) override;
+  mpiio::ViewNav& nav() override { return codec_.own_nav(); }
+  mpiio::AccessCodec& codec() override { return codec_; }
 
   std::unique_ptr<mpiio::StreamMover> make_nc_mover(
       const void* buf, Off count, const dt::Type& mt) override;
@@ -48,15 +81,7 @@ class ListlessEngine final : public mpiio::IoEngine {
   void on_tuning_changed() override;
 
  private:
-  /// Cached remote fileview (fileview caching, §3.2.3).
-  struct CachedView {
-    Off disp = 0;
-    dt::Type filetype;
-    std::unique_ptr<ListlessNav> nav;
-  };
-
-  std::unique_ptr<ListlessNav> nav_;        ///< my own view
-  std::vector<CachedView> cached_;          ///< one per rank, incl. self
+  CachedViewCodec codec_;
 };
 
 }  // namespace llio::core

@@ -54,110 +54,73 @@ class WholeRangeLock {
 
 // When the backend performs noncontiguous accesses itself (pfs::ViewIo —
 // e.g. psrv view-class servers), ship it the filetype and a dense stream
-// chunk instead of decomposing the access client-side.  The one view call
-// replaces the whole sieve/direct strategy; it is counted as a single
-// file op of payload size (no sieving amplification to report).
-Off viewio_write(pfs::ViewIo& vio, const View& view, const Options& opts,
-                 IoOpStats& stats, Off stream_lo, Off nbytes,
-                 StreamMover& src) {
-  if (const Byte* p = src.direct(0, nbytes)) {
+// chunk instead of decomposing the access client-side: the user buffer
+// itself when the stream is contiguous in memory, else pack-buffer-sized
+// staged chunks.  The one view call per chunk replaces the whole
+// sieve/direct strategy; it is counted as a file op of payload size (no
+// sieving amplification to report).
+Off viewio_access(bool write, pfs::ViewIo& vio, const View& view,
+                  const Options& opts, IoOpStats& stats, Off stream_lo,
+                  Off nbytes, StreamMover& m) {
+  auto view_call = [&](Off s, Byte* p, Off n) {
     WallTimer t;
-    vio.view_write(view.filetype, view.disp, stream_lo,
-                   ConstByteSpan(p, to_size(nbytes)));
+    if (write)
+      vio.view_write(view.filetype, view.disp, s, ConstByteSpan(p, to_size(n)));
+    else
+      vio.view_read(view.filetype, view.disp, s, ByteSpan(p, to_size(n)));
     stats.file_s += t.seconds();
-    stats.file_write_ops += 1;
-    stats.file_write_bytes += nbytes;
-    stats.bytes_moved += nbytes;
-    return nbytes;
-  }
-  ByteVec buf(to_size(std::min(nbytes, opts.pack_buffer_size)));
-  for (Off done = 0; done < nbytes;) {
-    const Off n = std::min(nbytes - done, static_cast<Off>(buf.size()));
-    {
-      WallTimer t;
-      src.to_stream(buf.data(), done, n);
-      stats.copy_s += t.seconds();
+    (write ? stats.file_write_ops : stats.file_read_ops) += 1;
+    (write ? stats.file_write_bytes : stats.file_read_bytes) += n;
+  };
+  Byte* direct = write ? const_cast<Byte*>(m.direct(0, nbytes))
+                       : m.direct_mut(0, nbytes);
+  if (direct != nullptr) {
+    view_call(stream_lo, direct, nbytes);
+  } else {
+    ByteVec buf(to_size(std::min(nbytes, opts.pack_buffer_size)));
+    for (Off done = 0; done < nbytes;) {
+      const Off n = std::min(nbytes - done, static_cast<Off>(buf.size()));
+      if (write) {
+        WallTimer t;
+        m.to_stream(buf.data(), done, n);
+        stats.copy_s += t.seconds();
+      }
+      view_call(stream_lo + done, buf.data(), n);
+      if (!write) {
+        WallTimer t;
+        m.from_stream(buf.data(), done, n);
+        stats.copy_s += t.seconds();
+      }
+      done += n;
     }
-    WallTimer t;
-    vio.view_write(view.filetype, view.disp, stream_lo + done,
-                   ConstByteSpan(buf.data(), to_size(n)));
-    stats.file_s += t.seconds();
-    stats.file_write_ops += 1;
-    stats.file_write_bytes += n;
-    done += n;
-  }
-  stats.bytes_moved += nbytes;
-  return nbytes;
-}
-
-Off viewio_read(pfs::ViewIo& vio, const View& view, const Options& opts,
-                IoOpStats& stats, Off stream_lo, Off nbytes,
-                StreamMover& dst) {
-  if (Byte* p = dst.direct_mut(0, nbytes)) {
-    WallTimer t;
-    vio.view_read(view.filetype, view.disp, stream_lo,
-                  ByteSpan(p, to_size(nbytes)));
-    stats.file_s += t.seconds();
-    stats.file_read_ops += 1;
-    stats.file_read_bytes += nbytes;
-    stats.bytes_moved += nbytes;
-    return nbytes;
-  }
-  ByteVec buf(to_size(std::min(nbytes, opts.pack_buffer_size)));
-  for (Off done = 0; done < nbytes;) {
-    const Off n = std::min(nbytes - done, static_cast<Off>(buf.size()));
-    {
-      WallTimer t;
-      vio.view_read(view.filetype, view.disp, stream_lo + done,
-                    ByteSpan(buf.data(), to_size(n)));
-      stats.file_s += t.seconds();
-      stats.file_read_ops += 1;
-      stats.file_read_bytes += n;
-    }
-    WallTimer t;
-    dst.from_stream(buf.data(), done, n);
-    stats.copy_s += t.seconds();
-    done += n;
   }
   stats.bytes_moved += nbytes;
   return nbytes;
 }
 }  // namespace
 
-Off IoEngine::indep_write(ViewNav& nav, Off stream_lo, Off nbytes,
-                          StreamMover& src) {
+Off IoEngine::indep(bool write, Off stream_lo, const void* buf, Off count,
+                    const dt::Type& mt) {
+  const Off nbytes = count * mt->size();
   if (nbytes <= 0) return 0;
+  auto mover = make_mover(buf, count, mt);
+  ViewNav& nv = nav();
   SieveContext ctx{*file_, *locks_, opts_, stats_, atomic_};
-  const Off abs_lo = view_.disp + nav.stream_to_file_start(stream_lo);
+  const Off abs_lo = view_.disp + nv.stream_to_file_start(stream_lo);
   if (view_.dense()) {
     WholeRangeLock lock(atomic_, *locks_, abs_lo, abs_lo + nbytes);
-    return dense_write(ctx, abs_lo, nbytes, src);
+    return (write ? dense_write : dense_read)(ctx, abs_lo, nbytes, *mover);
   }
-  const Off abs_hi = view_.disp + nav.stream_to_file_end(stream_lo + nbytes);
+  const Off abs_hi = view_.disp + nv.stream_to_file_end(stream_lo + nbytes);
   WholeRangeLock lock(atomic_, *locks_, abs_lo, abs_hi);
   if (pfs::ViewIo* vio = file_->view_io())
-    return viewio_write(*vio, view_, opts_, stats_, stream_lo, nbytes, src);
-  if (choose_sieving(opts_, /*writing=*/true, nbytes, abs_lo, abs_hi))
-    return sieve_write(ctx, nav, view_.disp, stream_lo, nbytes, src);
-  return direct_write(ctx, nav, view_.disp, stream_lo, nbytes, src);
-}
-
-Off IoEngine::indep_read(ViewNav& nav, Off stream_lo, Off nbytes,
-                         StreamMover& dst) {
-  if (nbytes <= 0) return 0;
-  SieveContext ctx{*file_, *locks_, opts_, stats_, atomic_};
-  const Off abs_lo = view_.disp + nav.stream_to_file_start(stream_lo);
-  if (view_.dense()) {
-    WholeRangeLock lock(atomic_, *locks_, abs_lo, abs_lo + nbytes);
-    return dense_read(ctx, abs_lo, nbytes, dst);
-  }
-  const Off abs_hi = view_.disp + nav.stream_to_file_end(stream_lo + nbytes);
-  WholeRangeLock lock(atomic_, *locks_, abs_lo, abs_hi);
-  if (pfs::ViewIo* vio = file_->view_io())
-    return viewio_read(*vio, view_, opts_, stats_, stream_lo, nbytes, dst);
-  if (choose_sieving(opts_, /*writing=*/false, nbytes, abs_lo, abs_hi))
-    return sieve_read(ctx, nav, view_.disp, stream_lo, nbytes, dst);
-  return direct_read(ctx, nav, view_.disp, stream_lo, nbytes, dst);
+    return viewio_access(write, *vio, view_, opts_, stats_, stream_lo, nbytes,
+                         *mover);
+  if (choose_sieving(opts_, write, nbytes, abs_lo, abs_hi))
+    return (write ? sieve_write : sieve_read)(ctx, nv, view_.disp, stream_lo,
+                                              nbytes, *mover);
+  return (write ? direct_write : direct_read)(ctx, nv, view_.disp, stream_lo,
+                                              nbytes, *mover);
 }
 
 std::unique_ptr<StreamMover> IoEngine::make_mover(const void* buf, Off count,
@@ -262,41 +225,39 @@ void IoEngine::apply_op_tuning(const OpTuning& t) {
 
 Off IoEngine::read_at(Off offset_etypes, void* buf, Off count,
                       const dt::Type& mt) {
-  const Off stream_lo = check_access(offset_etypes, buf, count, mt);
-  static const std::uint32_t kOpId = obs::Sampler::instance().intern("read_at");
-  std::lock_guard op_lock(op_mu_);
-  OpTimer op("read_at", kOpId, *this, stats_, cumulative_, file_.get());
-  return do_read_at(stream_lo, buf, count, mt);
+  return run_op(false, false, offset_etypes, buf, count, mt);
 }
 
 Off IoEngine::write_at(Off offset_etypes, const void* buf, Off count,
                        const dt::Type& mt) {
-  const Off stream_lo = check_access(offset_etypes, buf, count, mt);
-  static const std::uint32_t kOpId =
-      obs::Sampler::instance().intern("write_at");
-  std::lock_guard op_lock(op_mu_);
-  OpTimer op("write_at", kOpId, *this, stats_, cumulative_, file_.get());
-  return do_write_at(stream_lo, buf, count, mt);
+  return run_op(false, true, offset_etypes, buf, count, mt);
 }
 
 Off IoEngine::read_at_all(Off offset_etypes, void* buf, Off count,
                           const dt::Type& mt) {
-  const Off stream_lo = check_access(offset_etypes, buf, count, mt);
-  static const std::uint32_t kOpId =
-      obs::Sampler::instance().intern("read_at_all");
-  std::lock_guard op_lock(op_mu_);
-  OpTimer op("read_at_all", kOpId, *this, stats_, cumulative_, file_.get());
-  return do_read_at_all(stream_lo, buf, count, mt);
+  return run_op(true, false, offset_etypes, buf, count, mt);
 }
 
 Off IoEngine::write_at_all(Off offset_etypes, const void* buf, Off count,
                            const dt::Type& mt) {
+  return run_op(true, true, offset_etypes, buf, count, mt);
+}
+
+Off IoEngine::run_op(bool collective, bool write, Off offset_etypes,
+                     const void* buf, Off count, const dt::Type& mt) {
+  static const char* const kNames[] = {"read_at", "write_at", "read_at_all",
+                                       "write_at_all"};
+  static const std::uint32_t kIds[] = {
+      obs::Sampler::instance().intern(kNames[0]),
+      obs::Sampler::instance().intern(kNames[1]),
+      obs::Sampler::instance().intern(kNames[2]),
+      obs::Sampler::instance().intern(kNames[3])};
+  const int k = 2 * static_cast<int>(collective) + static_cast<int>(write);
   const Off stream_lo = check_access(offset_etypes, buf, count, mt);
-  static const std::uint32_t kOpId =
-      obs::Sampler::instance().intern("write_at_all");
   std::lock_guard op_lock(op_mu_);
-  OpTimer op("write_at_all", kOpId, *this, stats_, cumulative_, file_.get());
-  return do_write_at_all(stream_lo, buf, count, mt);
+  OpTimer op(kNames[k], kIds[k], *this, stats_, cumulative_, file_.get());
+  if (collective) return TwoPhase(*this, write).run(stream_lo, buf, count, mt);
+  return indep(write, stream_lo, buf, count, mt);
 }
 
 }  // namespace llio::mpiio

@@ -1,9 +1,11 @@
 // Engine interface: one implementation per method (list-based, listless).
 //
 // The File front-end owns one engine per handle and forwards operations.
-// The base class implements argument validation, per-op statistics, and
-// the contiguous-memtype mover; engines supply view handling, the
-// non-contiguous mover, and the independent/collective access paths.
+// The base class implements argument validation, per-op statistics, the
+// contiguous-memtype mover, the independent access paths and — through
+// the TwoPhase driver — the collective ones; engines supply view handling,
+// their own-view navigator, the non-contiguous mover and the two-phase
+// AccessCodec.
 #pragma once
 
 #include <memory>
@@ -14,6 +16,7 @@
 #include "mpiio/mergeview.hpp"
 #include "mpiio/navigator.hpp"
 #include "mpiio/options.hpp"
+#include "mpiio/twophase.hpp"
 #include "mpiio/view.hpp"
 #include "obs/metrics.hpp"
 #include "pfs/file_backend.hpp"
@@ -101,14 +104,12 @@ class IoEngine {
   /// navigators).  Runs under op_mu_.
   virtual void on_tuning_changed() {}
 
-  virtual Off do_read_at(Off stream_lo, void* buf, Off count,
-                         const dt::Type& mt) = 0;
-  virtual Off do_write_at(Off stream_lo, const void* buf, Off count,
-                          const dt::Type& mt) = 0;
-  virtual Off do_read_at_all(Off stream_lo, void* buf, Off count,
-                             const dt::Type& mt) = 0;
-  virtual Off do_write_at_all(Off stream_lo, const void* buf, Off count,
-                              const dt::Type& mt) = 0;
+  /// Navigator over this rank's own fileview (independent access and the
+  /// collective access-range computation).
+  virtual ViewNav& nav() = 0;
+
+  /// The engine's half of two-phase collective I/O.
+  virtual AccessCodec& codec() = 0;
 
   /// Engine-specific mover for non-contiguous memtypes.
   virtual std::unique_ptr<StreamMover> make_nc_mover(const void* buf,
@@ -124,11 +125,12 @@ class IoEngine {
   Off check_access(Off offset_etypes, const void* buf, Off count,
                    const dt::Type& mt) const;
 
-  /// Shared independent-access dispatch: dense fast path for contiguous
-  /// views, otherwise data sieving or direct per-run access per the
-  /// ds_write/ds_read strategy (paper §5 trade-off).
-  Off indep_write(ViewNav& nav, Off stream_lo, Off nbytes, StreamMover& src);
-  Off indep_read(ViewNav& nav, Off stream_lo, Off nbytes, StreamMover& dst);
+  /// Independent access of `count` instances of `mt` at view-stream byte
+  /// `stream_lo`: dense fast path for contiguous views, otherwise the
+  /// backend's view I/O, data sieving or direct per-run access per the
+  /// ds_write/ds_read strategy (paper §5 trade-off).  A read writes `buf`.
+  Off indep(bool write, Off stream_lo, const void* buf, Off count,
+            const dt::Type& mt);
 
   sim::Comm* comm_;
   pfs::FilePtr file_;
@@ -147,6 +149,12 @@ class IoEngine {
   std::mutex op_mu_;  ///< serializes operations (async vs caller thread)
 
  private:
+  friend class TwoPhase;
+
+  /// Validate, serialize and time one operation, then run it.
+  Off run_op(bool collective, bool write, Off offset_etypes, const void* buf,
+             Off count, const dt::Type& mt);
+
   obs::LocalRegistry local_metrics_;
 
   /// Sampling dimensions interned once per handle (interning takes a

@@ -17,63 +17,49 @@ namespace {
 // them to one vectored access per iov_batch_max entries.  The runs tile
 // the dense stream, so run k's file offset is abs_lo plus the combined
 // length of the runs before it.
-bool zerocopy_dense_write(SieveContext& ctx, Off abs_lo, Off nbytes,
-                          StreamMover& src) {
-  if (ctx.opts.zerocopy != Zerocopy::Auto) return false;
+template <class IoVec, class Submit>
+bool zerocopy_dense(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& m,
+                    const char* dir, Submit submit) {
   std::vector<ByteSpan> runs;
-  if (!src.mem_runs(0, nbytes, zerocopy_budget(ctx.opts), runs)) return false;
+  if (!zerocopy_runs(ctx.opts, ctx.stats, m, 0, nbytes, runs)) return false;
   obs::Span span("zerocopy");
-  span.arg("dir", "write");
+  span.arg("dir", dir);
   span.arg("runs", to_off(runs.size()));
   span.arg("bytes", nbytes);
   const std::size_t batch = to_size(std::max<Off>(1, ctx.opts.iov_batch_max));
-  std::vector<pfs::ConstIoVec> iov;
-  iov.reserve(std::min(batch, runs.size()));
-  Off pos = abs_lo;
-  for (const ByteSpan& r : runs) {
-    iov.push_back({pos, ConstByteSpan(r.data(), r.size())});
-    pos += to_off(r.size());
-    if (iov.size() == batch) {
-      timed_pwritev(ctx, iov);
-      iov.clear();
-    }
-  }
-  timed_pwritev(ctx, iov);
-  ctx.stats.zerocopy_windows += 1;
-  ctx.stats.iov_runs += runs.size();
-  ctx.stats.staging_bytes_saved += nbytes;
-  return true;
-}
-
-bool zerocopy_dense_read(SieveContext& ctx, Off abs_lo, Off nbytes,
-                         StreamMover& dst) {
-  if (ctx.opts.zerocopy != Zerocopy::Auto) return false;
-  std::vector<ByteSpan> runs;
-  if (!dst.mem_runs(0, nbytes, zerocopy_budget(ctx.opts), runs)) return false;
-  obs::Span span("zerocopy");
-  span.arg("dir", "read");
-  span.arg("runs", to_off(runs.size()));
-  span.arg("bytes", nbytes);
-  const std::size_t batch = to_size(std::max<Off>(1, ctx.opts.iov_batch_max));
-  std::vector<pfs::IoVec> iov;
+  std::vector<IoVec> iov;
   iov.reserve(std::min(batch, runs.size()));
   Off pos = abs_lo;
   for (const ByteSpan& r : runs) {
     iov.push_back({pos, r});
     pos += to_off(r.size());
     if (iov.size() == batch) {
-      timed_preadv_zero_fill(ctx, iov);
+      submit(ctx, iov);
       iov.clear();
     }
   }
-  timed_preadv_zero_fill(ctx, iov);
-  ctx.stats.zerocopy_windows += 1;
-  ctx.stats.iov_runs += runs.size();
-  ctx.stats.staging_bytes_saved += nbytes;
+  submit(ctx, iov);
   return true;
 }
 
 }  // namespace
+
+bool zerocopy_runs(const Options& opts, IoOpStats& stats, StreamMover& m,
+                   Off s, Off n, std::vector<ByteSpan>& runs) {
+  if (opts.zerocopy != Zerocopy::Auto) return false;
+  const RunBudget budget{
+      opts.zerocopy_max_runs > 0 ? to_size(opts.zerocopy_max_runs) : 1,
+      opts.zerocopy_min_run};
+  const std::size_t before = runs.size();
+  if (!m.mem_runs(s, n, budget, runs)) {
+    ++stats.staged_fallback_windows;
+    return false;
+  }
+  ++stats.zerocopy_windows;
+  stats.iov_runs += runs.size() - before;
+  stats.staging_bytes_saved += n;
+  return true;
+}
 
 void timed_pread_zero_fill(SieveContext& ctx, Off pos, ByteSpan buf) {
   StopWatch w;
@@ -376,11 +362,8 @@ Off dense_write(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& src) {
   if (nbytes <= 0) return 0;
   if (const Byte* direct = src.direct(0, nbytes)) {
     timed_pwrite(ctx, abs_lo, ConstByteSpan(direct, to_size(nbytes)));
-  } else if (zerocopy_dense_write(ctx, abs_lo, nbytes, src)) {
-    // stats counted inside
-  } else {
-    if (ctx.opts.zerocopy == Zerocopy::Auto)
-      ctx.stats.staged_fallback_windows += 1;
+  } else if (!zerocopy_dense<pfs::ConstIoVec>(ctx, abs_lo, nbytes, src,
+                                              "write", timed_pwritev)) {
     ByteVec packbuf(to_size(std::min(ctx.opts.pack_buffer_size, nbytes)));
     Off done = 0;
     while (done < nbytes) {
@@ -403,11 +386,8 @@ Off dense_read(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& dst) {
   if (nbytes <= 0) return 0;
   if (Byte* direct = dst.direct_mut(0, nbytes)) {
     timed_pread_zero_fill(ctx, abs_lo, ByteSpan(direct, to_size(nbytes)));
-  } else if (zerocopy_dense_read(ctx, abs_lo, nbytes, dst)) {
-    // stats counted inside
-  } else {
-    if (ctx.opts.zerocopy == Zerocopy::Auto)
-      ctx.stats.staged_fallback_windows += 1;
+  } else if (!zerocopy_dense<pfs::IoVec>(ctx, abs_lo, nbytes, dst, "read",
+                                         timed_preadv_zero_fill)) {
     ByteVec packbuf(to_size(std::min(ctx.opts.pack_buffer_size, nbytes)));
     Off done = 0;
     while (done < nbytes) {

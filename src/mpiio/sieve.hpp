@@ -41,12 +41,12 @@ Off sieve_read(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
 Off dense_write(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& src);
 Off dense_read(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& dst);
 
-/// The mem_runs() budget implied by the handle's options.
-inline RunBudget zerocopy_budget(const Options& opts) {
-  return RunBudget{
-      opts.zerocopy_max_runs > 0 ? to_size(opts.zerocopy_max_runs) : 1,
-      opts.zerocopy_min_run};
-}
+/// The zero-copy decision (llio_zerocopy=auto): describe stream bytes
+/// [s, s+n) of `m` as memory runs appended to `runs`, within the run
+/// budget the options imply.  Counts the engagement or, when the mover
+/// declines, the staged fallback; false when declined or zero-copy is off.
+bool zerocopy_runs(const Options& opts, IoOpStats& stats, StreamMover& m,
+                   Off s, Off n, std::vector<ByteSpan>& runs);
 
 /// Direct (non-sieving) non-contiguous access: one file access per
 /// contiguous run.  This is the other side of the sieving trade-off the
