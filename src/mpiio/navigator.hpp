@@ -11,6 +11,9 @@
 //                memory buffer and its dense packed stream, indexed by
 //                access-relative stream offsets [0, nbytes).
 //
+// The third, AccessCodec (two-phase collective access), sits with the
+// TwoPhase driver in mpiio/twophase.hpp.
+//
 // Conventions: "mem" offsets are file-layout offsets relative to the view
 // origin (the file displacement is added by the caller); "stream" offsets
 // are view-stream byte positions.
