@@ -566,6 +566,8 @@ obs::JobReport File::close() {
                  {"io", c.file_s},           {"wait", c.io_wait_s}};
   mine.counters = {
       {"bytes_moved", static_cast<std::uint64_t>(c.bytes_moved)},
+      {"file_read_bytes", static_cast<std::uint64_t>(c.file_read_bytes)},
+      {"file_write_bytes", static_cast<std::uint64_t>(c.file_write_bytes)},
       {"file_read_ops", c.file_read_ops},
       {"file_write_ops", c.file_write_ops},
       {"async_file_ops", c.async_file_ops},

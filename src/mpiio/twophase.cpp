@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -64,18 +63,22 @@ std::vector<Domain> partition_domains(const GlobalRange& g, int niops,
   LLIO_REQUIRE(align >= 1, Errc::InvalidArgument, "partition: align < 1");
   std::vector<Domain> out(to_size(Off{niops}));
   if (!g.any) return out;
+  // Deal the range's `units` align-sized units (the last one partial) out
+  // as evenly as they go: every domain gets `q` units and the last `r`
+  // get one more, so the clipped final unit lands in a long domain and
+  // non-empty lengths differ by at most one `align`.  A unit count below
+  // niops leaves leading domains empty; they move to the back below.
+  // Offsets are formed only for units < `units`, which lie below g.hi,
+  // so nothing overflows for ranges near the Off maximum.
   const Off total = g.hi - g.lo;
-  // Equal shares rounded up to the alignment; trailing IOPs may be empty.
-  // Both the rounding and the `lo + chunk` advance are guarded against
-  // signed overflow for ranges near the Off maximum (overflow used to
-  // wrap chunk negative and emit empty *leading* domains that dropped
-  // coverage of the tail of the range).
-  const Off max_off = std::numeric_limits<Off>::max();
-  Off chunk = total / niops + (total % niops != 0 ? 1 : 0);
-  chunk = chunk <= max_off - (align - 1) ? round_up(chunk, align) : total;
+  const Off units = total / align + (total % align != 0 ? 1 : 0);
+  const Off q = units / niops;
+  const Off r = units % niops;
+  Off at = 0;  // units dealt so far
   Off lo = g.lo;
   for (int i = 0; i < niops; ++i) {
-    const Off hi = g.hi - lo > chunk ? lo + chunk : g.hi;
+    at += q + (i >= niops - r ? 1 : 0);
+    const Off hi = at < units ? g.lo + at * align : g.hi;
     out[to_size(Off{i})] = {lo, hi};
     lo = hi;
   }
@@ -94,6 +97,12 @@ namespace {
 
 /// Every description starts with the slice's stream interval [s1][s2].
 constexpr std::size_t kSliceHeader = 2 * sizeof(Off);
+
+/// File-domain alignment: the page size, which is also
+/// PosixFile::direct_align.  Domains snap to it rather than to the file
+/// buffer size, so every IOP gets an equal share of the collective; the
+/// windows inside a domain stay <= the file buffer size.
+constexpr Off kDomainAlign = 4096;
 
 /// A timed phase of the op: one trace span plus the IoOpStats seconds
 /// field it feeds.
@@ -182,7 +191,7 @@ Off TwoPhase::run(Off stream_lo, const void* buf, Off count,
   }
 
   domains_ = partition_domains(g, effective_iops(opts.io_procs, comm.size()),
-                               opts.file_buffer_size);
+                               std::min(opts.file_buffer_size, kDomainAlign));
   describe();
   if (nbytes > 0) mover_ = e_.make_mover(buf, count, mt);
   if (write_)
@@ -331,8 +340,12 @@ void TwoPhase::read_phases() {
 void TwoPhase::serve(const std::vector<PeerSlice>& peers) {
   if (peers.empty()) return;
   const Options& opts = e_.opts_;
-  const Off fbs = opts.file_buffer_size;
   const Domain dom = domains_.at(to_size(Off{e_.comm_->rank()}));
+  // ceil(len / file buffer size) windows of equal size: each window
+  // buffer is no larger than the domain needs.
+  const Off len = dom.hi - dom.lo;
+  const Off nwin = ceil_div(len, opts.file_buffer_size);
+  const Off win = ceil_div(len, nwin);
   codec_.serve(peers);
 
   // Mergeview analysis (§3.2.4): per-window hole-freeness of a write,
@@ -343,8 +356,8 @@ void TwoPhase::serve(const std::vector<PeerSlice>& peers) {
   if (write_ && mode == MergeContig::Auto) {
     TimedSpan t(stats_.merge_analysis_s, "merge_analysis", nullptr);
     verdict = &e_.merge_cache_.get(
-        MergeCache::Key{e_.view_epoch_, dom.lo, dom.hi, fbs, ranges_},
-        [&] { return codec_.analyze(dom, fbs, ranges_); });
+        MergeCache::Key{e_.view_epoch_, dom.lo, dom.hi, win, ranges_},
+        [&] { return codec_.analyze(dom, win, ranges_); });
   }
 
   // The codec's cursors advance in window order, so `next` queues each
@@ -353,7 +366,7 @@ void TwoPhase::serve(const std::vector<PeerSlice>& peers) {
   auto next = [&](WindowPlan& plan) {
     while (pos < dom.hi) {
       const Off lo = pos;
-      const Off hi = std::min(dom.hi, pos + fbs);
+      const Off hi = std::min(dom.hi, pos + win);
       pos = hi;
       if (!codec_.plan_window(lo, hi)) continue;
       plan.lo = lo;
@@ -366,14 +379,13 @@ void TwoPhase::serve(const std::vector<PeerSlice>& peers) {
     }
     return false;
   };
-  auto fill = [&](const WindowPlan& plan, ByteSpan win) {
+  auto fill = [&](const WindowPlan& plan, ByteSpan buf) {
     TimedSpan t(stats_.copy_s, "pack", nullptr);
     t.span().arg("win", plan.index);
-    t.span().arg("slices", codec_.fill_window(plan.lo, win, write_));
+    t.span().arg("slices", codec_.fill_window(plan.lo, buf, write_));
   };
   SieveContext ctx{*e_.file_, *e_.locks_, opts, stats_};
-  run_window_pipeline(ctx, opts.pipeline_depth,
-                      std::min(fbs, dom.hi - dom.lo), next, fill);
+  run_window_pipeline(ctx, opts.pipeline_depth, win, next, fill);
   codec_.serve({});  // the peers' buffers end with this op
 }
 

@@ -57,9 +57,12 @@ struct Domain {
   bool empty() const { return hi <= lo; }
 };
 
-/// Split [g.lo, g.hi) into `niops` aligned, contiguous file domains;
-/// domain boundaries snap to multiples of `align` (the file buffer size)
-/// relative to g.lo so sieving windows never straddle two IOPs.
+/// Split [g.lo, g.hi) into `niops` contiguous file domains whose
+/// boundaries snap to multiples of `align` relative to g.lo.  The shares
+/// are as equal as the alignment allows: non-empty domains differ in
+/// length by at most `align`, and only trailing domains are empty (when
+/// the range holds fewer than `niops` units of `align`).  Two-phase I/O
+/// aligns to the page; psrv aligns its shards to the stripe.
 std::vector<Domain> partition_domains(const GlobalRange& g, int niops,
                                       Off align);
 

@@ -201,10 +201,19 @@ JobReport Collector::build(const std::vector<RankSnapshot>& ranks) {
     job.phases.push_back(build_phase(name, v, job.ranks));
   }
 
-  std::map<std::string, std::uint64_t> counters;
-  for (const RankSnapshot* r : order)
-    for (const auto& [name, v] : r->counters) counters[name] += v;
-  for (const auto& [name, v] : counters) job.counters.push_back({name, v});
+  std::map<std::string, std::vector<std::uint64_t>> counters;
+  for (std::size_t i = 0; i < order.size(); ++i)
+    for (const auto& [name, v] : order[i]->counters) {
+      auto& per_rank = counters[name];
+      per_rank.resize(order.size(), 0);
+      per_rank[i] += v;
+    }
+  for (auto& [name, per_rank] : counters) {
+    std::uint64_t sum = 0;
+    for (const std::uint64_t v : per_rank) sum += v;
+    job.counters.push_back({name, sum});
+    job.counters_per_rank.push_back({name, std::move(per_rank)});
+  }
 
   std::map<std::string, MergedHistogram> hists;
   for (std::size_t i = 0; i < order.size(); ++i)
@@ -356,6 +365,15 @@ std::string JobReport::to_json() const {
     out += strprintf(i == 0 ? "\"%s\":%llu" : ",\"%s\":%llu",
                      counters[i].first.c_str(),
                      static_cast<unsigned long long>(counters[i].second));
+  out += "},\"counters_per_rank\":{";
+  for (std::size_t i = 0; i < counters_per_rank.size(); ++i) {
+    const auto& [name, per_rank] = counters_per_rank[i];
+    out += strprintf(i == 0 ? "\"%s\":[" : ",\"%s\":[", name.c_str());
+    for (std::size_t r = 0; r < per_rank.size(); ++r)
+      out += strprintf(r == 0 ? "%llu" : ",%llu",
+                       static_cast<unsigned long long>(per_rank[r]));
+    out += "]";
+  }
   out += "},\"histograms\":[";
   for (std::size_t i = 0; i < hists.size(); ++i) {
     const MergedHistogram& m = hists[i];

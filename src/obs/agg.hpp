@@ -13,7 +13,7 @@
 //     min/median/max/imbalance across ranks, merged histograms whose
 //     quantiles reconcile with the per-rank values within one bucket
 //     (deterministic nearest-rank selection on identical bucket edges),
-//     summed counters, and straggler identification.
+//     counters summed and per rank, and straggler identification.
 //   * aggregate(comm, mine) — the collective form: allgather the
 //     serialized snapshots, build on every rank (all ranks return the
 //     same report).  Templated over the comm type so obs stays below
@@ -133,6 +133,11 @@ struct JobReport {
   std::vector<int> ranks;  ///< rank ids, index space of per_rank vectors
   std::vector<PhaseStats> phases;
   std::vector<std::pair<std::string, std::uint64_t>> counters;  ///< summed
+  /// The same counters per rank, each vector indexed like `ranks` (a rank
+  /// that never reported a counter contributes 0): per-IOP file bytes
+  /// show whether the two-phase file domains are balanced.
+  std::vector<std::pair<std::string, std::vector<std::uint64_t>>>
+      counters_per_rank;
   std::vector<MergedHistogram> hists;
 
   /// Rank with the largest "total" phase and its max/mean ratio; -1 when

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <map>
@@ -49,10 +50,15 @@ void histogram_bucket_bounds(int idx, long long& lo, long long& hi) {
     lo = hi = idx;
     return;
   }
+  // Unsigned, clamped: bucket 251 ends exactly at LLONG_MAX, so its end
+  // and the unreachable padding buckets above it overflow signed math.
   const int msb = 4 + (idx - 16) / 4;
-  const int sub = (idx - 16) % 4;
-  lo = (1LL << msb) + static_cast<long long>(sub) * (1LL << (msb - 2));
-  hi = lo + (1LL << (msb - 2)) - 1;
+  const unsigned sub = static_cast<unsigned>((idx - 16) % 4);
+  const unsigned long long step = 1ULL << (msb - 2);
+  const unsigned long long ulo = (1ULL << msb) + sub * step;
+  const unsigned long long cap = LLONG_MAX;
+  lo = static_cast<long long>(std::min(ulo, cap));
+  hi = static_cast<long long>(std::min(ulo + (step - 1), cap));
 }
 
 namespace {

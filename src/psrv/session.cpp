@@ -211,6 +211,7 @@ void Session::release_leases(sim::Comm& comm,
 }
 
 void Session::fetch_span(sim::Comm& comm, Off lo, ByteSpan out) {
+  await_recall_flushes();
   Off done = 0;
   for (const Slice& sl : split_span(*pool_, lo, lo + to_off(out.size()))) {
     ServerPool::Credit credit = pool_->acquire_credit(sl.server, id_);
@@ -228,8 +229,20 @@ void Session::fetch_span(sim::Comm& comm, Off lo, ByteSpan out) {
   }
 }
 
+void Session::await_recall_flushes() {
+  std::unique_lock<std::mutex> lock(mu_);
+  recall_flushed_.wait(lock, [this] { return recall_flushes_ == 0; });
+}
+
 void Session::write_back(sim::Comm& comm,
                          const std::vector<DirtyExtent>& extents) noexcept {
+  if (extents.empty()) return;
+  await_recall_flushes();
+  send_write_back(comm, extents);
+}
+
+void Session::send_write_back(
+    sim::Comm& comm, const std::vector<DirtyExtent>& extents) noexcept {
   if (extents.empty()) return;
   // One WriteBack message per server: extent list + payload, the
   // WriteList shape validated against fences server-side.
@@ -420,10 +433,19 @@ void Session::handle_recall(std::int64_t lease_id, Off /*lo*/, Off /*hi*/) {
       bit = blocks_.erase(bit);
     }
     leases_.erase(it);
+    if (!flush.empty()) {
+      ++recall_flush_seq_;
+      ++recall_flushes_;
+    }
   }
   // Credit-free, on our own callback comm: a recall flush must never
   // queue behind the (possibly parked) traffic that triggered it.
-  write_back(slot_->comm(), flush);
+  send_write_back(slot_->comm(), flush);
+  if (!flush.empty()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    --recall_flushes_;
+    recall_flushed_.notify_all();
+  }
   release_leases(slot_->comm(), rel);
 }
 
@@ -541,8 +563,10 @@ bool Session::cached_read(Off off, ByteSpan out) {
   for (int attempt = 0; attempt < 4; ++attempt) {
     std::vector<std::pair<Off, Off>> missing;  // block-aligned runs
     bool hit = false;
+    std::uint64_t flush_seq = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      flush_seq = recall_flush_seq_;
       const std::int64_t now = pool_->now();
       sweep_leases(now);
       Off run_lo = -1;
@@ -604,6 +628,11 @@ bool Session::cached_read(Off off, ByteSpan out) {
       std::lock_guard<std::mutex> lock(mu_);
       for (const ClientLease& l : newls)
         if (recall_orphans_.erase(l.id) > 0) orphaned = true;
+      // A recall that dropped dirty blocks meanwhile may have dropped
+      // ones we fetched (an unfilled block is fetched whole), and the
+      // fetch can predate its flush: installing it would cache stale
+      // bytes.
+      if (recall_flush_seq_ != flush_seq) orphaned = true;
       if (!orphaned) {
         for (const ClientLease& l : newls) leases_.emplace(l.id, l);
         for (const auto& [mlo, buf] : fetched) {
@@ -642,7 +671,8 @@ bool Session::cached_read(Off off, ByteSpan out) {
       }
     }
     if (orphaned) {
-      // A recall beat the grant home: don't install stale state.
+      // A recall beat the grant or the fetch home: don't install stale
+      // state.
       release_leases(ep->comm(), newls);
       bypass_with(ep->comm(), lo, hi, /*writing=*/false);
       return false;
@@ -801,6 +831,7 @@ void Session::flush_with(sim::Comm& comm) {
 
 void Session::prepare_bypass(Off lo, Off hi, bool writing) {
   std::lock_guard<std::mutex> op(op_mu_);
+  await_recall_flushes();  // the caller's wire op must not overtake one
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (blocks_.empty() && leases_.empty()) return;
@@ -810,6 +841,7 @@ void Session::prepare_bypass(Off lo, Off hi, bool writing) {
 }
 
 void Session::bypass_with(sim::Comm& comm, Off lo, Off hi, bool writing) {
+  await_recall_flushes();  // the caller's wire op must not overtake one
   std::vector<DirtyExtent> flush;
   std::vector<ClientLease> rel;
   std::vector<Off> clean_keys;

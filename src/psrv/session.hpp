@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -222,9 +223,20 @@ class Session {
   void release_leases(sim::Comm& comm,
                       const std::vector<ClientLease>& ls) noexcept;
   void fetch_span(sim::Comm& comm, Off lo, ByteSpan out);
+  /// A client op's WriteBack: waits for in-flight recall flushes first.
   void write_back(sim::Comm& comm,
                   const std::vector<DirtyExtent>& extents) noexcept;
+  /// The WriteBack round trips themselves (the recall listener's flush).
+  void send_write_back(sim::Comm& comm,
+                       const std::vector<DirtyExtent>& extents) noexcept;
   void close_on_servers(sim::Comm& comm) noexcept;
+
+  /// Block until no recall flush is on the wire.  A recall drops its
+  /// blocks from the cache before its WriteBack lands, and the client
+  /// ops talk to the servers over another comm, so without this a fetch
+  /// could read the pre-flush bytes and a later write could be
+  /// overwritten by them.  Caller holds op_mu_ but not mu_.
+  void await_recall_flushes();
 
   // Whole-op helpers (op_mu_ held by caller).
   void flush_with(sim::Comm& comm);
@@ -263,6 +275,11 @@ class Session {
   /// Recalls that arrived for lease ids we had not installed yet (the
   /// grant response and the recall raced); install must drop these.
   std::set<std::int64_t> recall_orphans_;
+  /// Recall flushes started so far, and those still on the wire;
+  /// recall_flushed_ signals each landing.
+  std::uint64_t recall_flush_seq_ = 0;
+  int recall_flushes_ = 0;
+  std::condition_variable recall_flushed_;
   std::uint64_t lru_ = 0;
   bool closed_ = false;
   CacheStats stats_;

@@ -253,6 +253,30 @@ TEST(Collector, UnionAlignsMissingPhases) {
   EXPECT_DOUBLE_EQ(wait->per_rank_s[1], 0.5);
 }
 
+TEST(Collector, KeepsPerRankCounters) {
+  // Snapshots arrive out of rank order and rank 0 lacks a counter: the
+  // per-rank vectors follow JobReport::ranks, absent = 0, and sum to the
+  // totals.
+  obs::RankSnapshot a = synthetic_rank(1, 1.0, 0.1);
+  a.counters.emplace_back("file_write_bytes", 4096ull);
+  obs::RankSnapshot b = synthetic_rank(0, 1.0, 0.1);
+  const obs::JobReport r = obs::Collector::build({a, b});
+  ASSERT_EQ(r.counters_per_rank.size(), r.counters.size());
+  for (std::size_t i = 0; i < r.counters.size(); ++i) {
+    const auto& [name, per_rank] = r.counters_per_rank[i];
+    EXPECT_EQ(name, r.counters[i].first);
+    ASSERT_EQ(per_rank.size(), 2u);
+    EXPECT_EQ(per_rank[0] + per_rank[1], r.counters[i].second) << name;
+    if (name == "file_write_bytes") {
+      EXPECT_EQ(per_rank[0], 0u);
+      EXPECT_EQ(per_rank[1], 4096u);
+    }
+  }
+  EXPECT_NE(r.to_json().find("\"counters_per_rank\":{\"bytes_moved\":[100,100],"
+                             "\"file_write_bytes\":[0,4096]}"),
+            std::string::npos);
+}
+
 // ---- collective aggregate over a multi-rank world -----------------------
 
 TEST(Aggregate, MultiRankReportNamesInjectedStraggler) {
@@ -335,6 +359,38 @@ TEST(Aggregate, MultiRankReportNamesInjectedStraggler) {
   EXPECT_NE(json.find("\"schema\":\"llio_report/v1\""), std::string::npos);
   EXPECT_NE(json.find("\"straggler\""), std::string::npos);
   std::remove(report_path.c_str());
+}
+
+// Per-IOP file bytes in the job report: a balanced collective write shows
+// every rank writing its equal share of the file.
+TEST(Aggregate, ReportCarriesPerIopFileBytes) {
+  constexpr int kRanks = 3;
+  const Off nblock = 1024, sblock = 8;
+  const Off nbytes = 8 * nblock * sblock;  // 64 KiB per rank
+  auto fs = pfs::MemFile::create();
+  std::mutex mu;
+  std::vector<obs::JobReport> reports;
+  sim::Runtime::run(kRanks, [&](sim::Comm& comm) {
+    mpiio::File f = mpiio::File::open(comm, fs, mpiio::Options{});
+    f.set_view(0, dt::byte(),
+               iotest::noncontig_filetype(nblock, sblock, kRanks,
+                                          comm.rank()));
+    const ByteVec stream = iotest::payload_stream(comm.rank(), nbytes);
+    f.write_at_all(0, stream.data(), nbytes, dt::byte());
+    const obs::JobReport r = f.close();
+    std::lock_guard lock(mu);
+    reports.push_back(r);
+  });
+  ASSERT_EQ(reports.size(), static_cast<std::size_t>(kRanks));
+  for (const obs::JobReport& r : reports) {
+    const auto it = std::find_if(
+        r.counters_per_rank.begin(), r.counters_per_rank.end(),
+        [](const auto& c) { return c.first == "file_write_bytes"; });
+    ASSERT_NE(it, r.counters_per_rank.end());
+    EXPECT_EQ(it->second,
+              std::vector<std::uint64_t>(kRanks,
+                                         static_cast<std::uint64_t>(nbytes)));
+  }
 }
 
 // ---- sampling ring ------------------------------------------------------

@@ -2,6 +2,7 @@
 // exchange), the View machinery, and the OlWalker baseline primitive.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "io_test_util.hpp"
@@ -100,6 +101,31 @@ TEST(PartitionDomains, EmptyDomainsOnlyTrail) {
           at = d.hi;
         }
         EXPECT_EQ(at, g.hi);
+      }
+    }
+  }
+}
+
+// Every IOP serves an equal share: over the same grid, non-empty domains
+// differ in length by at most one alignment unit (the clipped last unit
+// never leaves a short domain behind a long one).
+TEST(PartitionDomains, NonEmptySharesDifferByAtMostOneAlign) {
+  const Off aligns[] = {1, 64, 1000, 4096, Off{1} << 40};
+  const Off totals[] = {1, 63, 64, 65, 1000, (Off{1} << 41) + 17};
+  for (const Off align : aligns) {
+    for (const Off total : totals) {
+      for (const int niops : {1, 2, 3, 7}) {
+        GlobalRange g{100, 100 + total, true};
+        Off shortest = total;
+        Off longest = 0;
+        for (const Domain& d : partition_domains(g, niops, align)) {
+          if (d.empty()) continue;
+          shortest = std::min(shortest, d.hi - d.lo);
+          longest = std::max(longest, d.hi - d.lo);
+        }
+        EXPECT_LE(longest - shortest, align)
+            << "total=" << total << " align=" << align
+            << " niops=" << niops;
       }
     }
   }

@@ -7,10 +7,13 @@ Usage:
 Checks, in order:
 
   * schema: the document is one JSON object tagged "llio_report/v1" with
-    the required sections (ranks, phases, counters, histograms,
-    straggler, sampling; critical_path when the run was traced).
+    the required sections (ranks, phases, counters, counters_per_rank,
+    histograms, straggler, sampling; critical_path when the run was
+    traced).
   * internal consistency: every phase's per_rank_s has nranks entries
-    and its min/max/sum agree with them; counters are non-negative.
+    and its min/max/sum agree with them; counters are non-negative, and
+    counters_per_rank holds nranks values for every counter that sum to
+    its total.
   * histogram reconciliation: for every merged histogram, the merged
     count equals the sum of the per-rank counts, and each merged
     quantile (p50/p95/p99) lands within one log-linear bucket of the
@@ -80,6 +83,36 @@ def check_phases(report):
             ok = fail(f"phase {name}: sum_s {p['sum_s']} != "
                       f"sum(per_rank_s) {sum(per_rank)}")
     return ok
+
+
+def check_counters(report):
+    ok = True
+    totals = report["counters"]
+    per_rank = report["counters_per_rank"]
+    if set(per_rank) != set(totals):
+        ok = fail(f"counters_per_rank names {sorted(per_rank)} != "
+                  f"counters names {sorted(totals)}")
+    for name, values in per_rank.items():
+        if not isinstance(values, list) or \
+                len(values) != report["nranks"] or \
+                not all(isinstance(v, int) and v >= 0 for v in values):
+            ok = fail(f"counter {name}: per-rank values {values!r}, want "
+                      f"{report['nranks']} non-negative integers")
+        elif name in totals and sum(values) != totals[name]:
+            ok = fail(f"counter {name}: per-rank sum {sum(values)} != "
+                      f"total {totals[name]}")
+    return ok
+
+
+def file_bytes_imbalance(report):
+    """max/mean of the ranks' file bytes (read + write): 1.0 when every
+    IOP moved the same share, nranks when one rank did all the I/O."""
+    per_rank = report["counters_per_rank"]
+    zeros = [0] * report["nranks"]
+    moved = [r + w for r, w in zip(per_rank.get("file_read_bytes", zeros),
+                                   per_rank.get("file_write_bytes", zeros))]
+    mean = sum(moved) / len(moved) if moved else 0
+    return max(moved) / mean if mean > 0 else 0.0
 
 
 def check_histograms(report):
@@ -206,7 +239,8 @@ def main():
         return int(not fail(f"schema is {report.get('schema')!r}, "
                             f"want 'llio_report/v1'"))
     for section, typ in (("nranks", int), ("ranks", list), ("phases", list),
-                         ("counters", dict), ("histograms", list),
+                         ("counters", dict), ("counters_per_rank", dict),
+                         ("histograms", list),
                          ("straggler", dict), ("global_histograms", dict),
                          ("sampling", dict)):
         if not isinstance(report.get(section), typ):
@@ -218,6 +252,7 @@ def main():
                   f"nranks={report['nranks']}")
 
     ok = check_phases(report) and ok
+    ok = check_counters(report) and ok
     ok = check_histograms(report) and ok
     ok = check_adapt(report) and ok
     if (args.expect_adapt or args.min_switches is not None) \
@@ -276,8 +311,8 @@ def main():
         print(f"ok: {report['nranks']} ranks, phases {sorted(phases)}, "
               f"{len(report['histograms'])} merged histograms, straggler "
               f"rank {straggler.get('rank')}"
-              f" (imbalance {straggler.get('imbalance')})"
-              f"{cp_note}")
+              f" (imbalance {straggler.get('imbalance')}), file bytes "
+              f"imbalance {file_bytes_imbalance(report):.3f}{cp_note}")
     return 0 if ok else 1
 
 
