@@ -1,5 +1,5 @@
-// Wall-clock timing utilities used by the benchmark harnesses and the
-// per-operation I/O statistics.
+// Wall-clock timer for the benchmark harnesses and one-off elapsed-time
+// reads.  Timed phases of an operation use obs::Phase (obs/phase.hpp).
 #pragma once
 
 #include <chrono>
@@ -22,41 +22,6 @@ class WallTimer {
 
  private:
   Clock::time_point start_;
-};
-
-/// Accumulates wall time across start/stop intervals (e.g. "time spent
-/// building ol-lists" summed over a whole benchmark run).
-class StopWatch {
- public:
-  void start() { t0_ = WallTimer::Clock::now(); running_ = true; }
-
-  void stop() {
-    if (!running_) return;
-    total_ += std::chrono::duration<double>(WallTimer::Clock::now() - t0_)
-                  .count();
-    running_ = false;
-  }
-
-  void reset() { total_ = 0.0; running_ = false; }
-
-  double seconds() const { return total_; }
-
- private:
-  WallTimer::Clock::time_point t0_{};
-  double total_ = 0.0;
-  bool running_ = false;
-};
-
-/// RAII guard accumulating the lifetime of a scope into a StopWatch.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(StopWatch& watch) : watch_(watch) { watch_.start(); }
-  ~ScopedTimer() { watch_.stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  StopWatch& watch_;
 };
 
 }  // namespace llio

@@ -8,10 +8,9 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "common/worker_pool.hpp"
 #include "fotf/pack.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace llio::fotf {
 
@@ -77,15 +76,11 @@ Off range_impl(const Type& t, Off count, Byte* typed, Off bias, Off skip,
   auto run_slice = [&](int i) {
     const Off lo = skip + n * i / nt;
     const Off hi = skip + n * (i + 1) / nt;
-    obs::Span span("pack_slice", obs::TraceLevel::Full);
-    span.arg("slice", i);
-    span.arg("bytes", hi - lo);
-    StopWatch w;
-    w.start();
+    obs::Phase p(secs[to_size(Off{i})], "pack_slice", obs::TraceLevel::Full);
+    p.arg("slice", i);
+    p.arg("bytes", hi - lo);
     const Off moved = slice_move<ToPack>(t, count, typed, bias, plan, lo,
                                          pk + (lo - skip), hi - lo);
-    w.stop();
-    secs[to_size(Off{i})] = w.seconds();
     LLIO_ASSERT(moved == hi - lo, "pack_range: short slice");
   };
 

@@ -4,10 +4,9 @@
 #include <cstring>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "listio/list_mover.hpp"
 #include "mpiio/mergeview.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace llio::listio {
 
@@ -20,8 +19,7 @@ void OlListCodec::describe(const mpiio::AccessRange& mine,
   // The N_coll expansion (§2.3): walk my access tuple by tuple across
   // filetype instances and clip every block against the IOP domains.
   // Cost and memory are O(S_access / S_extent * N_block) in total.
-  obs::Span span("list_build");
-  WallTimer t;
+  obs::Phase t(stats_.list_build_s, "list_build");
   lists_.assign(doms.size(), {});
   const Off stream_lo = mine.stream_lo;
   const Off nbytes = mine.nbytes;
@@ -70,7 +68,6 @@ void OlListCodec::describe(const mpiio::AccessRange& mine,
   Off list_mem = 0;
   for (const auto& list : lists_)
     list_mem += to_off(list.size() * sizeof(dt::OlTuple));
-  stats_.list_build_s += t.seconds();
   stats_.list_mem_bytes = std::max(stats_.list_mem_bytes, list_mem);
 }
 

@@ -3,21 +3,19 @@
 #include <cstring>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
+#include "obs/phase.hpp"
 
 namespace llio::listio {
 
 namespace {
 dt::OlList timed_flatten(const dt::Type& t, mpiio::IoOpStats* stats) {
-  StopWatch w;
-  w.start();
-  dt::OlList list = dt::flatten(t);
-  w.stop();
-  if (stats != nullptr) {
-    stats->list_build_s += w.seconds();
-    stats->list_mem_bytes =
-        std::max(stats->list_mem_bytes, list.memory_bytes());
+  if (stats == nullptr) return dt::flatten(t);
+  dt::OlList list;
+  {
+    obs::Phase p(stats->list_build_s, nullptr);
+    list = dt::flatten(t);
   }
+  stats->list_mem_bytes = std::max(stats->list_mem_bytes, list.memory_bytes());
   return list;
 }
 }  // namespace

@@ -3,10 +3,9 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "mpiio/sieve.hpp"
+#include "obs/phase.hpp"
 #include "obs/snapshot.hpp"
-#include "obs/trace.hpp"
 #include "pfs/view_io.hpp"
 
 namespace llio::mpiio {
@@ -63,12 +62,14 @@ Off viewio_access(bool write, pfs::ViewIo& vio, const View& view,
                   const Options& opts, IoOpStats& stats, Off stream_lo,
                   Off nbytes, StreamMover& m) {
   auto view_call = [&](Off s, Byte* p, Off n) {
-    WallTimer t;
-    if (write)
-      vio.view_write(view.filetype, view.disp, s, ConstByteSpan(p, to_size(n)));
-    else
-      vio.view_read(view.filetype, view.disp, s, ByteSpan(p, to_size(n)));
-    stats.file_s += t.seconds();
+    {
+      obs::Phase t(stats.file_s, nullptr);
+      if (write)
+        vio.view_write(view.filetype, view.disp, s,
+                       ConstByteSpan(p, to_size(n)));
+      else
+        vio.view_read(view.filetype, view.disp, s, ByteSpan(p, to_size(n)));
+    }
     (write ? stats.file_write_ops : stats.file_read_ops) += 1;
     (write ? stats.file_write_bytes : stats.file_read_bytes) += n;
   };
@@ -81,15 +82,13 @@ Off viewio_access(bool write, pfs::ViewIo& vio, const View& view,
     for (Off done = 0; done < nbytes;) {
       const Off n = std::min(nbytes - done, static_cast<Off>(buf.size()));
       if (write) {
-        WallTimer t;
+        obs::Phase t(stats.copy_s, nullptr);
         m.to_stream(buf.data(), done, n);
-        stats.copy_s += t.seconds();
       }
       view_call(stream_lo + done, buf.data(), n);
       if (!write) {
-        WallTimer t;
+        obs::Phase t(stats.copy_s, nullptr);
         m.from_stream(buf.data(), done, n);
-        stats.copy_s += t.seconds();
       }
       done += n;
     }
@@ -131,25 +130,24 @@ std::unique_ptr<StreamMover> IoEngine::make_mover(const void* buf, Off count,
 }
 
 namespace {
-/// Times the whole operation into stats.total_s and folds the finished
-/// per-op record into the cumulative counters.  Also opens a trace span
-/// covering the operation on the calling rank's track, snapshots the
-/// backend's async submission counters around the op so the delta lands
-/// in async_file_ops / async_inflight_peak, and hands the finished record
-/// to IoEngine::observe_op (per-rank histograms + sampling ring).
-class OpTimer {
+/// Brackets one operation: clears the per-op record on entry and, on
+/// exit, folds it into the cumulative counters and hands it to
+/// IoEngine::observe_op (per-rank histograms + sampling ring).  Also
+/// snapshots the backend's async submission counters around the op so
+/// the delta lands in async_file_ops / async_inflight_peak.  The op's
+/// wall time is an obs::Phase opened after this guard (closed before it).
+class OpRecord {
  public:
-  OpTimer(const char* op, std::uint32_t op_id, IoEngine& engine,
-          IoOpStats& stats, IoOpStats& cumulative,
-          const pfs::FileBackend* backend)
+  OpRecord(std::uint32_t op_id, IoEngine& engine, IoOpStats& stats,
+           IoOpStats& cumulative, const pfs::FileBackend* backend)
       : op_id_(op_id), engine_(engine), stats_(stats),
-        cumulative_(cumulative), backend_(backend), span_(op) {
+        cumulative_(cumulative), backend_(backend) {
     stats_ = IoOpStats{};
     if (backend_ != nullptr)
       if (const auto info = backend_->async_info())
         start_submitted_ = info->stats.submitted;
   }
-  ~OpTimer() {
+  ~OpRecord() {
     int qd = 1;
     if (backend_ != nullptr)
       if (const auto info = backend_->async_info()) {
@@ -157,10 +155,11 @@ class OpTimer {
         stats_.async_inflight_peak = info->stats.inflight_peak;
         qd = info->queue_depth;
       }
-    stats_.total_s = timer_.seconds();
     cumulative_ += stats_;
     engine_.observe_op(op_id_, stats_, qd);
   }
+  OpRecord(const OpRecord&) = delete;
+  OpRecord& operator=(const OpRecord&) = delete;
 
  private:
   std::uint32_t op_id_;
@@ -169,25 +168,15 @@ class OpTimer {
   IoOpStats& cumulative_;
   const pfs::FileBackend* backend_;
   std::uint64_t start_submitted_ = 0;
-  WallTimer timer_;
-  obs::Span span_;
 };
-
-long long to_us(double seconds) {
-  return static_cast<long long>(seconds * 1e6);
-}
 }  // namespace
 
 void IoEngine::observe_op(std::uint32_t op_id, const IoOpStats& s,
                           int queue_depth) {
-  if (obs::metrics_enabled()) {
-    local_metrics_.histogram("op.total_us").record(to_us(s.total_s));
-    local_metrics_.histogram("op.pack_us").record(to_us(s.copy_s));
-    local_metrics_.histogram("op.exchange_us").record(to_us(s.exchange_s));
-    local_metrics_.histogram("op.preread_us").record(to_us(s.preread_s));
-    local_metrics_.histogram("op.io_us").record(to_us(s.file_s));
-    local_metrics_.histogram("op.wait_us").record(to_us(s.io_wait_s));
-  }
+  if (obs::metrics_enabled())
+    for (const auto& [name, seconds] : report_phases(s))
+      local_metrics_.histogram("op." + name + "_us")
+          .record(static_cast<long long>(seconds * 1e6));
   obs::Sampler& sampler = obs::Sampler::instance();
   if (!sampler.enabled()) return;
   if (!sample_dims_.resolved) {  // one-time per handle; op_mu_ is held
@@ -255,7 +244,8 @@ Off IoEngine::run_op(bool collective, bool write, Off offset_etypes,
   const int k = 2 * static_cast<int>(collective) + static_cast<int>(write);
   const Off stream_lo = check_access(offset_etypes, buf, count, mt);
   std::lock_guard op_lock(op_mu_);
-  OpTimer op(kNames[k], kIds[k], *this, stats_, cumulative_, file_.get());
+  OpRecord record(kIds[k], *this, stats_, cumulative_, file_.get());
+  obs::Phase op(stats_.total_s, kNames[k]);
   if (collective) return TwoPhase(*this, write).run(stream_lo, buf, count, mt);
   return indep(write, stream_lo, buf, count, mt);
 }

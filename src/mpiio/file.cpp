@@ -561,19 +561,8 @@ obs::JobReport File::close() {
   const IoOpStats& c = cumulative_stats();
   obs::RankSnapshot mine;
   mine.rank = comm.rank();
-  mine.phases = {{"total", c.total_s},      {"pack", c.copy_s},
-                 {"exchange", c.exchange_s}, {"preread", c.preread_s},
-                 {"io", c.file_s},           {"wait", c.io_wait_s}};
-  mine.counters = {
-      {"bytes_moved", static_cast<std::uint64_t>(c.bytes_moved)},
-      {"file_read_bytes", static_cast<std::uint64_t>(c.file_read_bytes)},
-      {"file_write_bytes", static_cast<std::uint64_t>(c.file_write_bytes)},
-      {"file_read_ops", c.file_read_ops},
-      {"file_write_ops", c.file_write_ops},
-      {"async_file_ops", c.async_file_ops},
-      {"zerocopy_windows", c.zerocopy_windows},
-      {"preread_skipped_windows", c.preread_skipped_windows},
-  };
+  mine.phases = report_phases(c);
+  mine.counters = report_counters(c);
   mine.hists = engine_->local_metrics().histogram_data();
   if (alt_engine_) {
     for (const auto& [name, data] : alt_engine_->local_metrics().histogram_data()) {

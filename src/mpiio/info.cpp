@@ -85,10 +85,6 @@ Options apply_info(const Info& info, Options base) {
       else
         throw_error(Errc::InvalidArgument,
                     "hint llio_merge_contig: expected auto/off/force");
-    } else if (key == "llio_merge_opt") {
-      // Backwards-compatible alias: enable = the analyzed default.
-      base.merge_contig = parse_enable(key, value) ? MergeContig::Auto
-                                                   : MergeContig::Off;
     } else if (key == "llio_pipeline_depth") {
       base.pipeline_depth = parse_int(key, value);
     } else if (key == "llio_iov_batch_max") {

@@ -1,55 +1,53 @@
 #include "mpiio/io_stats.hpp"
 
+#include <concepts>
+
 #include "common/format.hpp"
 
 namespace llio::mpiio {
 
+namespace {
+
+using Phases = std::vector<std::pair<std::string, double>>;
+using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
+
+// Seconds fields report as phases, integer fields as counters.
+void add(Phases& out, const char* name, double v) {
+  if (name != nullptr) out.emplace_back(name, v);
+}
+void add(Phases&, const char*, std::integral auto) {}
+void add(Counters& out, const char* name, std::integral auto v) {
+  if (name != nullptr) out.emplace_back(name, static_cast<std::uint64_t>(v));
+}
+void add(Counters&, const char*, double) {}
+
+template <class Out>
+Out reported(const IoOpStats& s) {
+  Out out;
+#define LLIO_X(type, member, merge, report) add(out, report, s.member);
+  LLIO_IO_OP_STATS_FIELDS(LLIO_X)
+#undef LLIO_X
+  return out;
+}
+
+void append(std::string& out, const char* name, double v) {
+  out += strprintf("%-24s %12.6f s\n", name, v);
+}
+void append(std::string& out, const char* name, std::integral auto v) {
+  out += strprintf("%-24s %12lld\n", name, static_cast<long long>(v));
+}
+
+}  // namespace
+
+Phases report_phases(const IoOpStats& s) { return reported<Phases>(s); }
+
+Counters report_counters(const IoOpStats& s) { return reported<Counters>(s); }
+
 std::string format_stats(const IoOpStats& s) {
   std::string out;
-  out += strprintf("total            %10.6f s\n", s.total_s);
-  out += strprintf("  list build     %10.6f s\n", s.list_build_s);
-  out += strprintf("  copy           %10.6f s\n", s.copy_s);
-  out += strprintf("  file I/O       %10.6f s\n", s.file_s);
-  out += strprintf("  rmw preread    %10.6f s\n", s.preread_s);
-  out += strprintf("  exchange       %10.6f s\n", s.exchange_s);
-  out += strprintf("  merge analysis %10.6f s\n", s.merge_analysis_s);
-  out += strprintf("  overlap        %10.6f s\n", s.overlap_s);
-  out += strprintf("  io wait        %10.6f s\n", s.io_wait_s);
-  out += strprintf("bytes moved      %lld\n", (long long)s.bytes_moved);
-  out += strprintf("file read        %lld B in %llu ops\n",
-                   (long long)s.file_read_bytes,
-                   (unsigned long long)s.file_read_ops);
-  out += strprintf("file write       %lld B in %llu ops\n",
-                   (long long)s.file_write_bytes,
-                   (unsigned long long)s.file_write_ops);
-  out += strprintf("list sent        %lld B\n", (long long)s.list_bytes_sent);
-  out += strprintf("data sent        %lld B\n", (long long)s.data_bytes_sent);
-  out += strprintf("list memory      %lld B\n", (long long)s.list_mem_bytes);
-  out += strprintf("preread skipped  %llu windows\n",
-                   (unsigned long long)s.preread_skipped_windows);
-  out += strprintf("merge contig     %llu ops\n",
-                   (unsigned long long)s.merge_contig_ops);
-  out += strprintf("zerocopy         %llu windows (%llu staged fallback), "
-                   "%llu runs, %lld B saved\n",
-                   (unsigned long long)s.zerocopy_windows,
-                   (unsigned long long)s.staged_fallback_windows,
-                   (unsigned long long)s.iov_runs,
-                   (long long)s.staging_bytes_saved);
-  out += strprintf("pack threads     %llu used, %llu slices",
-                   (unsigned long long)s.pack_threads_used,
-                   (unsigned long long)s.pack_slices);
-  if (s.pack_slices > 0 && s.pack_slice_total_s > 0) {
-    const double mean =
-        s.pack_slice_total_s / static_cast<double>(s.pack_slices);
-    out += strprintf(" (slice max/mean %.2f)", s.pack_slice_max_s / mean);
-  }
-  out += "\n";
-  out += strprintf("pack plan        %llu hits / %llu misses\n",
-                   (unsigned long long)s.plan_hits,
-                   (unsigned long long)s.plan_misses);
-  out += strprintf("async qd         %llu ops, peak %llu in flight\n",
-                   (unsigned long long)s.async_file_ops,
-                   (unsigned long long)s.async_inflight_peak);
+#define LLIO_X(type, member, merge, report) append(out, #member, s.member);
+  LLIO_IO_OP_STATS_FIELDS(LLIO_X)
+#undef LLIO_X
   return out;
 }
 

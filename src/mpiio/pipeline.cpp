@@ -10,10 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "common/timer.hpp"
 #include "common/worker_pool.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 #include "pfs/range_lock.hpp"
 
 namespace llio::mpiio {
@@ -35,20 +34,18 @@ struct FileJobStats {
 FileJobStats read_job(pfs::FileBackend& file, Off lo, ByteSpan buf, Off win,
                       bool rmw) {
   FileJobStats s;
-  obs::Span span("preread");
-  StopWatch w;
-  w.start();
-  const Off got = file.pread(lo, buf);
-  w.stop();
-  span.arg("win", win);
-  span.arg("bytes", to_off(buf.size()));
-  if (to_size(got) < buf.size())
-    std::memset(buf.data() + got, 0, buf.size() - to_size(got));
-  s.seconds = w.seconds();
+  {
+    obs::Phase t(s.seconds, "preread");
+    t.arg("win", win);
+    t.arg("bytes", to_off(buf.size()));
+    s.read_bytes = file.pread(lo, buf);
+  }
+  if (to_size(s.read_bytes) < buf.size())
+    std::memset(buf.data() + s.read_bytes, 0,
+                buf.size() - to_size(s.read_bytes));
   // A read ahead of a write-back is the RMW pre-read the mergeview
   // analysis tries to elide; a read-op window load is plain I/O.
   if (rmw) s.preread_seconds = s.seconds;
-  s.read_bytes = got;
   s.read_ops = 1;
   return s;
 }
@@ -56,14 +53,12 @@ FileJobStats read_job(pfs::FileBackend& file, Off lo, ByteSpan buf, Off win,
 FileJobStats write_job(pfs::FileBackend& file, Off lo, ConstByteSpan buf,
                        Off win) {
   FileJobStats s;
-  obs::Span span("pwrite");
-  StopWatch w;
-  w.start();
-  file.pwrite(lo, buf);
-  w.stop();
-  span.arg("win", win);
-  span.arg("bytes", to_off(buf.size()));
-  s.seconds = w.seconds();
+  {
+    obs::Phase t(s.seconds, "pwrite");
+    t.arg("win", win);
+    t.arg("bytes", to_off(buf.size()));
+    file.pwrite(lo, buf);
+  }
   s.write_bytes = to_off(buf.size());
   s.write_ops = 1;
   return s;
@@ -83,26 +78,19 @@ void run_serial(SieveContext& ctx, Off buffer_bytes, const WindowSource& next,
     if (plan.writeback && !plan.preread) ++ctx.stats.preread_skipped_windows;
     std::optional<pfs::ScopedRangeLock> lock;
     if (plan.lock) lock.emplace(ctx.locks, plan.lo, plan.hi);
+    // Same span vocabulary as the pipelined jobs, here on the compute
+    // thread (tid 0): the explainer excludes these from worker overlap,
+    // the critical-path pass counts them as the window's I/O exposure.
     if (plan.preread) {
-      // Same span vocabulary as the pipelined jobs, here on the compute
-      // thread (tid 0): the explainer excludes these from worker overlap,
-      // the critical-path pass counts them as the window's I/O exposure.
-      obs::Span io_span("preread");
-      io_span.arg("win", plan.index);
-      io_span.arg("bytes", win);
-      StopWatch w;
-      w.start();
-      timed_pread_zero_fill(ctx, plan.lo, ByteSpan(buf.data(), to_size(win)));
-      w.stop();
-      if (plan.writeback) ctx.stats.preread_s += w.seconds();
+      const double s = timed_pread_zero_fill(
+          ctx, plan.lo, ByteSpan(buf.data(), to_size(win)), "preread",
+          plan.index);
+      if (plan.writeback) ctx.stats.preread_s += s;
     }
     fill(plan, ByteSpan(buf.data(), to_size(win)));
-    if (plan.writeback) {
-      obs::Span io_span("pwrite");
-      io_span.arg("win", plan.index);
-      io_span.arg("bytes", win);
-      timed_pwrite(ctx, plan.lo, ConstByteSpan(buf.data(), to_size(win)));
-    }
+    if (plan.writeback)
+      timed_pwrite(ctx, plan.lo, ConstByteSpan(buf.data(), to_size(win)),
+                   "pwrite", plan.index);
   }
 }
 
@@ -152,10 +140,8 @@ void run_pipelined(SieveContext& ctx, int depth, Off buffer_bytes,
     // in; the wait doubles as the happens-before edge that hands the
     // buffer back to the compute thread.
     if (!fl.io.valid()) return;
-    obs::Span span("io_wait");
-    span.arg("win", fl.plan.index);
-    StopWatch w;
-    w.start();
+    obs::Phase t(wait_s, "io_wait");
+    t.arg("win", fl.plan.index);
     try {
       const FileJobStats s = fl.io.get();
       worker.seconds += s.seconds;
@@ -167,8 +153,6 @@ void run_pipelined(SieveContext& ctx, int depth, Off buffer_bytes,
     } catch (...) {
       if (!err) err = std::current_exception();
     }
-    w.stop();
-    wait_s += w.seconds();
   };
 
   auto retire = [&](Flight& fl) {

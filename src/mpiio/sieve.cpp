@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace llio::mpiio {
 
@@ -61,24 +60,30 @@ bool zerocopy_runs(const Options& opts, IoOpStats& stats, StreamMover& m,
   return true;
 }
 
-void timed_pread_zero_fill(SieveContext& ctx, Off pos, ByteSpan buf) {
-  StopWatch w;
-  w.start();
-  const Off got = ctx.file.pread(pos, buf);
-  w.stop();
-  ctx.stats.file_s += w.seconds();
+double timed_pread_zero_fill(SieveContext& ctx, Off pos, ByteSpan buf,
+                             const char* span, Off win) {
+  double s = 0;
+  Off got = 0;
+  {
+    obs::Phase t(s, span);
+    t.arg("win", win);
+    t.arg("bytes", to_off(buf.size()));
+    got = ctx.file.pread(pos, buf);
+  }
+  ctx.stats.file_s += s;
   ctx.stats.file_read_bytes += got;
   ctx.stats.file_read_ops += 1;
   if (to_size(got) < buf.size())
     std::memset(buf.data() + got, 0, buf.size() - to_size(got));
+  return s;
 }
 
-void timed_pwrite(SieveContext& ctx, Off pos, ConstByteSpan buf) {
-  StopWatch w;
-  w.start();
+void timed_pwrite(SieveContext& ctx, Off pos, ConstByteSpan buf,
+                  const char* span, Off win) {
+  obs::Phase t(ctx.stats.file_s, span);
+  t.arg("win", win);
+  t.arg("bytes", to_off(buf.size()));
   ctx.file.pwrite(pos, buf);
-  w.stop();
-  ctx.stats.file_s += w.seconds();
   ctx.stats.file_write_bytes += to_off(buf.size());
   ctx.stats.file_write_ops += 1;
 }
@@ -86,12 +91,8 @@ void timed_pwrite(SieveContext& ctx, Off pos, ConstByteSpan buf) {
 void timed_preadv_zero_fill(SieveContext& ctx,
                             std::span<const pfs::IoVec> iov) {
   if (iov.empty()) return;
-  StopWatch w;
-  w.start();
-  const Off got = ctx.file.preadv(iov);
-  w.stop();
-  ctx.stats.file_s += w.seconds();
-  ctx.stats.file_read_bytes += got;
+  obs::Phase t(ctx.stats.file_s, nullptr);
+  ctx.stats.file_read_bytes += ctx.file.preadv(iov);
   ctx.stats.file_read_ops += 1;
 }
 
@@ -99,11 +100,8 @@ void timed_pwritev(SieveContext& ctx, std::span<const pfs::ConstIoVec> iov) {
   if (iov.empty()) return;
   Off total = 0;
   for (const pfs::ConstIoVec& v : iov) total += to_off(v.buf.size());
-  StopWatch w;
-  w.start();
+  obs::Phase t(ctx.stats.file_s, nullptr);
   ctx.file.pwritev(iov);
-  w.stop();
-  ctx.stats.file_s += w.seconds();
   ctx.stats.file_write_bytes += total;
   ctx.stats.file_write_ops += 1;
 }
@@ -135,26 +133,23 @@ Off sieve_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
     if (!covered || !ctx.opts.sieve_skip_covered_read)
       timed_pread_zero_fill(ctx, pos, ByteSpan(fbuf.data(), to_size(win)));
 
-    StopWatch copy;
-    copy.start();
-    if (const Byte* direct = src.direct(done, avail)) {
-      nav.scatter(fbuf.data(), pos - disp, stream_lo + done, direct, avail);
-    } else {
-      if (packbuf.empty())
-        packbuf.resize(to_size(ctx.opts.pack_buffer_size));
-      Off sub = 0;
-      while (sub < avail) {
-        const Off n =
-            std::min<Off>(to_off(packbuf.size()), avail - sub);
-        src.to_stream(packbuf.data(), done + sub, n);
-        nav.scatter(fbuf.data(), pos - disp, stream_lo + done + sub,
-                    packbuf.data(), n);
-        sub += n;
+    {
+      obs::Phase copy(ctx.stats.copy_s, nullptr);
+      if (const Byte* direct = src.direct(done, avail)) {
+        nav.scatter(fbuf.data(), pos - disp, stream_lo + done, direct, avail);
+      } else {
+        if (packbuf.empty())
+          packbuf.resize(to_size(ctx.opts.pack_buffer_size));
+        Off sub = 0;
+        while (sub < avail) {
+          const Off n = std::min<Off>(to_off(packbuf.size()), avail - sub);
+          src.to_stream(packbuf.data(), done + sub, n);
+          nav.scatter(fbuf.data(), pos - disp, stream_lo + done + sub,
+                      packbuf.data(), n);
+          sub += n;
+        }
       }
     }
-    copy.stop();
-    ctx.stats.copy_s += copy.seconds();
-
     timed_pwrite(ctx, pos, ConstByteSpan(fbuf.data(), to_size(win)));
     done += avail;
     pos = win_hi;
@@ -187,26 +182,23 @@ Off sieve_read(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
     }
     timed_pread_zero_fill(ctx, pos, ByteSpan(fbuf.data(), to_size(win)));
 
-    StopWatch copy;
-    copy.start();
-    if (Byte* direct = dst.direct_mut(done, avail)) {
-      nav.gather(direct, fbuf.data(), pos - disp, stream_lo + done, avail);
-    } else {
-      if (packbuf.empty())
-        packbuf.resize(to_size(ctx.opts.pack_buffer_size));
-      Off sub = 0;
-      while (sub < avail) {
-        const Off n =
-            std::min<Off>(to_off(packbuf.size()), avail - sub);
-        nav.gather(packbuf.data(), fbuf.data(), pos - disp,
-                   stream_lo + done + sub, n);
-        dst.from_stream(packbuf.data(), done + sub, n);
-        sub += n;
+    {
+      obs::Phase copy(ctx.stats.copy_s, nullptr);
+      if (Byte* direct = dst.direct_mut(done, avail)) {
+        nav.gather(direct, fbuf.data(), pos - disp, stream_lo + done, avail);
+      } else {
+        if (packbuf.empty())
+          packbuf.resize(to_size(ctx.opts.pack_buffer_size));
+        Off sub = 0;
+        while (sub < avail) {
+          const Off n = std::min<Off>(to_off(packbuf.size()), avail - sub);
+          nav.gather(packbuf.data(), fbuf.data(), pos - disp,
+                     stream_lo + done + sub, n);
+          dst.from_stream(packbuf.data(), done + sub, n);
+          sub += n;
+        }
       }
     }
-    copy.stop();
-    ctx.stats.copy_s += copy.seconds();
-
     done += avail;
     pos = win_hi;
   }
@@ -251,7 +243,6 @@ Off direct_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
   std::vector<Seg> segs;
   ByteVec stage;
   std::vector<pfs::ConstIoVec> iov;
-  StopWatch copy;
 
   auto flush = [&] {
     if (segs.empty()) return;
@@ -283,16 +274,16 @@ Off direct_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
           const Off n = std::min(len - sub, room);
           const Off at = to_off(stage.size());
           stage.resize(to_size(at + n));
-          copy.start();
-          src.to_stream(stage.data() + at, rel + sub, n);
-          copy.stop();
+          {
+            obs::Phase copy(ctx.stats.copy_s, nullptr);
+            src.to_stream(stage.data() + at, rel + sub, n);
+          }
           segs.push_back({disp + mem + sub, nullptr, at, n});
           sub += n;
           if (segs.size() >= batch_max) flush();
         }
       });
   flush();
-  ctx.stats.copy_s += copy.seconds();
   ctx.stats.bytes_moved += nbytes;
   return nbytes;
 }
@@ -312,7 +303,6 @@ Off direct_read(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
   std::vector<Seg> segs;
   ByteVec stage;
   std::vector<pfs::IoVec> iov;
-  StopWatch copy;
 
   auto flush = [&] {
     if (segs.empty()) return;
@@ -321,10 +311,11 @@ Off direct_read(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
       iov.push_back({s.off, ByteSpan(s.ptr ? s.ptr : stage.data() + s.stage_off,
                                      to_size(s.len))});
     timed_preadv_zero_fill(ctx, iov);
-    copy.start();
-    for (const Seg& s : segs)
-      if (!s.ptr) dst.from_stream(stage.data() + s.stage_off, s.rel, s.len);
-    copy.stop();
+    {
+      obs::Phase copy(ctx.stats.copy_s, nullptr);
+      for (const Seg& s : segs)
+        if (!s.ptr) dst.from_stream(stage.data() + s.stage_off, s.rel, s.len);
+    }
     segs.clear();
     stage.clear();
   };
@@ -353,7 +344,6 @@ Off direct_read(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
         }
       });
   flush();
-  ctx.stats.copy_s += copy.seconds();
   ctx.stats.bytes_moved += nbytes;
   return nbytes;
 }
@@ -368,11 +358,10 @@ Off dense_write(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& src) {
     Off done = 0;
     while (done < nbytes) {
       const Off n = std::min<Off>(to_off(packbuf.size()), nbytes - done);
-      StopWatch copy;
-      copy.start();
-      src.to_stream(packbuf.data(), done, n);
-      copy.stop();
-      ctx.stats.copy_s += copy.seconds();
+      {
+        obs::Phase copy(ctx.stats.copy_s, nullptr);
+        src.to_stream(packbuf.data(), done, n);
+      }
       timed_pwrite(ctx, abs_lo + done,
                    ConstByteSpan(packbuf.data(), to_size(n)));
       done += n;
@@ -394,11 +383,8 @@ Off dense_read(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& dst) {
       const Off n = std::min<Off>(to_off(packbuf.size()), nbytes - done);
       timed_pread_zero_fill(ctx, abs_lo + done,
                       ByteSpan(packbuf.data(), to_size(n)));
-      StopWatch copy;
-      copy.start();
+      obs::Phase copy(ctx.stats.copy_s, nullptr);
       dst.from_stream(packbuf.data(), done, n);
-      copy.stop();
-      ctx.stats.copy_s += copy.seconds();
       done += n;
     }
   }

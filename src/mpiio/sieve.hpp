@@ -62,10 +62,15 @@ Off direct_read(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
 bool choose_sieving(const Options& opts, bool writing, Off nbytes, Off abs_lo,
                     Off abs_hi);
 
-/// Timed storage accesses (shared with the collective paths):
-/// pread zero-fills past EOF — the view is logically sparse.
-void timed_pread_zero_fill(SieveContext& ctx, Off pos, ByteSpan buf);
-void timed_pwrite(SieveContext& ctx, Off pos, ConstByteSpan buf);
+/// Timed storage accesses (shared with the collective paths), each one
+/// obs::Phase into file_s.  `span` names the access's trace span, with
+/// the window index `win` as its argument (nullptr: no span).  pread
+/// zero-fills past EOF — the view is logically sparse — and returns the
+/// access's seconds.
+double timed_pread_zero_fill(SieveContext& ctx, Off pos, ByteSpan buf,
+                             const char* span = nullptr, Off win = -1);
+void timed_pwrite(SieveContext& ctx, Off pos, ConstByteSpan buf,
+                  const char* span = nullptr, Off win = -1);
 
 /// Vectored counterparts: a whole batch counts as one file op.
 /// (FileBackend::preadv already zero-fills past EOF.)

@@ -4,12 +4,11 @@
 #include <cstring>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "mpiio/engine.hpp"
 #include "mpiio/mergeview.hpp"
 #include "mpiio/pipeline.hpp"
 #include "mpiio/sieve.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace llio::mpiio {
 
@@ -104,25 +103,6 @@ constexpr std::size_t kSliceHeader = 2 * sizeof(Off);
 /// windows inside a domain stay <= the file buffer size.
 constexpr Off kDomainAlign = 4096;
 
-/// A timed phase of the op: one trace span plus the IoOpStats seconds
-/// field it feeds.
-class TimedSpan {
- public:
-  TimedSpan(double& field, const char* name, const char* what)
-      : field_(field), span_(name) {
-    if (what != nullptr) span_.arg("what", what);
-  }
-  ~TimedSpan() { field_ += timer_.seconds(); }
-  obs::Span& span() { return span_; }
-  TimedSpan(const TimedSpan&) = delete;
-  TimedSpan& operator=(const TimedSpan&) = delete;
-
- private:
-  double& field_;
-  obs::Span span_;
-  WallTimer timer_;
-};
-
 /// Parse the description [s1][s2][payload] peer `src` sent this IOP.
 PeerSlice parse_desc(int src, ConstByteSpan desc, bool with_payload) {
   PeerSlice peer;
@@ -160,7 +140,8 @@ Off TwoPhase::run(Off stream_lo, const void* buf, Off count,
     mine_.abs_hi = e_.view_.disp + nav.stream_to_file_end(stream_lo + nbytes);
   }
   {
-    TimedSpan t(stats_.exchange_s, "exchange", "ranges");
+    obs::Phase t(stats_.exchange_s, "exchange");
+    t.arg("what", "ranges");
     ranges_ = exchange_ranges(comm, mine_);
   }
   const GlobalRange g = global_range(ranges_);
@@ -226,7 +207,8 @@ void TwoPhase::write_phases() {
   // AP phase 1: ol-lists travel as Meta ahead of the data ...
   std::vector<ByteVec> descs_in;
   if (lists) {
-    TimedSpan t(stats_.exchange_s, "exchange", "lists");
+    obs::Phase t(stats_.exchange_s, "exchange");
+    t.arg("what", "lists");
     descs_in = comm.alltoall(std::move(descs_), sim::MsgClass::Meta);
   }
   // ... and each IOP's data slice rides as gather-on-send runs over the
@@ -234,7 +216,8 @@ void TwoPhase::write_phases() {
   // behind the [s1][s2] header when that is the whole description.
   std::vector<sim::GatherMsg> out(to_size(Off{p}));
   if (mover_ != nullptr) {
-    TimedSpan t(stats_.copy_s, "pack", "phase1_gather");
+    obs::Phase t(stats_.copy_s, "pack");
+    t.arg("what", "phase1_gather");
     std::vector<ByteSpan> runs;
     for (std::size_t i = 0; i < slices_.size(); ++i) {
       const StreamSlice sl = slices_[i];
@@ -256,7 +239,8 @@ void TwoPhase::write_phases() {
   }
   std::vector<ByteVec> data_in;
   {
-    TimedSpan t(stats_.exchange_s, "exchange", "data");
+    obs::Phase t(stats_.exchange_s, "exchange");
+    t.arg("what", "data");
     data_in = comm.alltoall_gather(std::move(out), sim::MsgClass::Data);
   }
 
@@ -284,7 +268,8 @@ void TwoPhase::read_phases() {
   // AP phase 1: request my slice from each IOP (Meta).
   std::vector<ByteVec> descs_in;
   {
-    TimedSpan t(stats_.exchange_s, "exchange", lists ? "lists" : "requests");
+    obs::Phase t(stats_.exchange_s, "exchange");
+    t.arg("what", lists ? "lists" : "requests");
     descs_in = comm.alltoall(std::move(descs_), sim::MsgClass::Meta);
   }
 
@@ -317,14 +302,16 @@ void TwoPhase::read_phases() {
                       slices_[i].s2 - slices_[i].s1, scatter[i]);
   std::vector<ByteVec> data_in;
   {
-    TimedSpan t(stats_.exchange_s, "exchange", "data");
+    obs::Phase t(stats_.exchange_s, "exchange");
+    t.arg("what", "data");
     data_in = comm.alltoall_scatter(std::move(replies), scatter,
                                     sim::MsgClass::Data);
   }
 
   // AP phase 3: unpack the replies that were not scatter-delivered.
   if (mover_ != nullptr) {
-    TimedSpan t(stats_.copy_s, "pack", "phase3_unpack");
+    obs::Phase t(stats_.copy_s, "pack");
+    t.arg("what", "phase3_unpack");
     for (std::size_t i = 0; i < slices_.size(); ++i) {
       const StreamSlice sl = slices_[i];
       if (sl.empty() || !scatter[i].empty()) continue;
@@ -354,7 +341,7 @@ void TwoPhase::serve(const std::vector<PeerSlice>& peers) {
   const MergeContig mode = opts.merge_contig;
   const DomainWindows* verdict = nullptr;
   if (write_ && mode == MergeContig::Auto) {
-    TimedSpan t(stats_.merge_analysis_s, "merge_analysis", nullptr);
+    obs::Phase t(stats_.merge_analysis_s, "merge_analysis");
     verdict = &e_.merge_cache_.get(
         MergeCache::Key{e_.view_epoch_, dom.lo, dom.hi, win, ranges_},
         [&] { return codec_.analyze(dom, win, ranges_); });
@@ -380,9 +367,9 @@ void TwoPhase::serve(const std::vector<PeerSlice>& peers) {
     return false;
   };
   auto fill = [&](const WindowPlan& plan, ByteSpan buf) {
-    TimedSpan t(stats_.copy_s, "pack", nullptr);
-    t.span().arg("win", plan.index);
-    t.span().arg("slices", codec_.fill_window(plan.lo, buf, write_));
+    obs::Phase t(stats_.copy_s, "pack");
+    t.arg("win", plan.index);
+    t.arg("slices", codec_.fill_window(plan.lo, buf, write_));
   };
   SieveContext ctx{*e_.file_, *e_.locks_, opts, stats_};
   run_window_pipeline(ctx, opts.pipeline_depth, win, next, fill);

@@ -61,6 +61,7 @@ struct Sampler::Ring {
   explicit Ring(std::size_t n) : slots(n) {}
   std::atomic<std::uint64_t> head{0};
   std::vector<Slot> slots;
+  Ring* retired = nullptr;  ///< the ring this one replaced (never freed)
 };
 
 Sampler::Sampler()
@@ -75,12 +76,15 @@ void Sampler::set_enabled(bool on) {
   enabled_.store(on, std::memory_order_relaxed);
 }
 
-void Sampler::set_capacity(std::size_t n) {
-  if (n < 1) n = 1;
-  // The old ring is leaked on purpose: writers may still hold its
-  // pointer, and capacity changes are rare config-time events — a
-  // use-after-free guard would cost the hot path more than the leak.
-  ring_.store(new Ring(n), std::memory_order_release);
+void Sampler::set_capacity(std::size_t n) { replace_ring(n < 1 ? 1 : n); }
+
+void Sampler::replace_ring(std::size_t n) {
+  // The old ring is never freed: writers may still hold its pointer, and
+  // ring replacements are rare config-time events — a use-after-free
+  // guard would cost the hot path more than the memory.  It stays
+  // reachable from the (leaked) Sampler through the new ring.
+  Ring* fresh = new Ring(n);
+  fresh->retired = ring_.exchange(fresh, std::memory_order_acq_rel);
 }
 
 std::size_t Sampler::capacity() const {
@@ -178,7 +182,7 @@ MetricsSnapshot Sampler::snapshot_since(std::uint64_t min_seq) const {
 }
 
 void Sampler::reset() {
-  ring_.store(new Ring(capacity()), std::memory_order_release);
+  replace_ring(capacity());
   produced_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
 }

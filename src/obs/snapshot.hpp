@@ -111,6 +111,9 @@ class Sampler {
   struct Slot;
   struct Ring;
 
+  /// Publish an empty ring of `n` slots in place of the current one.
+  void replace_ring(std::size_t n);
+
   std::atomic<bool> enabled_;
   std::atomic<Ring*> ring_;
   std::atomic<std::uint64_t> produced_{0};

@@ -91,12 +91,17 @@ const char* trace_level_name(TraceLevel l) noexcept {
   return "off";
 }
 
-double now_us() {
-  using Clock = std::chrono::steady_clock;
-  static const Clock::time_point epoch = Clock::now();
-  return std::chrono::duration<double, std::micro>(Clock::now() - epoch)
-      .count();
+namespace {
+// Taken at load time, before any span starts: timestamps are never negative.
+const std::chrono::steady_clock::time_point g_epoch =
+    std::chrono::steady_clock::now();
+}  // namespace
+
+double trace_us(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration<double, std::micro>(t - g_epoch).count();
 }
+
+double now_us() { return trace_us(std::chrono::steady_clock::now()); }
 
 // ---- per-thread state --------------------------------------------------
 
@@ -164,7 +169,7 @@ void record(TraceEvent&& ev) {
   tls_buffer().push(std::move(ev));
 }
 
-void span_finish(const char* name, double t0_us,
+void span_finish(const char* name, double t0_us, double dur_us,
                  std::unique_ptr<std::vector<TraceArg>> args) {
   TraceEvent ev;
   ev.name = name;
@@ -172,7 +177,7 @@ void span_finish(const char* name, double t0_us,
   ev.pid = tl_track.pid >= 0 ? tl_track.pid : fallback_pid();
   ev.tid = tl_track.tid;
   ev.ts_us = t0_us;
-  ev.dur_us = now_us() - t0_us;
+  ev.dur_us = dur_us;
   if (args) ev.args = std::move(*args);
   tls_buffer().push(std::move(ev));
 }

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -73,12 +74,14 @@ struct TraceEvent {
   std::vector<TraceArg> args;
 };
 
-/// Microseconds since the process-wide trace epoch (monotonic clock).
+/// Microseconds from the process-wide trace epoch to `t` / to now
+/// (monotonic clock).
+double trace_us(std::chrono::steady_clock::time_point t);
 double now_us();
 
 namespace detail {
 void record(TraceEvent&& ev);       // append to this thread's buffer
-void span_finish(const char* name, double t0_us,
+void span_finish(const char* name, double t0_us, double dur_us,
                  std::unique_ptr<std::vector<TraceArg>> args);
 }  // namespace detail
 
@@ -88,14 +91,10 @@ void span_finish(const char* name, double t0_us,
 class Span {
  public:
   explicit Span(const char* name, TraceLevel min = TraceLevel::Spans) {
-    if (trace_enabled(min)) {
-      name_ = name;
-      t0_us_ = now_us();
-      active_ = true;
-    }
+    if (trace_enabled(min)) start(name, now_us());
   }
   ~Span() {
-    if (active_) detail::span_finish(name_, t0_us_, std::move(args_));
+    if (active_) finish(now_us() - t0_us_);
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -110,6 +109,19 @@ class Span {
   void arg(const char* key, const char* text) {
     if (!active_) return;
     ensure_args().push_back(TraceArg{key, 0, text, true});
+  }
+
+ protected:
+  Span() = default;  ///< inactive until start() (obs::Phase)
+  void start(const char* name, double t0_us) {
+    name_ = name;
+    t0_us_ = t0_us;
+    active_ = true;
+  }
+  /// Record the event with the given duration; the span goes inactive.
+  void finish(double dur_us) {
+    active_ = false;
+    detail::span_finish(name_, t0_us_, dur_us, std::move(args_));
   }
 
  private:

@@ -6,9 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 #include "pfs/iovec_util.hpp"
 
 namespace llio::pfs {
@@ -45,21 +43,21 @@ void AsyncIo::run_op(Batch* batch, const std::function<void()>& op, Off bytes,
   std::optional<obs::ThreadTrackGuard> track;
   if (owner >= 0 && obs::trace_enabled())
     track.emplace(owner, tid, "", "aio worker " + std::to_string(tid));
-  obs::Span span("aio_op");
-  span.arg("bytes", bytes);
   std::exception_ptr err;
-  StopWatch w;
-  w.start();
-  try {
-    op();
-  } catch (...) {
-    err = std::current_exception();
+  double seconds = 0;
+  {
+    obs::Phase t(seconds, "aio_op", obs::TraceLevel::Spans,
+                 obs::metrics_enabled()
+                     ? lat_hist_.load(std::memory_order_acquire)
+                     : nullptr);
+    t.arg("bytes", bytes);
+    try {
+      op();
+    } catch (...) {
+      err = std::current_exception();
+    }
   }
-  w.stop();
-  if (obs::Histogram* h = lat_hist_.load(std::memory_order_acquire);
-      h != nullptr && obs::metrics_enabled())
-    h->record(static_cast<long long>(w.seconds() * 1e6));
-  complete(batch, err, w.seconds());
+  complete(batch, err, seconds);
 }
 
 void AsyncIo::complete(Batch* batch, std::exception_ptr err, double seconds) {
@@ -99,26 +97,24 @@ void AsyncIo::submit(Batch& batch, std::function<void()> op, Off bytes) {
       ++seq_;
     }
     std::exception_ptr err;
-    StopWatch w;
+    double seconds = 0;
     {
       // Span on the *caller's* track: at qd 1 the op runs inline, and the
       // timeline should show that I/O time where it was actually spent
       // (the explainer reconciles aio_op spans on any track).
-      obs::Span span("aio_op");
-      span.arg("bytes", bytes);
-      span.arg("inline", 1);
-      w.start();
+      obs::Phase t(seconds, "aio_op", obs::TraceLevel::Spans,
+                 obs::metrics_enabled()
+                     ? lat_hist_.load(std::memory_order_acquire)
+                     : nullptr);
+      t.arg("bytes", bytes);
+      t.arg("inline", 1);
       try {
         op();
       } catch (...) {
         err = std::current_exception();
       }
-      w.stop();
     }
-    if (obs::Histogram* h = lat_hist_.load(std::memory_order_acquire);
-        h != nullptr && obs::metrics_enabled())
-      h->record(static_cast<long long>(w.seconds() * 1e6));
-    complete(&batch, err, w.seconds());
+    complete(&batch, err, seconds);
     return;
   }
   int tid;

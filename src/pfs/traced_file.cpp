@@ -1,23 +1,34 @@
 #include "pfs/traced_file.hpp"
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace llio::pfs {
 
 namespace {
 
-/// Latency in µs and bytes moved go to the registry once per operation.
-void record_metrics(const char* latency_hist, const char* bytes_hist,
-                    double seconds, Off bytes) {
-  if (!obs::metrics_enabled()) return;
-  obs::Registry& reg = obs::Registry::instance();
-  reg.histogram(latency_hist).record(
-      static_cast<long long>(seconds * 1e6));
-  reg.histogram(bytes_hist).record(bytes);
-}
+/// One file op: a Full-level span plus, with metrics on, its latency
+/// (µs) and bytes histograms.  `seconds` is the phase's field; nothing
+/// reads it.
+struct FileOp {
+  double seconds = 0;
+  obs::Phase phase;
+  const char* bytes_hist;
+
+  FileOp(const char* span, const char* latency, const char* bytes)
+      : phase(seconds, span, obs::TraceLevel::Full,
+              obs::metrics_enabled()
+                  ? &obs::Registry::instance().histogram(latency)
+                  : nullptr),
+        bytes_hist(bytes) {}
+
+  void done(const char* key, Off where, Off bytes) {
+    phase.arg(key, where);
+    phase.arg("bytes", bytes);
+    if (obs::metrics_enabled())
+      obs::Registry::instance().histogram(bytes_hist).record(bytes);
+  }
+};
 
 }  // namespace
 
@@ -30,52 +41,31 @@ std::shared_ptr<TracedFile> TracedFile::wrap(FilePtr inner) {
 }
 
 Off TracedFile::do_pread(Off offset, ByteSpan out) {
-  obs::Span span("file_pread", obs::TraceLevel::Full);
-  StopWatch w;
-  w.start();
+  FileOp op("file_pread", "file.pread_us", "file.read_bytes");
   const Off n = inner_->pread(offset, out);
-  w.stop();
-  span.arg("offset", offset);
-  span.arg("bytes", n);
-  record_metrics("file.pread_us", "file.read_bytes", w.seconds(), n);
+  op.done("offset", offset, n);
   return n;
 }
 
 void TracedFile::do_pwrite(Off offset, ConstByteSpan data) {
-  obs::Span span("file_pwrite", obs::TraceLevel::Full);
-  StopWatch w;
-  w.start();
+  FileOp op("file_pwrite", "file.pwrite_us", "file.write_bytes");
   inner_->pwrite(offset, data);
-  w.stop();
-  span.arg("offset", offset);
-  span.arg("bytes", to_off(data.size()));
-  record_metrics("file.pwrite_us", "file.write_bytes", w.seconds(),
-                 to_off(data.size()));
+  op.done("offset", offset, to_off(data.size()));
 }
 
 Off TracedFile::do_preadv(std::span<const IoVec> iov) {
-  obs::Span span("file_preadv", obs::TraceLevel::Full);
-  StopWatch w;
-  w.start();
+  FileOp op("file_preadv", "file.pread_us", "file.read_bytes");
   const Off n = inner_->preadv(iov);
-  w.stop();
-  span.arg("segments", to_off(iov.size()));
-  span.arg("bytes", n);
-  record_metrics("file.pread_us", "file.read_bytes", w.seconds(), n);
+  op.done("segments", to_off(iov.size()), n);
   return n;
 }
 
 void TracedFile::do_pwritev(std::span<const ConstIoVec> iov) {
-  obs::Span span("file_pwritev", obs::TraceLevel::Full);
-  StopWatch w;
-  w.start();
+  FileOp op("file_pwritev", "file.pwrite_us", "file.write_bytes");
   inner_->pwritev(iov);
-  w.stop();
   Off total = 0;
   for (const ConstIoVec& v : iov) total += to_off(v.buf.size());
-  span.arg("segments", to_off(iov.size()));
-  span.arg("bytes", total);
-  record_metrics("file.pwrite_us", "file.write_bytes", w.seconds(), total);
+  op.done("segments", to_off(iov.size()), total);
 }
 
 Off TracedFile::view_write(const dt::Type& filetype, Off disp, Off stream_lo,
@@ -83,15 +73,10 @@ Off TracedFile::view_write(const dt::Type& filetype, Off disp, Off stream_lo,
   ViewIo* vio = inner_->view_io();
   LLIO_REQUIRE(vio != nullptr, Errc::Unsupported,
                "TracedFile: inner backend lost its view-io capability");
-  obs::Span span("file_view_write", obs::TraceLevel::Full);
-  StopWatch w;
-  w.start();
+  FileOp op("file_view_write", "file.pwrite_us", "file.write_bytes");
   const Off n = vio->view_write(filetype, disp, stream_lo, data);
-  w.stop();
-  span.arg("stream_lo", stream_lo);
-  span.arg("bytes", n);
+  op.done("stream_lo", stream_lo, n);
   note_write(n);
-  record_metrics("file.pwrite_us", "file.write_bytes", w.seconds(), n);
   return n;
 }
 
@@ -100,15 +85,10 @@ Off TracedFile::view_read(const dt::Type& filetype, Off disp, Off stream_lo,
   ViewIo* vio = inner_->view_io();
   LLIO_REQUIRE(vio != nullptr, Errc::Unsupported,
                "TracedFile: inner backend lost its view-io capability");
-  obs::Span span("file_view_read", obs::TraceLevel::Full);
-  StopWatch w;
-  w.start();
+  FileOp op("file_view_read", "file.pread_us", "file.read_bytes");
   const Off n = vio->view_read(filetype, disp, stream_lo, out);
-  w.stop();
-  span.arg("stream_lo", stream_lo);
-  span.arg("bytes", n);
+  op.done("stream_lo", stream_lo, n);
   note_read(n);
-  record_metrics("file.pread_us", "file.read_bytes", w.seconds(), n);
   return n;
 }
 

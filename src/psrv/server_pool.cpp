@@ -10,11 +10,9 @@
 
 #include "common/error.hpp"
 #include "common/format.hpp"
-#include "common/timer.hpp"
 #include "core/listless_nav.hpp"
 #include "dtype/serialize.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 #include "pfs/mem_file.hpp"
 #include "psrv/lease.hpp"
 #include "psrv/session.hpp"
@@ -589,8 +587,7 @@ void ServerPool::serve(int idx) {
     const auto op = static_cast<wire::Op>(rd.u8());
     const std::int64_t session = rd.i64();
 
-    StopWatch w;
-    w.start();
+    double service_s = 0;
     ByteVec resp;
     sim::MsgClass resp_cls = sim::MsgClass::Meta;
     // Writes coalesced into this request by cross-session aggregation:
@@ -599,6 +596,7 @@ void ServerPool::serve(int idx) {
     std::vector<std::pair<PendingReq, Off>> agg;
     bool failed = false;
     try {
+      obs::Phase timed(service_s, nullptr);
       switch (op) {
         case wire::Op::Read: {
           const Off off = rd.i64();
@@ -960,10 +958,8 @@ void ServerPool::serve(int idx) {
       resp_cls = sim::MsgClass::Meta;
       failed = true;
     }
-    w.stop();
-
     tick();
-    respond(r, std::move(resp), resp_cls, w.seconds());
+    respond(r, std::move(resp), resp_cls, service_s);
     for (auto& [ar, alen] : agg) {
       tick();
       if (!failed) {

@@ -73,21 +73,6 @@ TEST(Format, HumanBytes) {
   EXPECT_EQ(human_bytes(3 << 20), "3.0 MiB");
 }
 
-TEST(Timer, StopWatchAccumulates) {
-  StopWatch w;
-  w.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  w.stop();
-  const double first = w.seconds();
-  EXPECT_GT(first, 0.0);
-  w.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  w.stop();
-  EXPECT_GT(w.seconds(), first);
-  w.reset();
-  EXPECT_EQ(w.seconds(), 0.0);
-}
-
 TEST(Timer, WallTimerMonotone) {
   WallTimer t;
   const double a = t.seconds();

@@ -61,13 +61,12 @@ TEST(ApplyInfo, DataSievingStrategies) {
 }
 
 TEST(ApplyInfo, CbNodesAndMergeOpt) {
-  // llio_merge_opt is the deprecated alias of llio_merge_contig.
+  // llio_merge_opt, once an alias of llio_merge_contig, is an unknown key
+  // now: ignored like any other.
   Options o = apply_info(
       Info{{"cb_nodes", "2"}, {"llio_merge_opt", "disable"}}, {});
   EXPECT_EQ(o.io_procs, 2);
-  EXPECT_EQ(o.merge_contig, MergeContig::Off);
-  o = apply_info(Info{{"llio_merge_opt", "enable"}}, {});
-  EXPECT_EQ(o.merge_contig, MergeContig::Auto);
+  EXPECT_EQ(o.merge_contig, Options{}.merge_contig);
 }
 
 TEST(ApplyInfo, MergeContigModes) {

@@ -1,17 +1,22 @@
 // Observability subsystem tests: tracer gating and Chrome JSON output,
-// metrics histograms/quantiles, TracedFile accounting against IoOpStats,
+// the obs::Phase timer and the IoOpStats field table, metrics
+// histograms/quantiles, TracedFile accounting against IoOpStats,
 // and the pipeline timeline explainer's reconciliation with the engine's
 // own overlap/wait numbers.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <string>
 #include <thread>
 
 #include "io_test_util.hpp"
 #include "mpiio/info.hpp"
 #include "obs/explain.hpp"
+#include "mpiio/io_stats.hpp"
 #include "obs/metrics.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_check.hpp"
 #include "pfs/traced_file.hpp"
@@ -126,6 +131,77 @@ TEST(Tracer, LevelGatingAndArgs) {
   EXPECT_EQ(events[0].args[0].value, 3);
   EXPECT_TRUE(events[0].args[1].is_text);
   EXPECT_EQ(events[0].args[1].text, "ranges");
+}
+
+TEST(Phase, AccumulatesAcrossScopesWithTracingOff) {
+  ObsSandbox sandbox(obs::TraceLevel::Off, false);
+  double field = 0;
+  {
+    obs::Phase p(field, "phase_off");
+    EXPECT_FALSE(p.active());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const double first = field;
+  EXPECT_GT(first, 0.0);
+  {
+    obs::Phase p(field, "phase_off");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(field, first);
+  EXPECT_TRUE(obs::Tracer::instance().snapshot().empty());
+}
+
+TEST(Phase, SpanAndHistogramShareTheFieldInterval) {
+  ObsSandbox sandbox(obs::TraceLevel::Spans, false);
+  double field = 0;
+  obs::Histogram hist;
+  {
+    obs::Phase p(field, "timed", obs::TraceLevel::Spans, &hist);
+    EXPECT_TRUE(p.active());
+    p.arg("what", "ranges");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto events = obs::Tracer::instance().snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "timed");
+  ASSERT_EQ(events[0].args.size(), 1u);
+  EXPECT_EQ(events[0].args[0].text, "ranges");
+  // The same two clock reads: the span duration is the field increment.
+  EXPECT_GT(field, 0.0);
+  EXPECT_DOUBLE_EQ(events[0].dur_us, field * 1e6);
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_EQ(hist.summary().max, static_cast<long long>(field * 1e6));
+}
+
+TEST(Phase, FullLevelUnderSpansTimesButEmitsNothing) {
+  ObsSandbox sandbox(obs::TraceLevel::Spans, false);
+  double field = 0;
+  {
+    obs::Phase p(field, "full_only", obs::TraceLevel::Full);
+    EXPECT_FALSE(p.active());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(field, 0.0);
+  EXPECT_TRUE(obs::Tracer::instance().snapshot().empty());
+}
+
+TEST(IoOpStats, EveryFieldFollowsItsMergeRuleAndFormats) {
+  // a = 3, b = 2 per field: Sum gives 5, Max keeps 3 (an overwrite would
+  // give 2).
+  mpiio::IoOpStats a, b;
+#define LLIO_X(type, member, merge, report) \
+  a.member = type{3};                        \
+  b.member = type{2};
+  LLIO_IO_OP_STATS_FIELDS(LLIO_X)
+#undef LLIO_X
+  a += b;
+  const std::string text = "\n" + mpiio::format_stats(a);
+#define LLIO_X(type, member, merge, report)                               \
+  EXPECT_EQ(a.member, std::string(#merge) == "Max" ? type{3} : type{5})   \
+      << #member;                                                         \
+  EXPECT_NE(text.find("\n" #member " "), std::string::npos) << #member;
+  LLIO_IO_OP_STATS_FIELDS(LLIO_X)
+#undef LLIO_X
 }
 
 TEST(Tracer, ThreadTrackGuardAssignsAndRestores) {

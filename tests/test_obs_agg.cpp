@@ -393,6 +393,36 @@ TEST(Aggregate, ReportCarriesPerIopFileBytes) {
   }
 }
 
+// The list engine's ol-list build time, the overhead paper §2.4 is about,
+// reaches the job report as its own phase on every rank.
+TEST(Aggregate, ReportCarriesListBuildPhase) {
+  constexpr int kRanks = 3;
+  const Off nblock = 1024, sblock = 8;
+  const Off nbytes = 8 * nblock * sblock;
+  auto fs = pfs::MemFile::create();
+  std::mutex mu;
+  std::vector<obs::JobReport> reports;
+  sim::Runtime::run(kRanks, [&](sim::Comm& comm) {
+    mpiio::Options opts;
+    opts.method = mpiio::Method::ListBased;
+    mpiio::File f = mpiio::File::open(comm, fs, opts);
+    f.set_view(0, dt::byte(),
+               iotest::noncontig_filetype(nblock, sblock, kRanks,
+                                          comm.rank()));
+    const ByteVec stream = iotest::payload_stream(comm.rank(), nbytes);
+    f.write_at_all(0, stream.data(), nbytes, dt::byte());
+    const obs::JobReport r = f.close();
+    std::lock_guard lock(mu);
+    reports.push_back(r);
+  });
+  ASSERT_EQ(reports.size(), static_cast<std::size_t>(kRanks));
+  for (const obs::JobReport& r : reports) {
+    const obs::PhaseStats* build = r.phase("list_build");
+    ASSERT_NE(build, nullptr);
+    EXPECT_GT(build->min_s, 0.0);
+  }
+}
+
 // ---- sampling ring ------------------------------------------------------
 
 TEST(Sampler, RingWrapKeepsNewestAndCounts) {

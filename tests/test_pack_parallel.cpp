@@ -236,7 +236,7 @@ TEST(NavEdgeCases, LbUbResizedType) {
     const Off n = std::min<Off>(total - skip, 5);
     ByteVec part(to_size(n), Byte{0});
     EXPECT_EQ(pack_range(t, count, buf.base(), 0, skip, part.data(), n), n);
-    EXPECT_EQ(std::memcmp(part.data(), want.data() + skip, to_size(n)), 0)
+    EXPECT_TRUE(std::equal(part.begin(), part.end(), want.begin() + skip))
         << "skip=" << skip;
   }
 }

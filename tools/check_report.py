@@ -3,6 +3,7 @@
 
 Usage:
     check_report.py REPORT [--min-attributed 0.9] [--expect-straggler R]
+                           [--require-phase NAME ...]
 
 Checks, in order:
 
@@ -22,6 +23,9 @@ Checks, in order:
     then 4 sub-buckets per power-of-two octave) — the two must agree
     bucket for bucket, which tests/test_obs_agg.cpp pins on the C++
     side.
+  * required phases (--require-phase NAME, repeatable): the phase is
+    present and some rank spent time in it (e.g. list_build on a
+    list-based run).
   * critical path (only when --min-attributed is given and the report
     has a critical_path section): attributed_frac must reach the floor.
     Use this gate only on serial (pipeline_depth=0) runs — pipelined
@@ -217,6 +221,10 @@ def main():
     ap.add_argument("--expect-straggler", type=int, default=None,
                     help="required straggler rank (for injected-slow-rank "
                          "scenarios)")
+    ap.add_argument("--require-phase", action="append", default=[],
+                    metavar="NAME",
+                    help="require phase NAME with a non-zero sum_s "
+                         "(repeatable)")
     ap.add_argument("--expect-adapt", action="store_true",
                     help="require the adapt decision-trail section "
                          "(llio_adaptive runs)")
@@ -252,6 +260,10 @@ def main():
                   f"nranks={report['nranks']}")
 
     ok = check_phases(report) and ok
+    sums = {p["name"]: p["sum_s"] for p in report["phases"]}
+    for name in args.require_phase:
+        if sums.get(name, 0) <= 0:
+            ok = fail(f"phase {name} missing or never timed")
     ok = check_counters(report) and ok
     ok = check_histograms(report) and ok
     ok = check_adapt(report) and ok
