@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/format.hpp"
+#include "obs/phase.hpp"
 
 namespace llio::obs {
 
@@ -102,6 +103,18 @@ double trace_us(std::chrono::steady_clock::time_point t) {
 }
 
 double now_us() { return trace_us(std::chrono::steady_clock::now()); }
+
+Phase::Phase(double& into, const char* span, TraceLevel min, Histogram* hist)
+    : into_(into), hist_(hist), t0_(Clock::now()) {
+  if (span != nullptr && trace_enabled(min)) start(span, trace_us(t0_));
+}
+
+Phase::~Phase() {
+  const double s = std::chrono::duration<double>(Clock::now() - t0_).count();
+  into_ += s;
+  if (active()) finish(s * 1e6);
+  if (hist_ != nullptr) hist_->record(static_cast<long long>(s * 1e6));
+}
 
 // ---- per-thread state --------------------------------------------------
 
