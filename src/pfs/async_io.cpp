@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "pfs/iovec_util.hpp"
 

@@ -1,6 +1,7 @@
 #include "pfs/traced_file.hpp"
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 
 namespace llio::pfs {

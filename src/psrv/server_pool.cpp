@@ -12,6 +12,7 @@
 #include "common/format.hpp"
 #include "core/listless_nav.hpp"
 #include "dtype/serialize.hpp"
+#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "pfs/mem_file.hpp"
 #include "psrv/lease.hpp"

@@ -13,8 +13,8 @@
 
 #include "io_test_util.hpp"
 #include "mpiio/info.hpp"
-#include "obs/explain.hpp"
 #include "mpiio/io_stats.hpp"
+#include "obs/explain.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
