@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "adapt/advisor.hpp"
 #include "common/format.hpp"
 #include "common/timer.hpp"
 #include "dtype/datatype.hpp"
@@ -112,18 +111,6 @@ struct NoncontigConfig {
   /// pfs::MemFile.  Benches measuring networked backends (psrv) install
   /// their own and keep a handle on the pool for wire statistics.
   std::function<pfs::FilePtr()> make_backend;
-
-  /// Mid-run condition flip (the adaptive-policy ablations): after
-  /// `flip_at` measured repetitions — inside the timed loop, because the
-  /// point is to measure how a policy copes — rank 0 swaps the client
-  /// interconnect to `flip_net` (sim::named_cost_model) and/or runs
-  /// `on_flip` with the backend, e.g. to retune a pfs::ThrottledFile or a
-  /// psrv pool the bench kept a handle on.  flip_at <= 0 disables; with a
-  /// flip the repeat count is floored at 2*flip_at so both regimes are
-  /// actually measured.
-  int flip_at = 0;
-  std::string flip_net;
-  std::function<void(pfs::FileBackend&)> on_flip;
 };
 
 struct BenchPoint {
@@ -139,13 +126,6 @@ struct BenchPoint {
   /// zero-count otherwise).
   obs::HistogramSummary pread_lat_us;
   obs::HistogramSummary pwrite_lat_us;
-
-  /// Advisor totals from rank 0 (all ranks converge to the same state);
-  /// zero / empty unless the run had llio_adaptive on.
-  std::string adapt_policy;
-  std::uint64_t adapt_decisions = 0;
-  std::uint64_t adapt_probes = 0;
-  std::uint64_t adapt_switches = 0;
 
   double mbps_pp() const {
     return seconds > 0
@@ -183,8 +163,6 @@ inline BenchPoint run_noncontig(const NoncontigConfig& cfg) {
   std::atomic<Off> list_bytes{0}, data_bytes{0};
   std::mutex stats_mu;
   mpiio::IoOpStats folded;
-  std::string adapt_policy;
-  std::uint64_t adapt_counts[3] = {0, 0, 0};  // decisions, probes, switches
 
   // The backend and the client interconnect are fixed before the world
   // is created, so the hints that select them (llio_psrv_*,
@@ -263,8 +241,6 @@ inline BenchPoint run_noncontig(const NoncontigConfig& cfg) {
       repeats = std::min(repeats, 10000);
     }
     repeats = static_cast<int>(comm.allreduce_max(repeats));
-    if (cfg.flip_at > 0)
-      repeats = std::min(std::max(repeats, 2 * cfg.flip_at), 10000);
 
     comm.barrier();
     if (comm.rank() == 0) {
@@ -277,47 +253,13 @@ inline BenchPoint run_noncontig(const NoncontigConfig& cfg) {
     }
     comm.barrier();
     WallTimer t;
-    for (int i = 0; i < repeats; ++i) {
-      if (cfg.flip_at > 0 && i == cfg.flip_at) {
-        comm.barrier();  // no op is mid-flight while conditions change
-        if (comm.rank() == 0) {
-          if (!cfg.flip_net.empty())
-            comm.set_cost_model(sim::named_cost_model(cfg.flip_net));
-          if (cfg.on_flip) cfg.on_flip(*fs);
-        }
-        comm.barrier();
-      }
-      one_op();
-    }
+    for (int i = 0; i < repeats; ++i) one_op();
     comm.barrier();
     const double total = t.seconds();
 
     if (comm.rank() == 0) {
       time_ns.store(static_cast<long>(total / repeats * 1e9));
       repeats_out.store(repeats);
-      if (f.advisor() != nullptr) {
-        obs::JobReport ar;
-        f.advisor()->report_into(ar);
-        std::lock_guard<std::mutex> lk(stats_mu);
-        adapt_policy = ar.adapt_policy;
-        adapt_counts[0] = ar.adapt_decisions;
-        adapt_counts[1] = ar.adapt_probes;
-        adapt_counts[2] = ar.adapt_switches;
-        // LLIO_BENCH_ADAPT_TRAIL=1: dump the decision trail to stderr
-        // (diagnosing why an adaptive row won or lost a scenario).
-        if (env_off("LLIO_BENCH_ADAPT_TRAIL", 0) != 0) {
-          for (const auto& d : ar.adapt_trail)
-            std::fprintf(
-                stderr,
-                "trail seq=%llu net=%s arm=%s%s%s cost=%.1f inc=%.1f\n",
-                static_cast<unsigned long long>(d.seq),
-                d.net < ar.adapt_dims.size() ? ar.adapt_dims[d.net].c_str()
-                                             : "?",
-                d.arm.c_str(), d.probe ? " probe" : "",
-                d.switched ? " SWITCH" : "", d.cost_ns_per_byte,
-                d.incumbent_ns_per_byte);
-        }
-      }
     }
     list_bytes.fetch_add(f.last_stats().list_bytes_sent);
     data_bytes.fetch_add(f.last_stats().data_bytes_sent);
@@ -337,10 +279,6 @@ inline BenchPoint run_noncontig(const NoncontigConfig& cfg) {
   p.list_bytes_sent = list_bytes.load();
   p.data_bytes_sent = data_bytes.load();
   p.op_stats = folded;
-  p.adapt_policy = adapt_policy;
-  p.adapt_decisions = adapt_counts[0];
-  p.adapt_probes = adapt_counts[1];
-  p.adapt_switches = adapt_counts[2];
   if (obs::metrics_enabled()) {
     auto& reg = obs::Registry::instance();
     p.pread_lat_us = reg.histogram_summary("file.pread_us");

@@ -13,10 +13,6 @@
 //     --write
 //     --hint K=V      MPI_Info hint applied to the open (repeatable),
 //                     e.g. --hint romio_ds_write=disable
-//     --flip-at N     after N measured repetitions, flip run conditions
-//                     mid-loop (adaptive-policy experiments)
-//     --flip-net M    interconnect model to flip to (named_cost_model:
-//                     shared-mem|fast|mid|slow|<lat>:<bw>); needs --flip-at
 //     --stats         print the per-op stats breakdown (format_stats)
 //     --explain       trace the run (llio_trace=spans, llio_metrics=on,
 //                     repeats pinned to 1 so the trace covers exactly the
@@ -55,8 +51,6 @@ struct CliArgs {
   bool do_read = true;
   bool stats = false;
   bool explain = false;
-  int flip_at = 0;
-  std::string flip_net;
   std::string report_path;  ///< --report: write llio_report JSON here
   mpiio::Info hints;
 };
@@ -67,7 +61,7 @@ struct CliArgs {
                "[--nblock N] [--sblock N] [--procs N] [--target-kb N] "
                "[--collective] [--combo nc-nc|nc-c|c-nc|c-c] "
                "[--read] [--write] [--hint K=V] [--stats] [--explain] "
-               "[--flip-at N] [--flip-net model] [--report [path]]\n");
+               "[--report [path]]\n");
   std::exit(2);
 }
 
@@ -95,8 +89,6 @@ CliArgs parse(int argc, char** argv) {
     }
     else if (arg == "--stats") a.stats = true;
     else if (arg == "--explain") a.explain = true;
-    else if (arg == "--flip-at") a.flip_at = std::atoi(next());
-    else if (arg == "--flip-net") a.flip_net = next();
     else if (arg == "--report") {
       // Optional path operand; a following option keeps the default.
       a.report_path = "report.json";
@@ -113,7 +105,6 @@ CliArgs parse(int argc, char** argv) {
     usage();
   if (a.method != "list" && a.method != "listless" && a.method != "both")
     usage();
-  if (a.flip_at < 0 || (!a.flip_net.empty() && a.flip_at == 0)) usage();
   return a;
 }
 
@@ -130,8 +121,6 @@ void run_one(const CliArgs& a, mpiio::Method m, bool write) {
   cfg.target_bytes_pp = a.target_kb * 1024;
   cfg.min_seconds = env_double("LLIO_BENCH_MIN_SECONDS", 0.2);
   cfg.hints = a.hints;
-  cfg.flip_at = a.flip_at;
-  cfg.flip_net = a.flip_net;
   if (a.explain || !a.report_path.empty()) {
     // One measured op, traced: the trace then reconciles with the folded
     // last_stats() the bench reports (run_noncontig clears the tracer and

@@ -26,7 +26,6 @@ llio_add_bench(bench_ablation_mergeview)
 llio_add_bench(bench_ablation_servers)
 llio_add_bench(bench_ablation_zerocopy)
 llio_add_bench(bench_ablation_multitenant)
-llio_add_bench(bench_ablation_adaptive)
 llio_add_bench(bench_posix)
 llio_add_bench(bench_shared_log)
 

@@ -53,12 +53,6 @@ void CachedViewCodec::set_view(sim::Comm& comm, const View& v,
   }
 }
 
-void CachedViewCodec::set_pack_threads(int threads) {
-  if (nav_) nav_->set_pack_threads(threads);
-  for (CachedView& cv : cached_)
-    if (cv.nav) cv.nav->set_pack_threads(threads);
-}
-
 void CachedViewCodec::describe(const mpiio::AccessRange& mine,
                                const std::vector<mpiio::Domain>& doms,
                                std::vector<mpiio::StreamSlice>& slices) {
@@ -129,10 +123,6 @@ void ListlessEngine::set_view(const View& v) {
   view_ = v;
   ++view_epoch_;  // invalidates cached mergeview verdicts
   codec_.set_view(*comm_, v, pack_config(opts_), &stats_);
-}
-
-void ListlessEngine::on_tuning_changed() {
-  codec_.set_pack_threads(std::max(1, opts_.pack_threads));
 }
 
 std::unique_ptr<mpiio::StreamMover> ListlessEngine::make_nc_mover(

@@ -29,8 +29,6 @@ class CachedViewCodec final : public mpiio::AccessCodec {
   /// Navigator over my own view (valid after set_view).
   ListlessNav& own_nav() { return *nav_; }
 
-  void set_pack_threads(int threads);
-
   bool ships_lists() const override { return false; }
   void describe(const mpiio::AccessRange& mine,
                 const std::vector<mpiio::Domain>& doms,
@@ -74,11 +72,6 @@ class ListlessEngine final : public mpiio::IoEngine {
 
   std::unique_ptr<mpiio::StreamMover> make_nc_mover(
       const void* buf, Off count, const dt::Type& mt) override;
-
-  /// Adaptive tuning: re-point pack threads inside the navs built at
-  /// set_view (everything else in their PackConfig stays as baked, so
-  /// compiled plans survive).
-  void on_tuning_changed() override;
 
  private:
   CachedViewCodec codec_;

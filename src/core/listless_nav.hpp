@@ -29,12 +29,6 @@ class ListlessNav final : public mpiio::ViewNav {
   /// identity survives the per-op reset).
   void bind_stats(mpiio::IoOpStats* stats) { stats_ = stats; }
 
-  /// Per-op parallelism tuning (the adaptive layer re-points pack
-  /// threads between ops).  Only the thread count moves: plan usage and
-  /// the slicing threshold stay as built, so the compiled plan remains
-  /// valid.  Called under the engine's op lock.
-  void set_pack_threads(int threads) { cfg_.threads = threads; }
-
   Off stream_to_file_start(Off s) override;
   Off stream_to_file_end(Off s) override;
   Off file_to_stream(Off mem) override;
@@ -55,7 +49,7 @@ class ListlessNav final : public mpiio::ViewNav {
   void fold(const fotf::RangeStats& rs);
 
   dt::Type ft_;
-  fotf::PackConfig cfg_;
+  const fotf::PackConfig cfg_;  ///< fixed by the engine's open-time Options
   std::shared_ptr<const fotf::PackPlan> plan_;
   bool plan_tried_ = false;
   mpiio::IoOpStats* stats_ = nullptr;

@@ -201,17 +201,6 @@ void IoEngine::observe_op(std::uint32_t op_id, const IoOpStats& s,
   sampler.record(sample);
 }
 
-void IoEngine::apply_op_tuning(const OpTuning& t) {
-  std::lock_guard op_lock(op_mu_);
-  opts_.cb_write = t.two_phase;
-  opts_.cb_read = t.two_phase;
-  opts_.pipeline_depth = t.pipeline_depth;
-  opts_.pack_threads = t.pack_threads;
-  opts_.zerocopy = t.zerocopy;
-  opts_.file_buffer_size = t.file_buffer_size;
-  on_tuning_changed();
-}
-
 Off IoEngine::read_at(Off offset_etypes, void* buf, Off count,
                       const dt::Type& mt) {
   return run_op(false, false, offset_etypes, buf, count, mt);

@@ -81,29 +81,7 @@ class IoEngine {
   void set_atomicity(bool atomic) { atomic_ = atomic; }
   bool atomicity() const { return atomic_; }
 
-  /// Per-operation tuning from the adaptive policy layer (adapt::Advisor
-  /// via mpiio::File): the subset of knobs the engines re-read on every
-  /// operation.  two_phase=false maps to cb_write/cb_read disable, which
-  /// degrades collectives to independent access + barrier — the
-  /// server-view route when the backend advertises pfs::ViewIo.  Applied
-  /// under op_mu_, so it can never interleave with a running op; with
-  /// llio_adaptive=off it is never called and the open-time options stay
-  /// byte-identical.
-  struct OpTuning {
-    bool two_phase = true;
-    int pipeline_depth = 0;
-    int pack_threads = 1;
-    Zerocopy zerocopy = Zerocopy::Auto;
-    Off file_buffer_size = 4 << 20;
-  };
-  void apply_op_tuning(const OpTuning& t);
-
  protected:
-  /// Engine-specific propagation of an apply_op_tuning change (e.g. the
-  /// listless engine re-points pack threads inside its cached
-  /// navigators).  Runs under op_mu_.
-  virtual void on_tuning_changed() {}
-
   /// Navigator over this rank's own fileview (independent access and the
   /// collective access-range computation).
   virtual ViewNav& nav() = 0;
@@ -135,7 +113,7 @@ class IoEngine {
   sim::Comm* comm_;
   pfs::FilePtr file_;
   std::shared_ptr<pfs::RangeLock> locks_;
-  Options opts_;
+  const Options opts_;
   View view_;
   IoOpStats stats_;
   IoOpStats cumulative_;

@@ -1,17 +1,11 @@
 #include "mpiio/file.hpp"
 
-#include <algorithm>
 #include <fstream>
-#include <map>
 #include <mutex>
 
-#include "adapt/advisor.hpp"
 #include "common/error.hpp"
-#include "common/format.hpp"
-#include "common/timer.hpp"
 #include "common/worker_pool.hpp"
 #include "core/listless_engine.hpp"
-#include "dtype/serialize.hpp"
 #include "listio/list_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
@@ -93,34 +87,6 @@ std::unique_ptr<IoEngine> make_engine(sim::Comm& comm, pfs::FilePtr backend,
   throw_error(Errc::InvalidArgument, "open: unknown method");
 }
 
-Method other_method(Method m) {
-  return m == Method::Listless ? Method::ListBased : Method::Listless;
-}
-
-/// Rank-harmonized signature of the installed fileview: FNV-1a over the
-/// serialized filetype plus disp and etype size, allreduce-maxed so every
-/// rank keys its advisor on the same value even when per-rank filetypes
-/// differ (the usual case — each rank views its own slice).
-std::uint64_t view_signature(sim::Comm& comm, Off disp, const dt::Type& etype,
-                             const dt::Type& filetype) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const Byte b : dt::serialize(filetype)) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 1099511628211ull;
-  }
-  mix(static_cast<std::uint64_t>(disp));
-  mix(static_cast<std::uint64_t>(etype->size()));
-  // Clamp to the non-negative Off range the reduction works in.
-  const Off mine = static_cast<Off>(h & 0x7fffffffffffffffull);
-  return static_cast<std::uint64_t>(comm.allreduce_max(mine));
-}
-
 }  // namespace
 
 File::File(std::unique_ptr<IoEngine> engine, pfs::FilePtr backend)
@@ -163,31 +129,10 @@ File File::open(sim::Comm& comm, pfs::FilePtr backend, const Options& opts) {
   // carry the same Options).
   backend->set_iov_batch_max(opts.iov_batch_max);
   OpenShared shared = exchange_open_shared(comm);
-  auto engine = make_engine(comm, backend, shared.locks, opts);
+  auto engine = make_engine(comm, backend, std::move(shared.locks), opts);
   engine->set_view(default_view());
   File f(std::move(engine), backend);
   f.shared_fp_ = std::move(shared.fp);
-  if (opts.adaptive != Adaptive::Off) {
-    // Second engine of the other method, sharing the backend and the
-    // range-lock table so the advisor can switch mid-run; identical
-    // options otherwise, so llio_adaptive=off minus the advisor is the
-    // only behavioral delta.
-    Options alt = opts;
-    alt.method = other_method(opts.method);
-    f.alt_engine_ =
-        make_engine(comm, std::move(backend), std::move(shared.locks), alt);
-    f.alt_engine_->set_view(default_view());
-    f.advisor_ = adapt::make_advisor(adapt::config_from_options(opts));
-    obs::Sampler& sampler = obs::Sampler::instance();
-    f.dim_backend_ =
-        sampler.intern(opts.backend.empty() ? "default" : opts.backend);
-    f.dim_net_ =
-        sampler.intern(opts.net_model.empty() ? "default" : opts.net_model);
-    f.dim_read_all_ = sampler.intern("read_at_all");
-    f.dim_write_all_ = sampler.intern("write_at_all");
-    f.dim_net_cur_ = f.dim_net_;
-    f.net_seen_ = comm.cost_model();
-  }
   return f;
 }
 
@@ -199,9 +144,6 @@ File File::open(sim::Comm& comm, pfs::FilePtr backend, const Info& info,
 void File::set_view(Off disp, const dt::Type& etype,
                     const dt::Type& filetype) {
   engine_->set_view(View{disp, etype, filetype});
-  if (alt_engine_) alt_engine_->set_view(View{disp, etype, filetype});
-  if (advisor_)
-    view_sig_ = view_signature(engine_->comm(), disp, etype, filetype);
   pointer_etypes_ = 0;
   // MPI_File_set_view resets the shared pointer as well (collective).
   engine_->comm().barrier();
@@ -212,122 +154,21 @@ void File::set_view(Off disp, const dt::Type& etype,
 const View& File::view() const { return engine_->view(); }
 
 Off File::read_at(Off offset, void* buf, Off count, const dt::Type& mt) {
-  last_engine_ = engine_.get();
   return engine_->read_at(offset, buf, count, mt);
 }
 
 Off File::write_at(Off offset, const void* buf, Off count,
                    const dt::Type& mt) {
-  last_engine_ = engine_.get();
   return engine_->write_at(offset, buf, count, mt);
 }
 
 Off File::read_at_all(Off offset, void* buf, Off count, const dt::Type& mt) {
-  if (advisor_)
-    return adaptive_collective(/*writing=*/false, offset, buf, nullptr, count,
-                               mt);
-  last_engine_ = engine_.get();
   return engine_->read_at_all(offset, buf, count, mt);
 }
 
 Off File::write_at_all(Off offset, const void* buf, Off count,
                        const dt::Type& mt) {
-  if (advisor_)
-    return adaptive_collective(/*writing=*/true, offset, nullptr, buf, count,
-                               mt);
-  last_engine_ = engine_.get();
   return engine_->write_at_all(offset, buf, count, mt);
-}
-
-IoEngine& File::engine_for(Method m) {
-  if (alt_engine_ && alt_engine_->options().method == m) return *alt_engine_;
-  return *engine_;
-}
-
-Off File::adaptive_collective(bool writing, Off offset, void* rbuf,
-                              const void* wbuf, Off count,
-                              const dt::Type& mt) {
-  sim::Comm& comm = engine_->comm();
-
-  // A mid-run interconnect change (sim::Comm::set_cost_model — the
-  // adversarial-flip benches) must move subsequent ops under a new net
-  // dim: the advisor then keys the new regime fresh instead of blending
-  // its costs into the old net's EWMAs, which would take many
-  // observations to un-learn.  The synthesized name follows the
-  // sim::named_cost_model "<latency_s>:<bandwidth_bps>" syntax.
-  const sim::CommCostModel live = comm.cost_model();
-  if (live.latency_s != net_seen_.latency_s ||
-      live.bandwidth_bps != net_seen_.bandwidth_bps) {
-    net_seen_ = live;
-    dim_net_cur_ = obs::Sampler::instance().intern(
-        strprintf("%g:%g", live.latency_s, live.bandwidth_bps));
-  }
-
-  adapt::OpContext ctx;
-  ctx.op = writing ? dim_write_all_ : dim_read_all_;
-  ctx.backend = dim_backend_;
-  ctx.net = dim_net_cur_;
-  ctx.view_sig = view_sig_;
-  ctx.writing = writing;
-  ctx.view_io = backend_->view_io() != nullptr;
-  ctx.nprocs = comm.size();
-  {
-    const IoOpStats& c = cumulative_stats();
-    const double denom = c.copy_s + c.file_s;
-    ctx.pack_frac = denom > 0 ? c.copy_s / denom : -1.0;
-  }
-
-  // Rank 0 decides; followers adopt the broadcast arm so every rank runs
-  // the same engine with the same tuning (a collective requirement).
-  // This one small bcast is the adaptive path's only extra communication
-  // per op.  The job-global payload rides along in it: rank 0 estimates
-  // nbytes as nprocs x its own contribution — it only feeds the log2
-  // size-class key and the ns/byte normalization, where a skewed rank
-  // distribution costs at most one size class, nothing a reduction is
-  // worth paying latency for on every op.
-  adapt::Decision d;
-  if (comm.rank() == 0) {
-    ctx.nbytes = count * mt->size() * comm.size();
-    d = advisor_->advise(ctx);
-    ByteVec raw(11);
-    raw[0] = static_cast<Byte>(d.arm & 0xff);
-    raw[1] = static_cast<Byte>(d.arm >> 8);
-    raw[2] = static_cast<Byte>(d.probe ? 1 : 0);
-    for (int i = 0; i < 8; ++i)
-      raw[3 + i] = static_cast<Byte>(
-          (static_cast<unsigned long long>(ctx.nbytes) >> (8 * i)) & 0xff);
-    comm.bcast(0, raw);
-  } else {
-    const ByteVec raw = comm.bcast(0, {});
-    LLIO_REQUIRE(raw.size() == 11, Errc::Protocol,
-                 "adaptive: bad arm broadcast");
-    const auto arm = static_cast<std::uint16_t>(
-        static_cast<unsigned>(raw[0]) | (static_cast<unsigned>(raw[1]) << 8));
-    unsigned long long nb = 0;
-    for (int i = 0; i < 8; ++i)
-      nb |= static_cast<unsigned long long>(raw[3 + i]) << (8 * i);
-    ctx.nbytes = static_cast<long long>(nb);
-    d = advisor_->follow(ctx, arm, raw[2] != Byte{0});
-  }
-
-  IoEngine& eng = engine_for(d.tuning.method);
-  eng.apply_op_tuning({d.tuning.two_phase, d.tuning.pipeline_depth,
-                       d.tuning.pack_threads, d.tuning.zerocopy,
-                       d.tuning.window});
-  last_engine_ = &eng;
-
-  WallTimer timer;
-  const Off n = writing ? eng.write_at_all(offset, wbuf, count, mt)
-                        : eng.read_at_all(offset, rbuf, count, mt);
-
-  // Cost of the op is this rank's wall time.  Collectives synchronize
-  // internally, so the steering rank's local duration tracks the job
-  // time closely — reducing to the exact max would cost another
-  // latency-bound collective per op.  Follower advisors see their own
-  // local view and may drift, but they never advise; only rank 0's
-  // state steers decisions.
-  advisor_->observe(ctx, d, {timer.seconds(), ctx.nbytes});
-  return n;
 }
 
 void File::seek(Off offset_etypes, Whence whence) {
@@ -472,14 +313,12 @@ void File::seek_shared(Off offset_etypes, Whence whence) {
 Off File::read_shared(void* buf, Off count, const dt::Type& mt) {
   const Off et = etypes_of(count * mt->size());
   const Off at = shared_fp_->fetch_add(et);
-  last_engine_ = engine_.get();
   return engine_->read_at(at, buf, count, mt);
 }
 
 Off File::write_shared(const void* buf, Off count, const dt::Type& mt) {
   const Off et = etypes_of(count * mt->size());
   const Off at = shared_fp_->fetch_add(et);
-  last_engine_ = engine_.get();
   return engine_->write_at(at, buf, count, mt);
 }
 
@@ -489,7 +328,6 @@ Off File::read_ordered(void* buf, Off count, const dt::Type& mt) {
   comm.barrier();  // quiesce pending shared-pointer updates
   const Off base = shared_fp_->load();
   const Off pre = comm.exscan_sum(et);
-  last_engine_ = engine_.get();
   const Off n = engine_->read_at(base + pre, buf, count, mt);
   const Off total = comm.allreduce_sum(et);
   comm.barrier();
@@ -504,7 +342,6 @@ Off File::write_ordered(const void* buf, Off count, const dt::Type& mt) {
   comm.barrier();
   const Off base = shared_fp_->load();
   const Off pre = comm.exscan_sum(et);
-  last_engine_ = engine_.get();
   const Off n = engine_->write_at(base + pre, buf, count, mt);
   const Off total = comm.allreduce_sum(et);
   comm.barrier();
@@ -543,7 +380,6 @@ void File::set_atomicity(bool atomic) {
   sim::Comm& comm = engine_->comm();
   comm.barrier();
   engine_->set_atomicity(atomic);
-  if (alt_engine_) alt_engine_->set_atomicity(atomic);
   comm.barrier();
 }
 
@@ -555,29 +391,14 @@ obs::JobReport File::close() {
   // exchange so the tracer snapshot below sees every rank's spans.
   obs::flush_thread_trace();
 
-  // Adaptive handles contribute both engines' work: the phase totals use
-  // the merged cumulative stats and the per-rank histograms merge the two
-  // engines' LocalRegistries (name-wise; the schema is identical).
   const IoOpStats& c = cumulative_stats();
   obs::RankSnapshot mine;
   mine.rank = comm.rank();
   mine.phases = report_phases(c);
   mine.counters = report_counters(c);
   mine.hists = engine_->local_metrics().histogram_data();
-  if (alt_engine_) {
-    for (const auto& [name, data] : alt_engine_->local_metrics().histogram_data()) {
-      auto it = std::find_if(mine.hists.begin(), mine.hists.end(),
-                             [&](const auto& h) { return h.first == name; });
-      if (it == mine.hists.end()) {
-        mine.hists.emplace_back(name, data);
-      } else {
-        it->second.merge(data);
-      }
-    }
-  }
 
   obs::JobReport report = obs::aggregate(comm, mine);
-  if (advisor_) advisor_->report_into(report);
 
   // Process-global sections: the registry, sampler, and tracer are
   // shared by all rank-threads of the simulated job, so every rank
@@ -633,22 +454,13 @@ obs::JobReport File::close() {
   return report;
 }
 
-const IoOpStats& File::last_stats() const {
-  return (last_engine_ != nullptr ? last_engine_ : engine_.get())
-      ->last_stats();
-}
+const IoOpStats& File::last_stats() const { return engine_->last_stats(); }
 
 const IoOpStats& File::cumulative_stats() const {
-  if (!alt_engine_) return engine_->cumulative_stats();
-  merged_cumulative_ = engine_->cumulative_stats();
-  merged_cumulative_ += alt_engine_->cumulative_stats();
-  return merged_cumulative_;
+  return engine_->cumulative_stats();
 }
 
-void File::reset_cumulative_stats() {
-  engine_->reset_cumulative_stats();
-  if (alt_engine_) alt_engine_->reset_cumulative_stats();
-}
+void File::reset_cumulative_stats() { engine_->reset_cumulative_stats(); }
 
 const Options& File::options() const { return engine_->options(); }
 

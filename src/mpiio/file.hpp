@@ -27,10 +27,6 @@
 #include "pfs/file_backend.hpp"
 #include "simmpi/comm.hpp"
 
-namespace llio::adapt {
-class Advisor;
-}
-
 namespace llio::mpiio {
 
 /// Handle for a nonblocking independent operation (MPI_Request analogue).
@@ -190,11 +186,6 @@ class File {
   /// The engine (for engine-specific introspection in benches/tests).
   IoEngine& engine();
 
-  /// The adaptive policy advisor; null unless llio_adaptive is on.  Each
-  /// rank's advisor converges to the same state (see adapt/advisor.hpp),
-  /// so reading rank 0's is canonical for benches/tests.
-  const adapt::Advisor* advisor() const noexcept { return advisor_.get(); }
-
   /// Implementation detail of the shared file pointer (public so the
   /// collective open machinery can exchange it).
   struct SharedFp;
@@ -208,43 +199,7 @@ class File {
   /// Etypes an access of `bytes` bytes moves (must divide evenly).
   Off etypes_of(Off bytes) const;
 
-  /// Adaptive collective dispatch (llio_adaptive != off): build the
-  /// rank-consistent OpContext, let rank 0's advisor pick the arm and
-  /// broadcast it, apply the tuning to the chosen engine, run the
-  /// collective, and feed the allreduce-maxed wall time back to every
-  /// rank's advisor.  `rbuf`/`wbuf` — exactly one is non-null.
-  Off adaptive_collective(bool writing, Off offset, void* rbuf,
-                          const void* wbuf, Off count, const dt::Type& mt);
-
-  /// The engine the next adaptive decision should run on, or engine_.
-  IoEngine& engine_for(Method m);
-
   std::unique_ptr<IoEngine> engine_;
-
-  /// The other method's engine, created only when llio_adaptive != off
-  /// (same backend / range locks / comm, so the two are interchangeable
-  /// mid-run).  Collective ops dispatch per the advisor's arm;
-  /// independent ops always use engine_.
-  std::unique_ptr<IoEngine> alt_engine_;
-  std::unique_ptr<adapt::Advisor> advisor_;
-  IoEngine* last_engine_ = nullptr;  ///< engine of the last sync op
-  std::uint64_t view_sig_ = 0;       ///< rank-harmonized fileview signature
-  mutable IoOpStats merged_cumulative_;  ///< both engines, built on demand
-
-  /// Sampler-interned dims for OpContext (resolved at open when adaptive).
-  std::uint32_t dim_backend_ = 0;
-  std::uint32_t dim_net_ = 0;
-  std::uint32_t dim_read_all_ = 0;
-  std::uint32_t dim_write_all_ = 0;
-
-  /// Live net dim: when the comm domain's cost model changes mid-run
-  /// (sim::Comm::set_cost_model — the adversarial-flip benches), the
-  /// advisor must key the new regime separately instead of folding its
-  /// costs into the old net's EWMAs.  net_seen_ caches the last model so
-  /// the common no-change path is two double compares.
-  std::uint32_t dim_net_cur_ = 0;
-  sim::CommCostModel net_seen_{};
-
   pfs::FilePtr backend_;
   std::shared_ptr<SharedFp> shared_fp_;
   Off pointer_etypes_ = 0;

@@ -201,37 +201,6 @@ Options apply_info(const Info& info, Options base) {
       LLIO_REQUIRE(!value.empty(), Errc::InvalidArgument,
                    "hint llio_report: empty path");
       base.report_path = value;
-    } else if (key == "llio_adaptive") {
-      if (value == "off")
-        base.adaptive = Adaptive::Off;
-      else if (value == "auto")
-        base.adaptive = Adaptive::Auto;
-      else if (value == "force")
-        base.adaptive = Adaptive::Force;
-      else
-        throw_error(Errc::InvalidArgument,
-                    "hint llio_adaptive: expected off/auto/force");
-    } else if (key == "llio_adaptive_policy") {
-      LLIO_REQUIRE(value == "static" || value == "greedy" ||
-                       value == "hysteresis",
-                   Errc::InvalidArgument,
-                   "hint llio_adaptive_policy: expected "
-                   "static/greedy/hysteresis");
-      base.adaptive_policy = value;
-    } else if (key == "llio_adaptive_epsilon") {
-      char* end = nullptr;
-      const double f = std::strtod(value.c_str(), &end);
-      LLIO_REQUIRE(end != value.c_str() && *end == '\0' && f >= 0.0 &&
-                       f <= 0.5,
-                   Errc::InvalidArgument,
-                   "hint llio_adaptive_epsilon: expected a ratio in "
-                   "[0, 0.5]");
-      base.adaptive_epsilon = f;
-    } else if (key == "llio_adaptive_window") {
-      const int n = parse_int(key, value);
-      LLIO_REQUIRE(n >= 1, Errc::InvalidArgument,
-                   "hint llio_adaptive_window: expected a count >= 1");
-      base.adaptive_window = n;
     } else if (key == "llio_obs_sample") {
       if (value == "on")
         base.obs_sample = true;
@@ -311,15 +280,6 @@ Info options_to_info(const Options& o) {
   if (o.trace_file) info.set("llio_trace_file", *o.trace_file);
   if (o.metrics) info.set("llio_metrics", *o.metrics ? "on" : "off");
   if (!o.report_path.empty()) info.set("llio_report", o.report_path);
-  // Adaptive hints appear only when the layer is engaged; off with the
-  // default knobs is the (hint-free) static behavior.
-  if (o.adaptive != Adaptive::Off) {
-    info.set("llio_adaptive", adaptive_name(o.adaptive));
-    if (!o.adaptive_policy.empty())
-      info.set("llio_adaptive_policy", o.adaptive_policy);
-    info.set("llio_adaptive_epsilon", strprintf("%.4f", o.adaptive_epsilon));
-    info.set("llio_adaptive_window", strprintf("%d", o.adaptive_window));
-  }
   if (o.obs_sample) info.set("llio_obs_sample", *o.obs_sample ? "on" : "off");
   if (o.obs_ring > 0) info.set("llio_obs_ring", strprintf("%d", o.obs_ring));
   return info;

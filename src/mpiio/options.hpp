@@ -44,19 +44,6 @@ enum class Zerocopy {
   Auto,  ///< descriptor I/O when the run table fits the budget below
 };
 
-/// Measurement-driven per-operation self-tuning (hint llio_adaptive).
-/// The adapt::Advisor replaces the static knobs below with per-collective
-/// decisions — engine (list/listless/server-view route), pipeline_depth,
-/// pack_threads, zerocopy, and the collective-buffer window — learned
-/// from the obs sampling ring and phase histograms.
-enum class Adaptive {
-  Off,    ///< static knobs only: bit-identical to the pre-adaptive paths
-  Auto,   ///< hysteresis policy: probe bounded by epsilon, switch only
-          ///< after K consecutive losses by a margin (no flapping)
-  Force,  ///< greedy policy: switch to the best-known arm immediately
-          ///< (fast tracking, may flap under noise)
-};
-
 struct Options {
   Method method = Method::Listless;
 
@@ -198,19 +185,6 @@ struct Options {
   /// aggregates and returns the report, but writes nothing.
   std::string report_path = {};
 
-  /// Adaptive policy layer (hints llio_adaptive / llio_adaptive_policy /
-  /// llio_adaptive_epsilon / llio_adaptive_window).  Off = every knob
-  /// above is static, byte-identical to the pre-adaptive behavior.
-  /// Auto/Force enable per-collective decisions; adaptive_policy can pin
-  /// the policy by name ("static" | "greedy" | "hysteresis", empty = the
-  /// mode's default).  adaptive_epsilon bounds exploration (fraction of
-  /// ops spent probing a non-incumbent arm); adaptive_window is K, the
-  /// consecutive-loss count hysteresis requires before switching.
-  Adaptive adaptive = Adaptive::Off;
-  std::string adaptive_policy = {};
-  double adaptive_epsilon = 1.0 / 16.0;
-  int adaptive_window = 3;
-
   /// Always-on sampling ring (hints llio_obs_sample / llio_obs_ring).
   /// Process-global like the tracer knobs; File::open applies any value
   /// set here on top of the environment-seeded defaults (LLIO_OBS_SAMPLE
@@ -222,6 +196,5 @@ struct Options {
 const char* method_name(Method m) noexcept;
 const char* merge_contig_name(MergeContig m) noexcept;
 const char* zerocopy_name(Zerocopy z) noexcept;
-const char* adaptive_name(Adaptive a) noexcept;
 
 }  // namespace llio::mpiio

@@ -27,15 +27,6 @@ const char* zerocopy_name(Zerocopy z) noexcept {
   return "auto";
 }
 
-const char* adaptive_name(Adaptive a) noexcept {
-  switch (a) {
-    case Adaptive::Off: return "off";
-    case Adaptive::Auto: return "auto";
-    case Adaptive::Force: return "force";
-  }
-  return "off";
-}
-
 View default_view() {
   return View{0, dt::byte(), dt::byte()};
 }

@@ -416,34 +416,6 @@ std::string JobReport::to_json() const {
       "},\"sampling\":{\"produced\":%llu,\"dropped\":%llu}",
       static_cast<unsigned long long>(samples_produced),
       static_cast<unsigned long long>(samples_dropped));
-  if (!adapt_policy.empty()) {
-    out += strprintf(
-        ",\"adapt\":{\"policy\":\"%s\",\"decisions\":%llu,"
-        "\"probes\":%llu,\"switches\":%llu,\"dims\":[",
-        adapt_policy.c_str(),
-        static_cast<unsigned long long>(adapt_decisions),
-        static_cast<unsigned long long>(adapt_probes),
-        static_cast<unsigned long long>(adapt_switches));
-    for (std::size_t i = 0; i < adapt_dims.size(); ++i)
-      out += strprintf(i == 0 ? "\"%s\"" : ",\"%s\"",
-                       adapt_dims[i].c_str());
-    out += "],\"trail\":[";
-    for (std::size_t i = 0; i < adapt_trail.size(); ++i) {
-      const AdaptDecision& d = adapt_trail[i];
-      if (i != 0) out += ',';
-      out += strprintf(
-          "{\"seq\":%llu,\"op\":%u,\"backend\":%u,\"net\":%u,"
-          "\"view_sig\":%llu,\"size_class\":%d,\"arm\":\"%s\","
-          "\"probe\":%s,\"switched\":%s,\"cost_ns_per_byte\":%.3f,"
-          "\"incumbent_ns_per_byte\":%.3f}",
-          static_cast<unsigned long long>(d.seq), d.op, d.backend, d.net,
-          static_cast<unsigned long long>(d.view_sig), d.size_class,
-          d.arm.c_str(), d.probe ? "true" : "false",
-          d.switched ? "true" : "false", d.cost_ns_per_byte,
-          d.incumbent_ns_per_byte);
-    }
-    out += "]}";
-  }
   out += "}";
   return out;
 }

@@ -24,8 +24,7 @@
 //     first" summary surfaced by --explain and the llio_report JSON.
 //
 // The JobReport JSON (schema "llio_report/v1") is the machine-readable
-// interface consumed by tools/check_report.py in CI and, eventually, the
-// adaptive engine's cost model (ROADMAP).
+// interface; tools/check_report.py validates it in CI.
 #pragma once
 
 #include <cstdint>
@@ -108,26 +107,6 @@ struct CriticalPathReport {
 /// argument on compute-thread tracks, exactly like explain_pipeline.
 CriticalPathReport critical_path(const std::vector<TraceEvent>& events);
 
-/// One adaptive-policy decision (adapt::Advisor), recorded at
-/// collective-op granularity.  The dimension fields are obs::Sampler
-/// interned ids — the same id space OpSample uses — so the trail, the
-/// sampling ring, and the Advisor's cost-model keys all reconcile.
-/// Lives here (not in adapt/) so the report schema has no dependency on
-/// the policy layer above it.
-struct AdaptDecision {
-  std::uint64_t seq = 0;      ///< decision order within the handle
-  std::uint32_t op = 0;       ///< "write_at_all" / ... (interned)
-  std::uint32_t backend = 0;  ///< storage target (interned)
-  std::uint32_t net = 0;      ///< interconnect model (interned)
-  std::uint64_t view_sig = 0;  ///< fileview signature (serialized-tree hash)
-  int size_class = 0;          ///< log2 of the op's global payload bytes
-  std::string arm;             ///< encoded tuning, e.g. "tp:d2:t1:zc:w22"
-  bool probe = false;     ///< epsilon exploration, not the incumbent
-  bool switched = false;  ///< the incumbent changed at this decision
-  double cost_ns_per_byte = 0;       ///< observed outcome of this op
-  double incumbent_ns_per_byte = 0;  ///< incumbent's estimate beforehand
-};
-
 struct JobReport {
   int nranks = 0;
   std::vector<int> ranks;  ///< rank ids, index space of per_rank vectors
@@ -162,19 +141,6 @@ struct JobReport {
   /// Always-on sampling ring state (obs/snapshot.hpp).
   std::uint64_t samples_produced = 0;
   std::uint64_t samples_dropped = 0;
-
-  /// Adaptive policy layer: decision trail and totals, attached by the
-  /// caller (File::close) when llio_adaptive is engaged.  Empty policy
-  /// name = adaptive off, no "adapt" section in the JSON.  adapt_dims is
-  /// the interned-id -> name table covering every id the trail uses, so
-  /// the report is self-contained (tools/check_report.py validates that
-  /// each decision's dims resolve).
-  std::string adapt_policy;
-  std::uint64_t adapt_decisions = 0;
-  std::uint64_t adapt_probes = 0;
-  std::uint64_t adapt_switches = 0;
-  std::vector<AdaptDecision> adapt_trail;  ///< most recent decisions
-  std::vector<std::string> adapt_dims;     ///< index = interned id
 
   const PhaseStats* phase(const std::string& name) const;
 

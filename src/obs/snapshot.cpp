@@ -108,12 +108,6 @@ std::string Sampler::name(std::uint32_t id) const {
   return id < t.names.size() ? t.names[id] : "?";
 }
 
-std::uint32_t Sampler::dim_count() const {
-  Interner& t = interner();
-  std::lock_guard lock(t.mu);
-  return static_cast<std::uint32_t>(t.names.size());
-}
-
 void Sampler::record(OpSample sample) {
   if (!enabled()) return;
   Ring* ring = ring_.load(std::memory_order_acquire);
@@ -171,13 +165,6 @@ MetricsSnapshot Sampler::snapshot() const {
   }
   std::sort(out.samples.begin(), out.samples.end(),
             [](const OpSample& a, const OpSample& b) { return a.seq < b.seq; });
-  return out;
-}
-
-MetricsSnapshot Sampler::snapshot_since(std::uint64_t min_seq) const {
-  MetricsSnapshot out = snapshot();
-  std::erase_if(out.samples,
-                [&](const OpSample& s) { return s.seq < min_seq; });
   return out;
 }
 

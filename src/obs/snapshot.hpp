@@ -2,11 +2,13 @@
 // behind a lock-light snapshot API.
 //
 // The tracer records everything (too heavy to leave on) and the metrics
-// registry keeps only aggregates (no per-op context); the adaptive
-// policy layer the ROADMAP plans needs something in between — "what did
-// the last few hundred operations look like: which engine, which
-// backend, which net model, how many bytes, how long" — cheap enough to
-// stay enabled in production runs.  This is that layer.
+// registry keeps only aggregates (no per-op context).  The ring sits in
+// between — "what did the last few hundred operations look like: which
+// engine, which backend, which net model, how many bytes, how long" —
+// cheap enough to stay enabled in production runs.  File::close reports
+// its produced/dropped totals in the JobReport's "sampling" section, and
+// tests read the samples themselves to check which engine, backend and
+// net model each op ran under.
 //
 // Concurrency model (ThreadSanitizer-clean by construction):
 //   * record() claims a slot by fetch_add on the ring head, then flips
@@ -87,20 +89,11 @@ class Sampler {
   /// The string behind an interned id ("?" for an unknown id).
   std::string name(std::uint32_t id) const;
 
-  /// Number of interned dimension ids (valid ids are [0, dim_count)).
-  std::uint32_t dim_count() const;
-
   /// Record one sample (sample.seq is assigned here).  No-op when
   /// disabled.  Never blocks: a slot collision drops the sample.
   void record(OpSample sample);
 
   MetricsSnapshot snapshot() const;
-
-  /// Incremental read: as snapshot(), but keeps only samples with
-  /// seq >= min_seq.  A consumer (the adaptive Advisor warm-starting a
-  /// key, a poller) remembers the last seq it saw and asks only for what
-  /// is new; produced/dropped totals are still the ring-lifetime values.
-  MetricsSnapshot snapshot_since(std::uint64_t min_seq) const;
 
   /// Drop retained samples and zero the produced/dropped totals.
   void reset();

@@ -21,7 +21,7 @@ std::shared_ptr<ThrottledFile> ThrottledFile::wrap(FilePtr inner,
       new ThrottledFile(std::move(inner), cfg));
 }
 
-void ThrottledFile::delay(const ThrottleConfig& cfg, double seconds) {
+void ThrottledFile::delay(double seconds) {
   {
     std::lock_guard lock(mu_);
     simulated_time_ += seconds;
@@ -31,7 +31,7 @@ void ThrottledFile::delay(const ThrottleConfig& cfg, double seconds) {
                {{"delay_us", static_cast<long long>(seconds * 1e6), {},
                  false}});
   std::unique_lock device(device_mu_, std::defer_lock);
-  if (cfg.exclusive_device) device.lock();  // serialize the channel
+  if (cfg_.exclusive_device) device.lock();  // serialize the channel
   // Busy-wait for very short delays (sleep granularity is too coarse),
   // sleep for longer ones.
   if (seconds < 50e-6) {
@@ -48,50 +48,32 @@ double ThrottledFile::simulated_time() const {
   return simulated_time_;
 }
 
-ThrottleConfig ThrottledFile::config() const {
-  std::lock_guard lock(mu_);
-  return cfg_;
-}
-
-void ThrottledFile::set_config(const ThrottleConfig& cfg) {
-  LLIO_REQUIRE(cfg.read_bandwidth_bps > 0 && cfg.write_bandwidth_bps > 0,
-               Errc::InvalidArgument, "ThrottledFile: non-positive bandwidth");
-  std::lock_guard lock(mu_);
-  cfg_ = cfg;
-}
-
 Off ThrottledFile::do_pread(Off offset, ByteSpan out) {
-  const ThrottleConfig cfg = config();
   const Off n = inner_->pread(offset, out);
-  delay(cfg, cfg.op_latency_s +
-        static_cast<double>(n) / cfg.read_bandwidth_bps);
+  delay(cfg_.op_latency_s + static_cast<double>(n) / cfg_.read_bandwidth_bps);
   return n;
 }
 
 void ThrottledFile::do_pwrite(Off offset, ConstByteSpan data) {
-  const ThrottleConfig cfg = config();
   inner_->pwrite(offset, data);
-  delay(cfg, cfg.op_latency_s +
-        static_cast<double>(data.size()) / cfg.write_bandwidth_bps);
+  delay(cfg_.op_latency_s +
+        static_cast<double>(data.size()) / cfg_.write_bandwidth_bps);
 }
 
 Off ThrottledFile::do_preadv(std::span<const IoVec> iov) {
   // A batch pays the fixed latency once: that is the whole point of
   // coalescing per-segment accesses.
-  const ThrottleConfig cfg = config();
   const Off n = inner_->preadv(iov);
-  delay(cfg,
-        cfg.op_latency_s + static_cast<double>(n) / cfg.read_bandwidth_bps);
+  delay(cfg_.op_latency_s + static_cast<double>(n) / cfg_.read_bandwidth_bps);
   return n;
 }
 
 void ThrottledFile::do_pwritev(std::span<const ConstIoVec> iov) {
-  const ThrottleConfig cfg = config();
   inner_->pwritev(iov);
   Off total = 0;
   for (const ConstIoVec& v : iov) total += to_off(v.buf.size());
-  delay(cfg, cfg.op_latency_s +
-        static_cast<double>(total) / cfg.write_bandwidth_bps);
+  delay(cfg_.op_latency_s +
+        static_cast<double>(total) / cfg_.write_bandwidth_bps);
 }
 
 }  // namespace llio::pfs

@@ -155,7 +155,6 @@ ServerPool::ServerPool(PoolConfig cfg) : cfg_(std::move(cfg)) {
     }
   }
 
-  net_name_ = cfg_.net_name;
   world_ = std::make_unique<sim::World>(
       cfg_.nservers + cfg_.client_slots + cfg_.session_slots, cfg_.net);
   shards_.reserve(to_size(Off{cfg_.nservers}));
@@ -177,18 +176,6 @@ ServerPool::ServerPool(PoolConfig cfg) : cfg_(std::move(cfg)) {
   threads_.reserve(to_size(Off{cfg_.nservers}));
   for (int s = 0; s < cfg_.nservers; ++s)
     threads_.emplace_back([this, s] { serve(s); });
-}
-
-void ServerPool::set_net(const sim::CommCostModel& net,
-                         const std::string& name) {
-  world_->set_cost_model(net);
-  std::lock_guard<std::mutex> lock(net_name_mu_);
-  net_name_ = name;
-}
-
-std::string ServerPool::net_name() const {
-  std::lock_guard<std::mutex> lock(net_name_mu_);
-  return net_name_;
 }
 
 ServerPool::~ServerPool() {

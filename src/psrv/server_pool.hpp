@@ -169,12 +169,6 @@ class ServerPool {
   int nservers() const noexcept { return cfg_.nservers; }
   const PoolConfig& config() const noexcept { return cfg_; }
 
-  /// Swap the client/server interconnect cost model mid-run (see
-  /// sim::Comm::set_cost_model); `name` is the new net dimension for
-  /// sampler records.  Call with no request in flight.
-  void set_net(const sim::CommCostModel& net, const std::string& name);
-  std::string net_name() const;
-
   /// Shard domains, index = server; the last non-empty domain is
   /// open-ended so every file offset has an owner.
   const std::vector<mpiio::Domain>& domains() const noexcept {
@@ -335,8 +329,6 @@ class ServerPool {
   struct CreditState;
 
   PoolConfig cfg_;
-  mutable std::mutex net_name_mu_;
-  std::string net_name_;
   std::vector<mpiio::Domain> domains_;
   std::unique_ptr<sim::World> world_;
   std::vector<pfs::FilePtr> shards_;

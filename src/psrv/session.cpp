@@ -516,19 +516,16 @@ void Session::evict_for_capacity(std::vector<DirtyExtent>& flush_out) {
 void Session::sample_cached(std::uint32_t op_id, std::size_t bytes,
                             long long dur_ns) {
   // Cache-served ops never reach IoEngine::observe_op (they return before
-  // the wire), so without this the sampler ring has no record of them and
-  // the adaptive Advisor cannot key on the backend/net they ran under.
+  // the wire), so without this the sampler ring would have no record of
+  // them and its produced total would undercount the handle's ops.
   // Called under op_mu_, so the cached dim ids need no extra locking.
   obs::Sampler& sampler = obs::Sampler::instance();
   if (!sampler.enabled()) return;
   if (dims_.engine == 0) {
     dims_.engine = sampler.intern("psrv-session");
     dims_.backend = sampler.intern("psrv");
-  }
-  const std::string net = pool_->net_name();
-  if (net != dims_.net_name) {  // re-intern only on a mid-run net flip
+    const std::string& net = pool_->config().net_name;
     dims_.net = sampler.intern(net.empty() ? "default" : net);
-    dims_.net_name = net;
   }
   obs::OpSample s;
   s.rank = -1;  // a session is shared by all rank-threads of the handle

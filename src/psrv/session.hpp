@@ -289,7 +289,6 @@ class Session {
     std::uint32_t engine = 0;
     std::uint32_t backend = 0;
     std::uint32_t net = 0;
-    std::string net_name;
   } dims_;
 
   std::optional<ServerPool::SessionSlot> slot_;  ///< recall channel

@@ -37,16 +37,6 @@ class Context {
 
   int size() const noexcept { return nprocs_; }
 
-  CommCostModel net() const {
-    std::lock_guard<std::mutex> lock(net_mu_);
-    return net_;
-  }
-
-  void set_net(const CommCostModel& net) {
-    std::lock_guard<std::mutex> lock(net_mu_);
-    net_ = net;
-  }
-
   void abort() {
     aborted_.store(true, std::memory_order_release);
     for (auto& mb : mailboxes_) {
@@ -105,10 +95,9 @@ class Context {
       if (it != mb.queue.end()) {
         ByteVec out = std::move(it->data);
         mb.queue.erase(it);
-        const CommCostModel nm = net();
-        if (!nm.free()) {
+        if (!net_.free()) {
           lock.unlock();
-          charge_network(nm, out.size());
+          charge_network(net_, out.size());
         }
         return out;
       }
@@ -127,10 +116,9 @@ class Context {
         const int src = it->src;
         ByteVec out = std::move(it->data);
         mb.queue.erase(it);
-        const CommCostModel nm = net();
-        if (!nm.free()) {
+        if (!net_.free()) {
           lock.unlock();
-          charge_network(nm, out.size());
+          charge_network(net_, out.size());
         }
         return {src, std::move(out)};
       }
@@ -148,10 +136,9 @@ class Context {
     const int src = it->src;
     ByteVec out = std::move(it->data);
     mb.queue.erase(it);
-    const CommCostModel nm = net();
-    if (!nm.free()) {
+    if (!net_.free()) {
       lock.unlock();
-      charge_network(nm, out.size());
+      charge_network(net_, out.size());
     }
     return std::make_pair(src, std::move(out));
   }
@@ -172,10 +159,9 @@ class Context {
         const int src = it->src;
         ByteVec out = std::move(it->data);
         mb.queue.erase(it);
-        const CommCostModel nm = net();
-        if (!nm.free()) {
+        if (!net_.free()) {
           lock.unlock();
-          charge_network(nm, out.size());
+          charge_network(net_, out.size());
         }
         return std::make_pair(src, std::move(out));
       }
@@ -220,8 +206,7 @@ class Context {
 
  private:
   int nprocs_;
-  mutable std::mutex net_mu_;
-  CommCostModel net_;
+  const CommCostModel net_;  ///< fixed for the domain's lifetime
   std::vector<Mailbox> mailboxes_;
   std::vector<CommStats> stats_;
   std::atomic<bool> aborted_{false};
@@ -270,10 +255,6 @@ void scatter_payload(ConstByteSpan payload, std::span<const ByteSpan> runs) {
 }  // namespace
 
 int Comm::size() const noexcept { return ctx_->size(); }
-
-CommCostModel Comm::cost_model() const { return ctx_->net(); }
-
-void Comm::set_cost_model(const CommCostModel& net) { ctx_->set_net(net); }
 
 void Comm::send(int dst, int tag, ConstByteSpan data, MsgClass cls) {
   ctx_->send(rank_, dst, tag, data, cls);
@@ -609,8 +590,6 @@ Comm World::comm(int slot) {
 }
 
 void World::abort() { ctx_->abort(); }
-
-void World::set_cost_model(const CommCostModel& net) { ctx_->set_net(net); }
 
 CommStats World::total_stats() const {
   CommStats total;

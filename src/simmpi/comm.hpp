@@ -35,6 +35,8 @@ enum class MsgClass : std::uint8_t {
 /// Interconnect cost model: each received message is charged
 /// latency + size/bandwidth of wall time (on the receiver, which is where
 /// message passing blocks).  Default: free (pure shared-memory copies).
+/// Fixed when the domain is created (Runtime::run / World), so receives
+/// read it without taking a lock.
 /// Used by the network-sensitivity ablation: the slower the interconnect,
 /// the more the list-based engine's ol-list exchange hurts (paper §5).
 struct CommCostModel {
@@ -173,16 +175,6 @@ class Comm {
   /// (rank 0 receives 0).
   Off exscan_sum(Off v);
 
-  /// Interconnect cost model currently charged on receives.  The model is
-  /// shared by the whole communication domain: set_cost_model swaps it for
-  /// every rank, taking effect on the next receive.  Mid-run swaps model a
-  /// changing interconnect (the adaptive-policy ablation flips fast→slow
-  /// halfway through a bench); call it from one rank with the domain
-  /// otherwise quiescent, or accept that in-flight receives may be charged
-  /// under either model.
-  CommCostModel cost_model() const;
-  void set_cost_model(const CommCostModel& net);
-
   /// This rank's send-side statistics.
   const CommStats& stats() const;
   void reset_stats();
@@ -219,10 +211,6 @@ class World {
 
   /// Wake every blocked receiver with Errc::Protocol (failure shutdown).
   void abort();
-
-  /// Swap the interconnect cost model for the whole domain (see
-  /// Comm::set_cost_model).
-  void set_cost_model(const CommCostModel& net);
 
   /// Sum of all slots' send statistics.  Unlike Comm::global_stats() this
   /// does not barrier — the caller must know the domain is quiescent.

@@ -509,10 +509,11 @@ TEST(Sampler, SnapshotStaysCoherentDuringConcurrentWrites) {
 
 // A cache-hit read on a psrv session never reaches the wire, so the
 // engine-side observe_op path never sees it — the session itself must
-// stamp the sample, *including* the backend/net dimensions the adaptive
-// policy layer keys its cost model on.  (Regression: these records used
-// to land without dims, so snapshot consumers filtering on backend=="psrv"
-// silently missed every cached read.)
+// stamp the sample, *including* its backend/net dimensions, so that a
+// snapshot filtered by backend or net model counts every op the handle
+// made.  (Regression: these records used to land without dims, so
+// snapshot consumers filtering on backend=="psrv" silently missed every
+// cached read.)
 TEST(Sampler, PsrvCachedReadsCarryBackendAndNetDims) {
   ObsSandbox sandbox(/*metrics=*/false);
   psrv::PoolConfig cfg = iotest::small_pool_config();
@@ -543,15 +544,6 @@ TEST(Sampler, PsrvCachedReadsCarryBackendAndNetDims) {
     EXPECT_GE(smp.dur_ns, 0);
   }
   EXPECT_TRUE(found) << "cache-hit reads must land in the sampling ring";
-
-  // A mid-run net swap re-interns the net dimension on later hits.
-  pool->set_net(sim::CommCostModel{1e-5, 1e8}, "wan-slow");
-  f->pread(0, back);
-  const obs::MetricsSnapshot snap2 = s.snapshot();
-  bool saw_new_net = false;
-  for (const obs::OpSample& smp : snap2.samples)
-    if (smp.op == op_id && s.name(smp.net) == "wan-slow") saw_new_net = true;
-  EXPECT_TRUE(saw_new_net);
 }
 
 // ---- critical path ------------------------------------------------------

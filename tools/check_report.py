@@ -31,14 +31,6 @@ Checks, in order:
     Use this gate only on serial (pipeline_depth=0) runs — pipelined
     windows on starved CI runners contain descheduled time that no span
     can attribute, so their fraction is scheduling noise, not coverage.
-  * adapt decision trail (only when the report has an adapt section,
-    i.e. the run used llio_adaptive): the policy name is known, the
-    decisions/probes/switches counters are coherent, and every trail
-    entry's op/backend/net index resolves to an interned dim in
-    adapt.dims.  --expect-adapt additionally requires the section to be
-    present (for CI jobs that assert the adaptive path actually ran),
-    and --min-switches N requires at least N switches with the trail
-    recording a switched entry (flip-scenario jobs).
 
 Exit status: 0 when every check holds, 1 otherwise.
 """
@@ -146,72 +138,6 @@ def check_histograms(report):
     return ok
 
 
-def check_adapt(report):
-    """Validate the optional adapt section (decision trail).
-
-    The trail indices are Sampler dim-table ids re-interned into
-    adapt.dims at report time, so every op/backend/net in every entry
-    must name an existing dim — a dangling index means the interning in
-    obs::aggregate and the advisor's trail ring disagree.
-    """
-    adapt = report.get("adapt")
-    if adapt is None:
-        return True
-    ok = True
-    if adapt.get("policy") not in ("static", "greedy", "hysteresis"):
-        ok = fail(f"adapt policy {adapt.get('policy')!r} unknown "
-                  f"(want static|greedy|hysteresis)")
-    for k in ("decisions", "probes", "switches"):
-        v = adapt.get(k)
-        if not isinstance(v, int) or v < 0:
-            ok = fail(f"adapt.{k} is {v!r}, want a non-negative integer")
-    if not ok:
-        return ok
-    if adapt["probes"] > adapt["decisions"]:
-        ok = fail(f"adapt: {adapt['probes']} probes out of only "
-                  f"{adapt['decisions']} decisions")
-    if adapt["switches"] > adapt["decisions"]:
-        ok = fail(f"adapt: {adapt['switches']} switches out of only "
-                  f"{adapt['decisions']} decisions")
-    dims = adapt.get("dims")
-    trail = adapt.get("trail")
-    if not isinstance(dims, list) or not all(
-            isinstance(d, str) for d in dims):
-        return fail("adapt.dims missing or not a list of strings")
-    if not isinstance(trail, list):
-        return fail("adapt.trail missing or not a list")
-    if len(trail) > adapt["decisions"]:
-        ok = fail(f"adapt: trail holds {len(trail)} entries but only "
-                  f"{adapt['decisions']} decisions were made")
-    prev_seq = 0
-    for i, d in enumerate(trail):
-        where = f"adapt.trail[{i}]"
-        for k, typ in (("seq", int), ("op", int), ("backend", int),
-                       ("net", int), ("view_sig", int),
-                       ("size_class", int), ("arm", str),
-                       ("probe", bool), ("switched", bool),
-                       ("cost_ns_per_byte", (int, float)),
-                       ("incumbent_ns_per_byte", (int, float))):
-            if not isinstance(d.get(k), typ):
-                ok = fail(f"{where}: field {k} is {d.get(k)!r}")
-        if not ok:
-            return ok
-        if d["seq"] <= prev_seq:
-            ok = fail(f"{where}: seq {d['seq']} not increasing "
-                      f"(previous {prev_seq})")
-        prev_seq = d["seq"]
-        # The interned-dim referential check the trail exists to keep.
-        for k in ("op", "backend", "net"):
-            if not 0 <= d[k] < len(dims):
-                ok = fail(f"{where}: {k} index {d[k]} does not resolve "
-                          f"in adapt.dims (size {len(dims)})")
-        if not d["arm"]:
-            ok = fail(f"{where}: empty arm label")
-        if d["cost_ns_per_byte"] < 0:
-            ok = fail(f"{where}: negative cost_ns_per_byte")
-    return ok
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("report")
@@ -225,13 +151,6 @@ def main():
                     metavar="NAME",
                     help="require phase NAME with a non-zero sum_s "
                          "(repeatable)")
-    ap.add_argument("--expect-adapt", action="store_true",
-                    help="require the adapt decision-trail section "
-                         "(llio_adaptive runs)")
-    ap.add_argument("--min-switches", type=int, default=None,
-                    help="require at least N adapt switches, with the "
-                         "trail actually recording a switched entry "
-                         "(implies --expect-adapt)")
     args = ap.parse_args()
 
     with open(args.report) as f:
@@ -266,21 +185,6 @@ def main():
             ok = fail(f"phase {name} missing or never timed")
     ok = check_counters(report) and ok
     ok = check_histograms(report) and ok
-    ok = check_adapt(report) and ok
-    if (args.expect_adapt or args.min_switches is not None) \
-            and "adapt" not in report:
-        ok = fail("--expect-adapt given but the report has no adapt "
-                  "section (was llio_adaptive set?)")
-    if args.min_switches is not None and "adapt" in report:
-        adapt = report["adapt"]
-        if adapt.get("switches", 0) < args.min_switches:
-            ok = fail(f"adapt.switches {adapt.get('switches')} < required "
-                      f"{args.min_switches}")
-        trail_switches = sum(
-            1 for d in adapt.get("trail", []) if d.get("switched"))
-        if args.min_switches > 0 and trail_switches < 1:
-            ok = fail("adapt trail records no switched entry (the switch "
-                      "fell outside the trail ring?)")
 
     for k, v in report["counters"].items():
         if not isinstance(v, int) or v < 0:
@@ -314,12 +218,6 @@ def main():
         cp_note = (f", critical path {cp['attributed_frac'] * 100:.1f}% "
                    f"attributed over {cp['windows']} windows "
                    f"(limiter {cp['limiter']})" if cp else "")
-        adapt = report.get("adapt")
-        if adapt:
-            cp_note += (f", adapt {adapt['policy']}: "
-                        f"{adapt['decisions']} decisions "
-                        f"({adapt['probes']} probes, "
-                        f"{adapt['switches']} switches)")
         print(f"ok: {report['nranks']} ranks, phases {sorted(phases)}, "
               f"{len(report['histograms'])} merged histograms, straggler "
               f"rank {straggler.get('rank')}"
