@@ -154,6 +154,7 @@ class Reader {
 
 inline ByteVec fail_response(Errc code, const std::string& what) {
   ByteVec resp;
+  resp.reserve(2 + what.size());
   put_u8(resp, static_cast<std::uint8_t>(Status::Fail));
   put_u8(resp, static_cast<std::uint8_t>(code));
   const Byte* msg = as_bytes(what.data());
