@@ -1,6 +1,7 @@
 #include "listio/list_engine.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -20,7 +21,8 @@ void OlListCodec::describe(const mpiio::AccessRange& mine,
   // filetype instances and clip every block against the IOP domains.
   // Cost and memory are O(S_access / S_extent * N_block) in total.
   obs::Phase t(stats_.list_build_s, "list_build");
-  lists_.assign(doms.size(), {});
+  lists_.resize(doms.size());
+  for (std::vector<dt::OlTuple>& list : lists_) list.clear();
   const Off stream_lo = mine.stream_lo;
   const Off nbytes = mine.nbytes;
   OlWalker w(&ft_list_, view_.ft_extent());
@@ -85,17 +87,23 @@ void OlListCodec::append_list(std::size_t iop, ByteVec& out) {
 void OlListCodec::serve(const std::vector<mpiio::PeerSlice>& peers) {
   recvs_.clear();
   queued_.clear();
+  win_end_.clear();
+  filled_ = 0;
   for (const mpiio::PeerSlice& p : peers) {
+    // Wire form [n][n tuples], read in place: the payload outlives the op.
     const Off n = mpiio::get_off(p.payload, 0);
-    LLIO_REQUIRE(n > 0 && p.payload.size() ==
-                              sizeof(Off) + to_size(n) * sizeof(dt::OlTuple),
+    const std::size_t bytes = p.payload.size() - sizeof(Off);
+    LLIO_REQUIRE(n > 0 && bytes % sizeof(dt::OlTuple) == 0 &&
+                     to_off(bytes / sizeof(dt::OlTuple)) == n,
                  Errc::Protocol, "collective list message malformed");
+    const Byte* raw = p.payload.data() + sizeof(Off);
+    LLIO_REQUIRE(reinterpret_cast<std::uintptr_t>(raw) %
+                         alignof(dt::OlTuple) == 0,
+                 Errc::Protocol, "collective list message misaligned");
     RecvList rl;
-    rl.tuples.resize(to_size(n));
-    std::memcpy(rl.tuples.data(), p.payload.data() + sizeof(Off),
-                to_size(n) * sizeof(dt::OlTuple));
+    rl.tuples = {reinterpret_cast<const dt::OlTuple*>(raw), to_size(n)};
     rl.data = p.data;
-    recvs_.push_back(std::move(rl));
+    recvs_.push_back(rl);
   }
 }
 
@@ -104,51 +112,64 @@ mpiio::DomainWindows OlListCodec::analyze(
   // The union of the received (sorted, domain-clipped) ol-lists.
   std::vector<std::span<const dt::OlTuple>> lists;
   lists.reserve(recvs_.size());
-  for (const RecvList& rl : recvs_)
-    lists.push_back({rl.tuples.data(), rl.tuples.size()});
+  for (const RecvList& rl : recvs_) lists.push_back(rl.tuples);
   return mpiio::analyze_tuple_domain(dom.lo, dom.hi, win, lists);
 }
 
-void OlListCodec::collect_window_spans(RecvList& r, Off lo, Off hi,
-                                       std::vector<WinSpan>& out) {
-  while (r.idx < r.tuples.size()) {
-    const dt::OlTuple& t = r.tuples[r.idx];
-    const Off off = t.off + r.within;
-    const Off len = t.len - r.within;
+template <class Unit>
+void OlListCodec::walk(std::span<const dt::OlTuple> tuples, Cursor& c,
+                       Off lo, Off hi, Unit&& unit) {
+  while (c.idx < tuples.size()) {
+    const dt::OlTuple& t = tuples[c.idx];
+    const Off off = t.off + c.within;
     if (off >= hi) break;
     LLIO_ASSERT(off >= lo, "collective tuple behind current window");
-    const Off cut = std::min(len, hi - off);
-    out.push_back({off, cut, &r, r.data_off});
-    r.data_off += cut;
-    r.within += cut;
-    if (r.within == t.len) {
-      ++r.idx;
-      r.within = 0;
+    const Off cut = std::min(t.len - c.within, hi - off);
+    unit(off, cut, c.data_off);
+    c.data_off += cut;
+    c.within += cut;
+    if (c.within == t.len) {
+      ++c.idx;
+      c.within = 0;
     }
     if (off + cut == hi) break;
   }
 }
 
 bool OlListCodec::plan_window(Off lo, Off hi) {
-  std::vector<WinSpan> spans;
-  for (RecvList& rl : recvs_) collect_window_spans(rl, lo, hi, spans);
-  if (spans.empty()) return false;
-  queued_.push_back(std::move(spans));
+  // Queue each touching peer's cursor at the window start and move it
+  // past the window; fill_window replays the same tuples from there.
+  const std::size_t first = queued_.size();
+  for (RecvList& r : recvs_) {
+    const Cursor from = r.planned;
+    walk(r.tuples, r.planned, lo, hi, [](Off, Off, Off) {});
+    if (r.planned.data_off != from.data_off) queued_.push_back({&r, from});
+  }
+  if (queued_.size() == first) return false;
+  win_end_.push_back(queued_.size());
   return true;
 }
 
 Off OlListCodec::fill_window(Off lo, ByteSpan win, bool write) {
-  const std::vector<WinSpan> spans = std::move(queued_.front());
-  queued_.pop_front();
-  for (const WinSpan& sp : spans) {
-    Byte* w = win.data() + (sp.off - lo);
-    Byte* d = sp.src->data + sp.data_off;
-    if (write)
-      std::memcpy(w, d, to_size(sp.len));
-    else
-      std::memcpy(d, w, to_size(sp.len));
+  // Peer by peer, tuple by tuple: the copy order of overlapping writes.
+  const std::size_t begin = filled_ == 0 ? 0 : win_end_[filled_ - 1];
+  const std::size_t end = win_end_[filled_++];
+  Off units = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    Cursor c = queued_[i].from;
+    Byte* data = queued_[i].src->data;
+    walk(queued_[i].src->tuples, c, lo, lo + to_off(win.size()),
+         [&](Off off, Off len, Off data_off) {
+           Byte* w = win.data() + (off - lo);
+           Byte* d = data + data_off;
+           if (write)
+             std::memcpy(w, d, to_size(len));
+           else
+             std::memcpy(d, w, to_size(len));
+           ++units;
+         });
   }
-  return to_off(spans.size());
+  return units;
 }
 
 void ListEngine::set_view(const mpiio::View& v) {

@@ -4,8 +4,8 @@
 // and copies tuple by tuple (§2.2).
 #pragma once
 
-#include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dtype/flatten.hpp"
@@ -42,34 +42,45 @@ class OlListCodec final : public mpiio::AccessCodec {
   Off fill_window(Off lo, ByteSpan win, bool write) override;
 
  private:
-  /// A received list plus its cursor through the peer's data.
-  struct RecvList {
-    std::vector<dt::OlTuple> tuples;  ///< absolute file offsets
-    Byte* data = nullptr;  ///< the peer's dense stream slice
-    std::size_t idx = 0;   ///< current tuple
-    Off within = 0;        ///< bytes consumed of the current tuple
-    Off data_off = 0;      ///< bytes consumed of the data stream
+  /// A position in a received list: the current tuple and the bytes
+  /// consumed of it and of the peer's data stream.
+  struct Cursor {
+    std::size_t idx = 0;
+    Off within = 0;
+    Off data_off = 0;
   };
-  /// One copy unit inside a window.
-  struct WinSpan {
-    Off off;  ///< absolute file offset
-    Off len;
+  /// A received list, read in place from the peer's Meta payload.
+  struct RecvList {
+    std::span<const dt::OlTuple> tuples;  ///< absolute file offsets
+    Byte* data = nullptr;  ///< the peer's dense stream slice
+    Cursor planned;        ///< where the next window starts
+  };
+  /// One peer's part of a planned window: its cursor at the window start.
+  struct Queued {
     const RecvList* src;
-    Off data_off;  ///< offset into src->data
+    Cursor from;
   };
 
-  /// Advance `r` through window [lo, hi), emitting clipped spans.
-  static void collect_window_spans(RecvList& r, Off lo, Off hi,
-                                   std::vector<WinSpan>& out);
+  /// Advance `c` through `tuples` to the window end `hi`, calling
+  /// unit(file_off, len, data_off) for each tuple clipped to the window.
+  template <class Unit>
+  static void walk(std::span<const dt::OlTuple> tuples, Cursor& c, Off lo,
+                   Off hi, Unit&& unit);
 
   const mpiio::View& view_;
   const dt::OlList& ft_list_;
   mpiio::IoOpStats& stats_;
-  /// Mine, per IOP; freed by the next describe, not once shipped: early
-  /// frees let the op's data buffers reuse the memory and slowed writes.
+  /// Mine, per IOP; cleared by the next describe.  These lists and the
+  /// IOP-side buffers below keep their capacity across ops: regrowing
+  /// them on every collective cost page faults and system time, which
+  /// are no part of the list costs the paper charges to ROMIO (§2.3).
   std::vector<std::vector<dt::OlTuple>> lists_;
   std::vector<RecvList> recvs_;
-  std::deque<std::vector<WinSpan>> queued_;  ///< planned, not yet filled
+  /// Planned, not yet filled windows: window k's cursors are
+  /// queued_[win_end_[k-1] .. win_end_[k]); filled_ windows are done.
+  std::vector<Queued> queued_;
+  std::vector<std::size_t> win_end_;
+  std::size_t filled_ = 0;
 };
 
 class ListEngine final : public mpiio::IoEngine {
