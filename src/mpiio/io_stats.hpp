@@ -24,8 +24,11 @@ namespace llio::mpiio {
 #define LLIO_IO_OP_STATS_FIELDS(X)                                          \
   /* wall time of the whole operation */                                  \
   X(double, total_s, Sum, "total")                                        \
-  /* ol-list flatten / clip / merge time */                               \
+  /* ol-list flatten / clip time */                                       \
   X(double, list_build_s, Sum, "list_build")                              \
+  /* IOP-side list processing (§2.3): accepting the peers' descriptions   \
+     and planning each window's copy units, for either codec */           \
+  X(double, list_merge_s, Sum, "list_merge")                              \
   /* pack/unpack/per-tuple copy time */                                   \
   X(double, copy_s, Sum, "pack")                                          \
   /* time in pread/pwrite */                                              \

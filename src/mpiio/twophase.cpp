@@ -333,7 +333,13 @@ void TwoPhase::serve(const std::vector<PeerSlice>& peers) {
   const Off len = dom.hi - dom.lo;
   const Off nwin = ceil_div(len, opts.file_buffer_size);
   const Off win = ceil_div(len, nwin);
-  codec_.serve(peers);
+  // Accepting the peers and planning each window is the IOP's list
+  // processing (§2.3): one phase for both codecs.
+  auto merge = [&](auto&& step) {
+    obs::Phase t(stats_.list_merge_s, "list_merge");
+    return step();
+  };
+  merge([&] { codec_.serve(peers); });
 
   // Mergeview analysis (§3.2.4): per-window hole-freeness of a write,
   // memoized across repeated collectives on the same view.  Off/Force
@@ -355,7 +361,7 @@ void TwoPhase::serve(const std::vector<PeerSlice>& peers) {
       const Off lo = pos;
       const Off hi = std::min(dom.hi, pos + win);
       pos = hi;
-      if (!codec_.plan_window(lo, hi)) continue;
+      if (!merge([&] { return codec_.plan_window(lo, hi); })) continue;
       plan.lo = lo;
       plan.hi = hi;
       plan.preread = !write_ || mode == MergeContig::Off ||
