@@ -269,12 +269,12 @@ void Tracer::set_output_path(std::string path) {
     impl_->atexit_registered = true;
     std::atexit([] {
       Tracer& tr = Tracer::instance();
-      std::string path;
+      std::string out;
       {
         std::lock_guard lk(tr.impl_->mu);
-        path = tr.impl_->output_path;
+        out = tr.impl_->output_path;
       }
-      if (!path.empty()) tr.write_chrome_json(path);
+      if (!out.empty()) tr.write_chrome_json(out);
     });
   }
 }

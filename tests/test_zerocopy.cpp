@@ -322,8 +322,8 @@ TEST_P(ZerocopyEngine, HoleyCollectiveStagesShortRuns) {
 INSTANTIATE_TEST_SUITE_P(Methods, ZerocopyEngine,
                          ::testing::Values(Method::ListBased,
                                            Method::Listless),
-                         [](const auto& info) {
-                           return info.param == Method::ListBased
+                         [](const auto& pinfo) {
+                           return pinfo.param == Method::ListBased
                                       ? "ListBased"
                                       : "Listless";
                          });
