@@ -4,19 +4,24 @@
 // budget, the engines hand PackPlan-derived iovecs over user memory
 // straight to FileBackend::pwritev instead of staging the window through
 // the pack buffer — the pack -> wire -> storage pipeline loses its one
-// remaining memcpy.  Two workloads bound the effect:
+// remaining memcpy.  With long file runs the IOP does the same for its
+// windows: one pwritev of the peers' received bytes (a direct window),
+// no window buffer and no scatter copy.  Three workloads bound the
+// effect:
 //
-//   dense - per-rank contiguous disjoint file extents with a noncontig
-//           memtype (64 KiB memory runs): the mergeview bypass triggers
-//           and auto replaces the staged pack+pwrite with one pwritev of
-//           user-memory runs per window.
-//   holey - the paper's interleaved noncontig fileview (dense memtype):
-//           windows have per-rank gaps, so the two-phase exchange stays;
-//           auto gathers payloads onto the wire from user memory
-//           (send_gather) but storage-side staging still happens on the
-//           IOPs.  This bounds the cost of the descriptor analysis and
-//           documents the crossover: zero-copy pays on dense windows,
-//           roughly breaks even on holey ones.
+//   dense       - per-rank contiguous disjoint file extents with a
+//                 noncontig memtype (64 KiB memory runs): the mergeview
+//                 bypass triggers and auto replaces the staged
+//                 pack+pwrite with one pwritev of user-memory runs per
+//                 window.
+//   holey       - the paper's interleaved noncontig fileview (dense
+//                 memtype, 64 KiB blocks, 4 ranks): the two-phase
+//                 exchange stays; auto gathers payloads onto the wire
+//                 from user memory and the IOP windows go direct.
+//   interleaved - the Fig 4 vector on both sides (4 KiB blocks, 3 ranks,
+//                 so file domains do not align with the rank round):
+//                 the dense bypass cannot apply, and direct windows of
+//                 64 runs each replace the IOP's staging.
 //
 // Backends: plain MemFile (pure memcpy savings), a throttled device
 // (512 MB/s + 50 us: storage time dominates, savings shrink), and the
@@ -34,6 +39,12 @@ using namespace llio::bench;
 namespace {
 
 constexpr int kProcs = 4;
+constexpr int kTrials = 5;  ///< alternating off/auto rounds per row
+
+/// Ranks of a workload: the interleaved one runs on 3.
+int procs_of(const std::string& workload) {
+  return workload == "interleaved" ? 3 : kProcs;
+}
 
 struct Point {
   double seconds = 0;  // per op, max across ranks
@@ -75,7 +86,7 @@ Point run_point(const std::string& workload, const std::string& backend,
   std::atomic<std::uint64_t> zc_windows{0}, zc_fallback{0}, iov_runs{0};
   std::atomic<Off> saved{0};
 
-  sim::Runtime::run(kProcs, [&](sim::Comm& comm) {
+  sim::Runtime::run(procs_of(workload), [&](sim::Comm& comm) {
     mpiio::Options o;
     o.method = mpiio::Method::Listless;
     o.zerocopy = zc;
@@ -92,6 +103,14 @@ Point run_point(const std::string& workload, const std::string& backend,
       f.set_view(Off{comm.rank()} * bytes_pp, dt::byte(), dt::byte());
       mt = noncontig_memtype(nblock, sblock);
       storage.assign(to_size(2 * bytes_pp), Byte{0x5A});
+      buf = storage.data();
+      count = 1;
+    } else if (workload == "interleaved") {
+      // Fig 4 nc-nc: interleaved fileview, strided user memory.
+      f.set_view(0, dt::byte(),
+                 noncontig_filetype(nblock, sblock, comm.size(), comm.rank()));
+      mt = noncontig_memtype(nblock, sblock);
+      storage.assign(to_size(2 * bytes_pp), Byte{0x3C});
       buf = storage.data();
       count = 1;
     } else {
@@ -155,15 +174,20 @@ int main(int argc, char** argv) {
   const Off sblock = env_off("LLIO_BENCH_SBLOCK", 64 << 10);
   const Off nblock =
       env_off("LLIO_BENCH_NBLOCK", quick ? 16 : 64);
+  // The interleaved workload moves the same bytes per rank in 4 KiB blocks.
+  const Off il_sblock = 4 << 10;
+  const Off il_nblock = nblock * sblock / il_sblock;
   const double min_seconds =
       env_double("LLIO_BENCH_MIN_SECONDS", quick ? 0.05 : 0.15);
 
   std::printf(
       "ablation: zero-copy descriptor I/O (listless, P=%d, %lld x %lld KiB "
-      "runs = %lld MiB/proc/op%s)\n",
+      "runs = %lld MiB/proc/op; interleaved: P=3, %lld x %lld KiB%s)\n",
       kProcs, static_cast<long long>(nblock),
       static_cast<long long>(sblock >> 10),
-      static_cast<long long>((nblock * sblock) >> 20), quick ? ", quick" : "");
+      static_cast<long long>((nblock * sblock) >> 20),
+      static_cast<long long>(il_nblock),
+      static_cast<long long>(il_sblock >> 10), quick ? ", quick" : "");
   Table table({"backend", "workload", "zerocopy", "MB/s/proc", "speedup",
                "zc windows", "fallback", "iov runs", "saved [MiB]"});
   std::printf(
@@ -174,13 +198,24 @@ int main(int argc, char** argv) {
       "\"staging_bytes_saved\":\"int\"}\n");
   std::string json;
   for (const char* backend : {"mem", "throttled", "psrv"}) {
-    for (const char* workload : {"dense", "holey"}) {
-      double base = 0;
-      for (mpiio::Zerocopy zc :
-           {mpiio::Zerocopy::Off, mpiio::Zerocopy::Auto}) {
-        const Point p =
-            run_point(workload, backend, zc, nblock, sblock, min_seconds);
-        if (zc == mpiio::Zerocopy::Off) base = p.mbps_pp();
+    for (const char* workload : {"dense", "holey", "interleaved"}) {
+      const bool il = std::string(workload) == "interleaved";
+      const mpiio::Zerocopy modes[] = {mpiio::Zerocopy::Off,
+                                       mpiio::Zerocopy::Auto};
+      // Off and auto alternate for kTrials rounds and each keeps its best
+      // round, so a slow phase of a shared host hits both alike.
+      Point best[2];
+      for (int trial = 0; trial < kTrials; ++trial)
+        for (int m = 0; m < 2; ++m) {
+          const Point p = run_point(workload, backend, modes[m],
+                                    il ? il_nblock : nblock,
+                                    il ? il_sblock : sblock, min_seconds);
+          if (trial == 0 || p.mbps_pp() > best[m].mbps_pp()) best[m] = p;
+        }
+      const double base = best[0].mbps_pp();
+      for (int m = 0; m < 2; ++m) {
+        const mpiio::Zerocopy zc = modes[m];
+        const Point& p = best[m];
         const double speedup = base > 0 ? p.mbps_pp() / base : 0.0;
         const char* zname = mpiio::zerocopy_name(zc);
         table.add_row(

@@ -104,6 +104,40 @@ bool CachedViewCodec::plan_window(Off lo, Off hi) {
   return true;
 }
 
+bool CachedViewCodec::window_runs(Off, Off, const mpiio::RunBudget& budget,
+                                  std::vector<pfs::IoVec>& runs) {
+  // Each touching peer's view must have long runs on average (O(1) from
+  // its plan, so fine-grained views never materialize anything); then
+  // its slice's runs merge into file order.
+  runs.clear();
+  const std::vector<Slice>& slices = queued_.back();
+  for (const Slice& sl : slices)
+    if (cached_[to_size(Off{sl.peer->src})].nav->avg_run() <
+        budget.min_avg_run)
+      return false;
+  for (const Slice& sl : slices) {
+    const CachedView& cv = cached_[to_size(Off{sl.peer->src})];
+    if (!cv.nav->layout_runs(sl.s1, sl.s2 - sl.s1,
+                             budget.max_runs - runs.size(), layout_)) {
+      runs.clear();
+      return false;
+    }
+    const std::size_t mid = runs.size();
+    Byte* data = sl.peer->data + (sl.s1 - sl.peer->slice.s1);
+    for (const fotf::MemRun& r : layout_.runs) {
+      runs.push_back({cv.disp + r.mem, ByteSpan(data, to_size(r.len))});
+      data += r.len;
+    }
+    mpiio::merge_runs(runs, mid);
+  }
+  if (!mpiio::runs_disjoint(runs)) {
+    runs.clear();
+    return false;
+  }
+  queued_.pop_back();
+  return true;
+}
+
 Off CachedViewCodec::fill_window(Off lo, ByteSpan win, bool write) {
   const std::vector<Slice> slices = std::move(queued_.front());
   queued_.pop_front();

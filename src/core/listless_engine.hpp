@@ -38,6 +38,8 @@ class CachedViewCodec final : public mpiio::AccessCodec {
       const mpiio::Domain& dom, Off win,
       const std::vector<mpiio::AccessRange>& ranges) override;
   bool plan_window(Off lo, Off hi) override;
+  bool window_runs(Off lo, Off hi, const mpiio::RunBudget& budget,
+                   std::vector<pfs::IoVec>& runs) override;
   Off fill_window(Off lo, ByteSpan win, bool write) override;
 
  private:
@@ -58,6 +60,7 @@ class CachedViewCodec final : public mpiio::AccessCodec {
   std::vector<CachedView> cached_;    ///< one per rank, incl. self
   std::vector<mpiio::PeerSlice> peers_;
   std::deque<std::vector<Slice>> queued_;  ///< planned, not yet filled
+  fotf::IoVecSpan layout_;  ///< one slice's runs, reused by window_runs
 };
 
 class ListlessEngine final : public mpiio::IoEngine {

@@ -1,6 +1,7 @@
 #include "core/listless_nav.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
 #include "fotf/navigate.hpp"
@@ -32,16 +33,41 @@ fotf::SegmentCursor& ListlessNav::at(Off s, Off hi) {
   return *cur_;
 }
 
-const fotf::PackPlan* ListlessNav::plan() {
+const fotf::PackPlan* ListlessNav::compiled() {
   if (!cfg_.use_plan) return nullptr;
   if (!plan_tried_) {
     plan_tried_ = true;
     plan_ = fotf::PackPlan::compile(ft_);
     if (stats_ != nullptr) ++stats_->plan_misses;  // the compile itself
-    return plan_.get();
   }
-  if (plan_ != nullptr && stats_ != nullptr) ++stats_->plan_hits;
   return plan_.get();
+}
+
+const fotf::PackPlan* ListlessNav::plan() {
+  const bool replay = plan_tried_;
+  const fotf::PackPlan* pl = compiled();
+  if (replay && pl != nullptr && stats_ != nullptr) ++stats_->plan_hits;
+  return pl;
+}
+
+Off ListlessNav::avg_run() {
+  const fotf::PackPlan* pl = compiled();
+  if (pl == nullptr) return 0;
+  // One run that fills its instance abuts the next instance's.
+  if (pl->run_count() == 1 && pl->instance_extent() == pl->instance_size())
+    return std::numeric_limits<Off>::max();
+  return pl->instance_size() / pl->run_count();
+}
+
+bool ListlessNav::layout_runs(Off s, Off n, std::size_t max_runs,
+                              fotf::IoVecSpan& out) {
+  const fotf::PackPlan* pl = compiled();
+  if (pl == nullptr) {
+    out.clear();
+    return false;
+  }
+  return pl->materialize(0, ceil_div(s + n, ft_->size()) + 1, s, n, max_runs,
+                         out);
 }
 
 void ListlessNav::fold(const fotf::RangeStats& rs) {

@@ -37,13 +37,26 @@ class ListlessNav final : public mpiio::ViewNav {
   void for_each_segment(
       Off s, Off n, const std::function<void(Off, Off, Off)>& fn) override;
 
+  /// Average bytes per contiguous run of one filetype instance, in O(1)
+  /// from the compiled plan (unbounded for a dense view); 0 without a
+  /// plan.  The direct-window test of the listless codec.
+  Off avg_run();
+
+  /// Describe stream bytes [s, s+n) as layout runs into `out` (stream,
+  /// hence layout, order; adjacent runs coalesced).  False, `out`
+  /// cleared, without a plan or past `max_runs` runs.
+  bool layout_runs(Off s, Off n, std::size_t max_runs, fotf::IoVecSpan& out);
+
  private:
   /// Ensure the cursor covers stream bytes up to `hi` and is positioned
   /// at `s` (re-seeks only on non-sequential access).
   fotf::SegmentCursor& at(Off s, Off hi);
 
   /// The compiled plan (lazy, one compile attempt per view) or nullptr
-  /// when disabled / declined; counts hits and misses into stats_.
+  /// when disabled / declined; counts the compile as a miss.
+  const fotf::PackPlan* compiled();
+
+  /// compiled(), counting every later call as a plan hit (a replay).
   const fotf::PackPlan* plan();
 
   void fold(const fotf::RangeStats& rs);

@@ -103,6 +103,7 @@ void OlListCodec::serve(const std::vector<mpiio::PeerSlice>& peers) {
     RecvList rl;
     rl.tuples = {reinterpret_cast<const dt::OlTuple*>(raw), to_size(n)};
     rl.data = p.data;
+    rl.avg_run = (p.slice.s2 - p.slice.s1) / n;
     recvs_.push_back(rl);
   }
 }
@@ -147,6 +148,44 @@ bool OlListCodec::plan_window(Off lo, Off hi) {
   }
   if (queued_.size() == first) return false;
   win_end_.push_back(queued_.size());
+  return true;
+}
+
+bool OlListCodec::window_runs(Off lo, Off hi,
+                              const mpiio::RunBudget& budget,
+                              std::vector<pfs::IoVec>& runs) {
+  // The newest window: its peers' cursors sit at the window start, and
+  // plan_window left each list's `planned` cursor at the window end, so
+  // both the average-run test and the run count are O(1) per peer.
+  runs.clear();
+  const std::size_t begin =
+      win_end_.size() > 1 ? win_end_[win_end_.size() - 2] : 0;
+  const std::size_t end = win_end_.back();
+  std::size_t count = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    const RecvList& r = *queued_[i].src;
+    if (r.avg_run < budget.min_avg_run) return false;
+    count += r.planned.idx - queued_[i].from.idx +
+             (r.planned.within > 0 ? 1 : 0);
+  }
+  if (count > budget.max_runs) return false;
+  runs.reserve(count);
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t mid = runs.size();
+    Cursor c = queued_[i].from;
+    Byte* data = queued_[i].src->data;
+    walk(queued_[i].src->tuples, c, lo, hi,
+         [&](Off off, Off len, Off data_off) {
+           runs.push_back({off, ByteSpan(data + data_off, to_size(len))});
+         });
+    mpiio::merge_runs(runs, mid);
+  }
+  if (!mpiio::runs_disjoint(runs)) {
+    runs.clear();
+    return false;
+  }
+  queued_.resize(begin);
+  win_end_.pop_back();
   return true;
 }
 

@@ -39,6 +39,8 @@ class OlListCodec final : public mpiio::AccessCodec {
       const mpiio::Domain& dom, Off win,
       const std::vector<mpiio::AccessRange>& ranges) override;
   bool plan_window(Off lo, Off hi) override;
+  bool window_runs(Off lo, Off hi, const mpiio::RunBudget& budget,
+                   std::vector<pfs::IoVec>& runs) override;
   Off fill_window(Off lo, ByteSpan win, bool write) override;
 
  private:
@@ -53,6 +55,7 @@ class OlListCodec final : public mpiio::AccessCodec {
   struct RecvList {
     std::span<const dt::OlTuple> tuples;  ///< absolute file offsets
     Byte* data = nullptr;  ///< the peer's dense stream slice
+    Off avg_run = 0;       ///< slice bytes per tuple
     Cursor planned;        ///< where the next window starts
   };
   /// One peer's part of a planned window: its cursor at the window start.

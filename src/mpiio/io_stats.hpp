@@ -35,6 +35,8 @@ namespace llio::mpiio {
   X(double, file_s, Sum, "io")                                            \
   /* time in communication calls */                                       \
   X(double, exchange_s, Sum, "exchange")                                  \
+  /* collective ops: wait at the closing barrier for the slowest rank */  \
+  X(double, skew_s, Sum, "skew")                                          \
   /* worker-thread file time hidden behind the compute thread            \
      (collective pipeline only) */                                        \
   X(double, overlap_s, Sum, nullptr)                                      \

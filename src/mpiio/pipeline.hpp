@@ -9,14 +9,22 @@
 // achieves and the residual time the compute thread spends blocked on the
 // worker are surfaced as IoOpStats::overlap_s / io_wait_s.
 //
+// A direct window carries its file runs instead: one preadv/pwritev moves
+// the bytes straight between storage and the peers' buffers, with no
+// window buffer, pre-read or fill.  Both kinds share the one loop, its
+// range locks, spans and in-flight limit; buffers are allocated only when
+// a staged window comes up.
+//
 // Thread discipline: `next` and `fill` always run on the calling (compute)
 // thread, in window order — engine navigators and recv-list cursors are
-// not thread-safe.  Only the raw pread/pwrite of a window buffer moves to
-// the worker; a window's buffer is never touched by both threads at once
-// (the future's wait provides the happens-before edge).
+// not thread-safe.  Only the raw pread/pwrite of a window buffer (or the
+// preadv/pwritev of a direct window's runs) moves to the worker; a
+// window's buffer is never touched by both threads at once (the future's
+// wait provides the happens-before edge).
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "mpiio/sieve.hpp"
@@ -31,6 +39,11 @@ struct WindowPlan {
   bool writeback = false;  ///< write the window back after fill
   bool lock = false;       ///< hold the range lock across the window
 
+  /// Direct window when non-empty: the window's bytes as runs in file
+  /// order, moved by one preadv (preread) or pwritev (writeback) straight
+  /// between storage and the runs' memory.  `fill` is not called.
+  std::vector<pfs::IoVec> runs;
+
   /// Sequential window number, assigned by run_window_pipeline (the
   /// engine's `next` need not set it).  Trace spans carry it as the
   /// "win" argument so obs::explain_pipeline can correlate compute- and
@@ -41,7 +54,7 @@ struct WindowPlan {
 /// Produce the next window (in file order); return false when done.
 using WindowSource = std::function<bool(WindowPlan&)>;
 
-/// Scatter into / gather out of the window buffer
+/// Scatter into / gather out of the window buffer of a staged window
 /// (buf covers [plan.lo, plan.hi)).  Called in the order the windows were
 /// produced, but — when pipelined — possibly after `next` already ran for
 /// later windows.

@@ -33,24 +33,26 @@ bool zerocopy_dense(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& m,
     iov.push_back({pos, r});
     pos += to_off(r.size());
     if (iov.size() == batch) {
-      submit(ctx, iov);
+      submit(ctx, iov, nullptr, -1);
       iov.clear();
     }
   }
-  submit(ctx, iov);
+  submit(ctx, iov, nullptr, -1);
   return true;
 }
 
 }  // namespace
 
+RunBudget zerocopy_budget(const Options& opts) {
+  return {opts.zerocopy_max_runs > 0 ? to_size(opts.zerocopy_max_runs) : 1,
+          opts.zerocopy_min_run};
+}
+
 bool zerocopy_runs(const Options& opts, IoOpStats& stats, StreamMover& m,
                    Off s, Off n, std::vector<ByteSpan>& runs) {
   if (opts.zerocopy != Zerocopy::Auto) return false;
-  const RunBudget budget{
-      opts.zerocopy_max_runs > 0 ? to_size(opts.zerocopy_max_runs) : 1,
-      opts.zerocopy_min_run};
   const std::size_t before = runs.size();
-  if (!m.mem_runs(s, n, budget, runs)) {
+  if (!m.mem_runs(s, n, zerocopy_budget(opts), runs)) {
     ++stats.staged_fallback_windows;
     return false;
   }
@@ -89,18 +91,26 @@ void timed_pwrite(SieveContext& ctx, Off pos, ConstByteSpan buf,
 }
 
 void timed_preadv_zero_fill(SieveContext& ctx,
-                            std::span<const pfs::IoVec> iov) {
+                            std::span<const pfs::IoVec> iov, const char* span,
+                            Off win) {
   if (iov.empty()) return;
-  obs::Phase t(ctx.stats.file_s, nullptr);
+  Off total = 0;
+  for (const pfs::IoVec& v : iov) total += to_off(v.buf.size());
+  obs::Phase t(ctx.stats.file_s, span);
+  t.arg("win", win);
+  t.arg("bytes", total);
   ctx.stats.file_read_bytes += ctx.file.preadv(iov);
   ctx.stats.file_read_ops += 1;
 }
 
-void timed_pwritev(SieveContext& ctx, std::span<const pfs::ConstIoVec> iov) {
+void timed_pwritev(SieveContext& ctx, std::span<const pfs::ConstIoVec> iov,
+                   const char* span, Off win) {
   if (iov.empty()) return;
   Off total = 0;
   for (const pfs::ConstIoVec& v : iov) total += to_off(v.buf.size());
-  obs::Phase t(ctx.stats.file_s, nullptr);
+  obs::Phase t(ctx.stats.file_s, span);
+  t.arg("win", win);
+  t.arg("bytes", total);
   ctx.file.pwritev(iov);
   ctx.stats.file_write_bytes += total;
   ctx.stats.file_write_ops += 1;

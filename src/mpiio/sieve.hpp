@@ -41,6 +41,10 @@ Off sieve_read(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
 Off dense_write(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& src);
 Off dense_read(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& dst);
 
+/// The descriptor run budget the options imply (llio_zerocopy_max_runs,
+/// llio_zerocopy_min_run).
+RunBudget zerocopy_budget(const Options& opts);
+
 /// The zero-copy decision (llio_zerocopy=auto): describe stream bytes
 /// [s, s+n) of `m` as memory runs appended to `runs`, within the run
 /// budget the options imply.  Counts the engagement or, when the mover
@@ -75,7 +79,9 @@ void timed_pwrite(SieveContext& ctx, Off pos, ConstByteSpan buf,
 /// Vectored counterparts: a whole batch counts as one file op.
 /// (FileBackend::preadv already zero-fills past EOF.)
 void timed_preadv_zero_fill(SieveContext& ctx,
-                            std::span<const pfs::IoVec> iov);
-void timed_pwritev(SieveContext& ctx, std::span<const pfs::ConstIoVec> iov);
+                            std::span<const pfs::IoVec> iov,
+                            const char* span = nullptr, Off win = -1);
+void timed_pwritev(SieveContext& ctx, std::span<const pfs::ConstIoVec> iov,
+                   const char* span = nullptr, Off win = -1);
 
 }  // namespace llio::mpiio

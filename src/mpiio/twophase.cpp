@@ -87,6 +87,21 @@ std::vector<Domain> partition_domains(const GlobalRange& g, int niops,
   return out;
 }
 
+void merge_runs(std::vector<pfs::IoVec>& runs, std::size_t mid) {
+  const auto mid_it = runs.begin() + static_cast<std::ptrdiff_t>(mid);
+  std::inplace_merge(runs.begin(), mid_it, runs.end(),
+                     [](const pfs::IoVec& a, const pfs::IoVec& b) {
+                       return a.offset < b.offset;
+                     });
+}
+
+bool runs_disjoint(const std::vector<pfs::IoVec>& runs) {
+  for (std::size_t i = 1; i < runs.size(); ++i)
+    if (runs[i].offset < runs[i - 1].offset + to_off(runs[i - 1].buf.size()))
+      return false;
+  return true;
+}
+
 int effective_iops(int io_procs_opt, int comm_size) {
   if (io_procs_opt <= 0 || io_procs_opt > comm_size) return comm_size;
   return io_procs_opt;
@@ -127,7 +142,7 @@ Off TwoPhase::run(Off stream_lo, const void* buf, Off count,
   if (!(write_ ? opts.cb_write : opts.cb_read)) {
     // Collective buffering disabled (hint): independent access + barrier.
     const Off n = e_.indep(write_, stream_lo, buf, count, mt);
-    comm.barrier();
+    closing_barrier();
     return n;
   }
   const Off nbytes = count * mt->size();
@@ -146,7 +161,7 @@ Off TwoPhase::run(Off stream_lo, const void* buf, Off count,
   }
   const GlobalRange g = global_range(ranges_);
   if (!g.any) {
-    comm.barrier();
+    closing_barrier();
     return 0;
   }
 
@@ -166,7 +181,7 @@ Off TwoPhase::run(Off stream_lo, const void* buf, Off count,
         dense_read(ctx, mine_.abs_lo, nbytes, *m);
       }
     }
-    comm.barrier();
+    closing_barrier();
     ++stats_.merge_contig_ops;
     return nbytes;  // dense_write/dense_read already counted bytes_moved
   }
@@ -179,9 +194,15 @@ Off TwoPhase::run(Off stream_lo, const void* buf, Off count,
     write_phases();
   else
     read_phases();
-  comm.barrier();
+  closing_barrier();
   stats_.bytes_moved += nbytes;
   return nbytes;
+}
+
+void TwoPhase::closing_barrier() {
+  // The wait for the slowest rank: skew, not exchange.
+  obs::Phase t(stats_.skew_s, "skew");
+  e_.comm_->barrier();
 }
 
 void TwoPhase::describe() {
@@ -354,18 +375,36 @@ void TwoPhase::serve(const std::vector<PeerSlice>& peers) {
   }
 
   // The codec's cursors advance in window order, so `next` queues each
-  // window's copy units and `fill` consumes them in the same order.
+  // window's copy units and `fill` consumes them in the same order.  A
+  // window whose runs go direct (llio_zerocopy=auto, codec permitting)
+  // leaves the queue at once: no buffer, no pre-read, no fill.
+  const bool direct_ok = opts.zerocopy == Zerocopy::Auto;
+  const RunBudget budget = zerocopy_budget(opts);
   Off pos = dom.lo;
   auto next = [&](WindowPlan& plan) {
     while (pos < dom.hi) {
       const Off lo = pos;
       const Off hi = std::min(dom.hi, pos + win);
       pos = hi;
-      if (!merge([&] { return codec_.plan_window(lo, hi); })) continue;
+      plan.runs.clear();
+      const bool touched = merge([&] {
+        if (!codec_.plan_window(lo, hi)) return false;
+        if (direct_ok) codec_.window_runs(lo, hi, budget, plan.runs);
+        return true;
+      });
+      if (!touched) continue;
       plan.lo = lo;
       plan.hi = hi;
-      plan.preread = !write_ || mode == MergeContig::Off ||
-                     (mode == MergeContig::Auto && !verdict->dense_at(lo));
+      if (plan.runs.empty()) {
+        plan.preread = !write_ || mode == MergeContig::Off ||
+                       (mode == MergeContig::Auto && !verdict->dense_at(lo));
+      } else {
+        plan.preread = false;
+        ++stats_.zerocopy_windows;
+        stats_.iov_runs += plan.runs.size();
+        for (const pfs::IoVec& v : plan.runs)
+          stats_.staging_bytes_saved += to_off(v.buf.size());
+      }
       plan.writeback = write_;
       plan.lock = write_;
       return true;

@@ -18,6 +18,7 @@
 #include "dtype/datatype.hpp"
 #include "mpiio/io_stats.hpp"
 #include "mpiio/navigator.hpp"
+#include "pfs/file_backend.hpp"
 #include "simmpi/comm.hpp"
 
 namespace llio::mpiio {
@@ -128,11 +129,30 @@ class AccessCodec {
   /// false (nothing queued) when no peer touches it.
   virtual bool plan_window(Off lo, Off hi) = 0;
 
+  /// Direct window: describe the window [lo, hi) plan_window just queued
+  /// as runs in file order — absolute file offset and the peer's own
+  /// bytes, received data (write) or reply buffer (read) — and dequeue
+  /// it, so storage moves straight between the file and the peers'
+  /// slices.  Declines (false, `runs` empty, the window stays queued for
+  /// fill_window) when a touching peer's average run is below
+  /// budget.min_avg_run (an O(1) test per peer), when the window needs
+  /// more than budget.max_runs runs, or when two peers' runs overlap:
+  /// the staged copy order defines overlapping writes.
+  virtual bool window_runs(Off lo, Off hi, const RunBudget& budget,
+                           std::vector<pfs::IoVec>& runs) = 0;
+
   /// Move the oldest queued window: scatter the peers' bytes into `win`
   /// (write) or gather them out of it (read); `win` starts at file offset
   /// `lo`.  Returns the number of copy units moved.
   virtual Off fill_window(Off lo, ByteSpan win, bool write) = 0;
 };
+
+/// For window_runs: merge one more peer's file-ordered runs, appended at
+/// [mid, end), into the file-ordered runs [0, mid).
+void merge_runs(std::vector<pfs::IoVec>& runs, std::size_t mid);
+
+/// True when no two of the file-ordered `runs` overlap.
+bool runs_disjoint(const std::vector<pfs::IoVec>& runs);
 
 /// The collective driver IoEngine runs for one read_at_all/write_at_all
 /// on this rank: cb disable → range exchange → empty exit → dense bypass
@@ -149,6 +169,7 @@ class TwoPhase {
   Off run(Off stream_lo, const void* buf, Off count, const dt::Type& mt);
 
  private:
+  void closing_barrier();
   void describe();
   void write_phases();
   void read_phases();

@@ -5,12 +5,17 @@
 #include <vector>
 
 #include "pfs/file_backend.hpp"
+#include "pfs/range_lock.hpp"
 
 namespace llio::pfs {
 
-/// In-memory file.  Reads/writes within the current size proceed under a
-/// shared lock; growth takes an exclusive lock.  This mirrors a fast local
-/// file system where non-overlapping parallel accesses do not serialize.
+/// In-memory file.  An access inside the current size holds `mu_` shared
+/// plus a byte-range lock on the [lo, hi) hull of its call (one per
+/// pread/pwrite or vectored batch): shared for reads, exclusive for
+/// writes.  So non-overlapping accesses proceed in parallel, as on a fast
+/// local file system, while a read that overlaps a concurrent write sees
+/// each of the write's bytes either wholly old or wholly new.  Growth
+/// takes `mu_` exclusive.
 class MemFile final : public FileBackend {
  public:
   static std::shared_ptr<MemFile> create(Off initial_size = 0);
@@ -30,7 +35,8 @@ class MemFile final : public FileBackend {
  private:
   explicit MemFile(Off initial_size);
 
-  mutable std::shared_mutex mu_;
+  mutable std::shared_mutex mu_;  ///< shared: in place; exclusive: resize
+  RangeLock ranges_;              ///< byte ranges of in-place accesses
   std::vector<Byte> data_;
 };
 

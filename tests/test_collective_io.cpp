@@ -400,15 +400,25 @@ TEST(CollectiveStats, EveryIopMovesAnEqualShare) {
   }
 }
 
-/// MemFile that logs the size of every pwrite it serves.
-class WriteSizeLog final : public pfs::FileBackend {
+/// MemFile that logs the offset and size of every pwrite it serves (a
+/// pwritev arrives here segment by segment, in batch order).
+class WriteLog final : public pfs::FileBackend {
  public:
+  struct Write {
+    Off offset;
+    Off size;
+  };
   Off size() const override { return mem_->size(); }
   void resize(Off new_size) override { mem_->resize(new_size); }
   ByteVec contents() const { return mem_->contents(); }
-  std::vector<Off> sizes() const {
+  std::vector<Write> writes() const {
     std::lock_guard<std::mutex> g(mu_);
-    return sizes_;
+    return writes_;
+  }
+  std::vector<Off> sizes() const {
+    std::vector<Off> out;
+    for (const Write& w : writes()) out.push_back(w.size);
+    return out;
   }
 
  protected:
@@ -418,7 +428,7 @@ class WriteSizeLog final : public pfs::FileBackend {
   void do_pwrite(Off offset, ConstByteSpan data) override {
     {
       std::lock_guard<std::mutex> g(mu_);
-      sizes_.push_back(to_off(data.size()));
+      writes_.push_back({offset, to_off(data.size())});
     }
     mem_->pwrite(offset, data);
   }
@@ -426,12 +436,43 @@ class WriteSizeLog final : public pfs::FileBackend {
  private:
   std::shared_ptr<pfs::MemFile> mem_ = pfs::MemFile::create();
   mutable std::mutex mu_;
-  std::vector<Off> sizes_;
+  std::vector<Write> writes_;
 };
+
+/// Summed stats of a collective write, per rank folded.
+struct WriteTotals {
+  std::atomic<std::uint64_t> skipped{0};
+  std::atomic<std::uint64_t> zerocopy{0};
+  std::atomic<std::uint64_t> read_ops{0};
+};
+
+/// The two-rank, one-IOP write of `nblock` interleaved `sblock`-byte
+/// blocks per rank (one filetype instance), with zero-copy set to `zc`.
+void interleaved_write(Method method, Zerocopy zc, Off nblock, Off sblock,
+                       const std::shared_ptr<WriteLog>& fs, WriteTotals& t) {
+  const int P = 2;
+  const Off nbytes = nblock * sblock;
+  sim::Runtime::run(P, [&](sim::Comm& comm) {
+    Options o;
+    o.method = method;
+    o.zerocopy = zc;
+    o.io_procs = 1;  // one IOP: one domain covering the whole access
+    File f = File::open(comm, fs, o);
+    f.set_view(0, dt::byte(),
+               noncontig_filetype(nblock, sblock, P, comm.rank()));
+    const ByteVec stream = payload_stream(comm.rank(), nbytes);
+    EXPECT_EQ(f.write_at_all(0, stream.data(), nbytes, dt::byte()), nbytes);
+    t.skipped.fetch_add(f.last_stats().preread_skipped_windows);
+    t.read_ops.fetch_add(f.last_stats().file_read_ops);
+    t.zerocopy.fetch_add(f.last_stats().zerocopy_windows);
+  });
+}
 
 // A 4.4 MiB domain with the default 4 MiB file buffer is served in two
 // equal windows, not a 4 MiB window plus a short tail, and the mergeview
-// verdict computed on those windows still elides every pre-read.
+// verdict computed on those windows still elides every pre-read.  The
+// staged window split is what is under test, so zero-copy is off: with
+// 1 KiB blocks both windows would otherwise go direct.
 TEST(CollectiveStats, DomainSplitsIntoEqualWindows) {
   const int P = 2;
   const Off nblock = 2253, sblock = 1024;  // one 4.4 MiB instance
@@ -439,28 +480,85 @@ TEST(CollectiveStats, DomainSplitsIntoEqualWindows) {
   const Off domain = P * nbytes;
   for (const Method method : {Method::ListBased, Method::Listless}) {
     SCOPED_TRACE(method == Method::ListBased ? "list" : "listless");
-    auto fs = std::make_shared<WriteSizeLog>();
-    std::atomic<std::uint64_t> skipped{0};
-    sim::Runtime::run(P, [&](sim::Comm& comm) {
-      Options o;
-      o.method = method;
-      o.io_procs = 1;  // one IOP: one domain covering the whole access
-      File f = File::open(comm, fs, o);
-      f.set_view(0, dt::byte(),
-                 noncontig_filetype(nblock, sblock, P, comm.rank()));
-      const ByteVec stream = payload_stream(comm.rank(), nbytes);
-      EXPECT_EQ(f.write_at_all(0, stream.data(), nbytes, dt::byte()), nbytes);
-      skipped.fetch_add(f.last_stats().preread_skipped_windows);
-    });
+    auto fs = std::make_shared<WriteLog>();
+    WriteTotals t;
+    interleaved_write(method, Zerocopy::Off, nblock, sblock, fs, t);
     ASSERT_GT(domain, Options{}.file_buffer_size);
     EXPECT_EQ(fs->sizes(), (std::vector<Off>{domain / 2, domain / 2}));
-    EXPECT_EQ(skipped.load(), 2u);
+    EXPECT_EQ(t.skipped.load(), 2u);
+    EXPECT_EQ(t.zerocopy.load(), 0u);
     const ByteVec img = fs->contents();
     ASSERT_EQ(img.size(), to_size(domain));
     for (int r = 0; r < P; ++r)
       for (Off s = 0; s < nbytes; s += 4099)
         EXPECT_EQ(img[to_size((s / sblock * P + r) * sblock + s % sblock)],
                   iotest::payload_byte(r, s));
+  }
+}
+
+// The same geometry with default options: both windows go direct.  The
+// IOP hands the peers' 1 KiB blocks to storage as runs in file order,
+// with no pre-read, and the image is the staged one.
+TEST(CollectiveStats, DirectWindowsWriteRunsInFileOrder) {
+  const Off nblock = 2253, sblock = 1024;
+  const Off domain = 2 * nblock * sblock;
+  for (const Method method : {Method::ListBased, Method::Listless}) {
+    SCOPED_TRACE(method == Method::ListBased ? "list" : "listless");
+    auto direct = std::make_shared<WriteLog>();
+    auto staged = std::make_shared<WriteLog>();
+    WriteTotals t, t_off;
+    interleaved_write(method, Zerocopy::Auto, nblock, sblock, direct, t);
+    interleaved_write(method, Zerocopy::Off, nblock, sblock, staged, t_off);
+    // Each AP gathers its one slice onto the wire; the IOP adds 2 windows.
+    EXPECT_EQ(t.zerocopy.load(), 2u + 2u);
+    EXPECT_EQ(t.skipped.load(), 2u);
+    EXPECT_EQ(t.read_ops.load(), 0u);
+    const std::vector<WriteLog::Write> writes = direct->writes();
+    ASSERT_FALSE(writes.empty());
+    Off at = 0;
+    for (const WriteLog::Write& w : writes) {
+      EXPECT_EQ(w.offset, at);
+      EXPECT_LE(w.size, sblock);  // one peer's block, never a window
+      at = w.offset + w.size;
+    }
+    EXPECT_EQ(at, domain);
+    EXPECT_EQ(direct->contents(), staged->contents());
+  }
+}
+
+// Overlapping writers: the window declines to the staged path, where
+// the later peer's bytes win, and the image matches zerocopy=off.
+TEST(CollectiveStats, OverlappingWritersStayStaged) {
+  const int P = 2;
+  const Off nbytes = 8192, shift = 4096;  // rank r writes [r*shift, +nbytes)
+  for (const Method method : {Method::ListBased, Method::Listless}) {
+    SCOPED_TRACE(method == Method::ListBased ? "list" : "listless");
+    auto image = [&](Zerocopy zc, std::vector<Off>& sizes) {
+      auto fs = std::make_shared<WriteLog>();
+      sim::Runtime::run(P, [&](sim::Comm& comm) {
+        Options o;
+        o.method = method;
+        o.zerocopy = zc;
+        o.io_procs = 1;
+        File f = File::open(comm, fs, o);
+        f.set_view(0, dt::byte(), dt::byte());
+        const ByteVec stream = payload_stream(comm.rank(), nbytes);
+        f.write_at_all(comm.rank() * shift, stream.data(), nbytes,
+                       dt::byte());
+        EXPECT_EQ(f.last_stats().merge_contig_ops, 0u);
+      });
+      sizes = fs->sizes();
+      return fs->contents();
+    };
+    std::vector<Off> auto_sizes, off_sizes;
+    const ByteVec img = image(Zerocopy::Auto, auto_sizes);
+    EXPECT_EQ(img, image(Zerocopy::Off, off_sizes));
+    // One staged window: one pwrite of the whole domain.
+    EXPECT_EQ(auto_sizes, (std::vector<Off>{shift + nbytes}));
+    EXPECT_EQ(auto_sizes, off_sizes);
+    ASSERT_EQ(img.size(), to_size(shift + nbytes));
+    for (Off i = 0; i < nbytes; i += 97)
+      EXPECT_EQ(img[to_size(shift + i)], iotest::payload_byte(1, i));
   }
 }
 

@@ -423,6 +423,45 @@ TEST(Aggregate, ReportCarriesListBuildPhase) {
   }
 }
 
+// A collective's closing barrier is timed as the `skew` phase: ranks that
+// finish early wait there for a straggler, and the report shows it.
+TEST(Aggregate, ReportCarriesSkewPhase) {
+  constexpr int kRanks = 3;
+  constexpr int kSlowRank = 1;
+  const Off len = 64 * 1024;
+  auto shared = pfs::MemFile::create();
+  std::mutex mu;
+  std::vector<obs::JobReport> reports;
+  std::vector<double> skew(kRanks);
+  sim::Runtime::run(kRanks, [&](sim::Comm& comm) {
+    pfs::FilePtr backend = shared;
+    if (comm.rank() == kSlowRank) {
+      pfs::ThrottleConfig cfg;
+      cfg.op_latency_s = 0.05;  // the slow rank's IOP window lags 50 ms
+      backend = pfs::ThrottledFile::wrap(shared, cfg);
+    }
+    mpiio::File f = mpiio::File::open(comm, backend, mpiio::Options{});
+    f.set_view(0, dt::byte(),
+               iotest::noncontig_filetype(len / 64, 64, kRanks, comm.rank()));
+    const ByteVec stream = iotest::payload_stream(comm.rank(), len);
+    f.write_at_all(0, stream.data(), len, dt::byte());
+    skew[to_size(Off{comm.rank()})] = f.last_stats().skew_s;
+    const obs::JobReport r = f.close();
+    std::lock_guard lock(mu);
+    reports.push_back(r);
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    if (r == kSlowRank) continue;
+    EXPECT_GT(skew[to_size(Off{r})], 0.01) << r;
+    EXPECT_GT(skew[to_size(Off{r})], skew[kSlowRank]) << r;
+  }
+  for (const obs::JobReport& r : reports) {
+    const obs::PhaseStats* sk = r.phase("skew");
+    ASSERT_NE(sk, nullptr);
+    EXPECT_GT(sk->max_s, 0.01);
+  }
+}
+
 // ---- sampling ring ------------------------------------------------------
 
 TEST(Sampler, RingWrapKeepsNewestAndCounts) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -201,6 +202,63 @@ TEST(MemFile, ConcurrentDisjointWrites) {
   }
 }
 
+// Writers rewrite their own blocks while readers read ranges that span
+// block edges: every block a read covers holds one write's bytes, wholly
+// old or wholly new, never a mix (and under TSan, no data race).
+TEST(MemFile, OverlappingReadsSeeWholeWrites) {
+  constexpr int kWriters = 4, kReaders = 3, kRounds = 300;
+  constexpr Off kBlock = 4096;
+  auto f = MemFile::create(kWriters * kBlock);
+  std::atomic<int> mixed{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      ByteVec block(to_size(kBlock));
+      for (int k = 1; k <= kRounds; ++k) {
+        std::fill(block.begin(), block.end(),
+                  static_cast<Byte>(k * kWriters + w));
+        if (k % 2 == 0) {
+          f->pwrite(w * kBlock, block);
+        } else {  // one batch of two segments
+          const ConstIoVec iov[] = {
+              {w * kBlock, {block.data(), to_size(kBlock / 2)}},
+              {w * kBlock + kBlock / 2,
+               {block.data() + kBlock / 2, to_size(kBlock / 2)}}};
+          f->pwritev(iov);
+        }
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      ByteVec out(to_size(2 * kBlock));
+      for (int i = 0; i < 2 * kRounds; ++i) {
+        // Two blocks' length from inside one of the first writers' blocks.
+        const Off lo = (i + r) % (kWriters - 2) * kBlock + (i * 97) % kBlock;
+        const ByteSpan span(out.data(), out.size());
+        if (i % 2 == 0) {
+          f->pread(lo, span);
+        } else {
+          const IoVec iov[] = {{lo, span}};
+          f->preadv(iov);
+        }
+        for (Off at = lo; at < lo + 2 * kBlock;) {
+          const Off end = std::min(lo + 2 * kBlock, (at / kBlock + 1) * kBlock);
+          const Byte first = out[to_size(at - lo)];
+          for (Off x = at; x < end; ++x)
+            if (out[to_size(x - lo)] != first) {
+              ++mixed;
+              break;
+            }
+          at = end;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mixed.load(), 0);
+}
+
 TEST(ThrottledFile, DelegatesAndAccountsTime) {
   auto inner = MemFile::create();
   ThrottleConfig cfg;
@@ -399,6 +457,42 @@ TEST(RangeLock, OverlappingWriterExcluded) {
   rl.unlock(0, 100);
   other.join();
   EXPECT_TRUE(second_acquired.load());
+}
+
+TEST(RangeLock, SharedHoldersOverlapExclusiveWaits) {
+  RangeLock rl;
+  rl.lock_shared(0, 100);
+  rl.lock_shared(50, 150);  // shared holders may overlap
+  std::atomic<bool> writer_in{false};
+  std::thread writer([&] {
+    rl.lock(90, 95);  // blocks until both readers leave
+    writer_in = true;
+    rl.unlock(90, 95);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(writer_in.load());
+  rl.unlock_shared(0, 100);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(writer_in.load());
+  EXPECT_THROW(rl.unlock(50, 150), Error);  // held shared, not exclusive
+  rl.unlock_shared(50, 150);
+  writer.join();
+  EXPECT_TRUE(writer_in.load());
+}
+
+TEST(RangeLock, ExclusiveHolderBlocksShared) {
+  RangeLock rl;
+  rl.lock(0, 10);
+  std::atomic<bool> reader_in{false};
+  std::thread reader([&] {
+    ScopedRangeLock guard(rl, 5, 20, /*shared=*/true);
+    reader_in = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(reader_in.load());
+  rl.unlock(0, 10);
+  reader.join();
+  EXPECT_TRUE(reader_in.load());
 }
 
 TEST(RangeLock, ScopedGuardReleases) {

@@ -10,6 +10,9 @@
 #include "fotf/plan.hpp"
 #include "io_test_util.hpp"
 #include "mpiio/mergeview.hpp"
+#include "pfs/faulty_file.hpp"
+#include "pfs/posix_file.hpp"
+#include "pfs/striped_file.hpp"
 
 namespace llio::mpiio {
 namespace {
@@ -330,19 +333,22 @@ INSTANTIATE_TEST_SUITE_P(Methods, ZerocopyEngine,
 
 // ---- equivalence fuzz: every backend, both engines, zc on/off ------------
 
-/// One collective write + read-back; returns the final backend image.
-ByteVec run_fuzz(Method method, Zerocopy zc, iotest::Backend backend,
+/// One collective write + read-back on `fs`; returns the final backend
+/// image.  `min_run` 1 engages zero-copy even for tiny fuzz-sized runs;
+/// `wr`, when given, sums the write's counters.
+ByteVec run_fuzz(Method method, Zerocopy zc, const pfs::FilePtr& fs,
                  int nprocs, const std::function<dt::Type(int)>& ft_of,
                  Off disp, Off nbytes, Off offset, Off fbs, unsigned seed,
-                 bool nc_mem, bool per_rank_offset = false) {
-  auto fs = iotest::make_backend(backend);
+                 bool nc_mem, bool per_rank_offset = false, int depth = 0,
+                 Off min_run = 1, ZcStats* wr = nullptr) {
   sim::Runtime::run(nprocs, [&](sim::Comm& comm) {
     Options o;
     o.method = method;
     o.zerocopy = zc;
     o.file_buffer_size = fbs;
     o.pack_buffer_size = 64;
-    o.zerocopy_min_run = 1;  // engage even for tiny fuzz-sized runs
+    o.zerocopy_min_run = min_run;
+    o.pipeline_depth = depth;
     File f = File::open(comm, fs, o);
     f.set_view(disp, dt::byte(), ft_of(comm.rank()));
     const Off off = offset + (per_rank_offset ? comm.rank() * nbytes : 0);
@@ -353,11 +359,13 @@ ByteVec run_fuzz(Method method, Zerocopy zc, iotest::Backend backend,
     if (nc_mem) {
       auto buf = iotest::make_nc_buffer(stream);
       f.write_at_all(off, buf.storage.data(), buf.count, buf.memtype);
+      if (wr != nullptr) wr->add(f.last_stats());
       auto back = iotest::make_nc_buffer(ByteVec(to_size(nbytes), Byte{0}));
       f.read_at_all(off, back.storage.data(), back.count, back.memtype);
       EXPECT_EQ(iotest::nc_buffer_stream(back), stream);
     } else {
       f.write_at_all(off, stream.data(), nbytes, dt::byte());
+      if (wr != nullptr) wr->add(f.last_stats());
       ByteVec back(to_size(nbytes), Byte{0});
       f.read_at_all(off, back.data(), nbytes, dt::byte());
       EXPECT_EQ(back, stream);
@@ -386,10 +394,12 @@ TEST_P(ZerocopyFuzz, OnOffByteIdenticalEverywhere) {
     const unsigned seed = GetParam() * 100 + static_cast<unsigned>(iter);
     for (Method m : {Method::ListBased, Method::Listless}) {
       for (iotest::Backend b : iotest::kAllBackends) {
-        ByteVec on = run_fuzz(m, Zerocopy::Auto, b, nprocs, ft_of, disp,
-                              nbytes, offset, fbs, seed, nc_mem);
-        ByteVec off = run_fuzz(m, Zerocopy::Off, b, nprocs, ft_of, disp,
-                               nbytes, offset, fbs, seed, nc_mem);
+        ByteVec on = run_fuzz(m, Zerocopy::Auto, iotest::make_backend(b),
+                              nprocs, ft_of, disp, nbytes, offset, fbs, seed,
+                              nc_mem);
+        ByteVec off = run_fuzz(m, Zerocopy::Off, iotest::make_backend(b),
+                               nprocs, ft_of, disp, nbytes, offset, fbs, seed,
+                               nc_mem);
         iotest::pad_to_common(on, off);
         EXPECT_EQ(on, off)
             << method_name(m) << " over " << iotest::backend_name(b)
@@ -417,13 +427,89 @@ TEST_P(ZerocopyFuzz, RandomNavigableViewsOnOffIdentical) {
     const auto ft_of = [&](int) { return ft; };
     for (Method m : {Method::ListBased, Method::Listless}) {
       auto run = [&](Zerocopy zc) {
-        return run_fuzz(m, zc, iotest::Backend::Mem, nprocs, ft_of, 0,
+        return run_fuzz(m, zc, pfs::MemFile::create(), nprocs, ft_of, 0,
                         nbytes, /*offset=*/0, fbs, seed, false,
                         /*per_rank_offset=*/true);
       };
       EXPECT_EQ(run(Zerocopy::Auto), run(Zerocopy::Off))
           << method_name(m) << " " << dt::to_string(ft)
           << " nbytes=" << nbytes << " fbs=" << fbs;
+    }
+  }
+}
+
+/// The storage stacks a direct window must work on.
+const char* const kDirectBackends[] = {"mem", "posix", "striped", "psrv",
+                                       "faulty"};
+
+pfs::FilePtr make_direct_backend(const std::string& name) {
+  if (name == "posix") {
+    pfs::PosixConfig pc;
+    pc.queue_depth = 4;  // disjoint runs complete out of order
+    return pfs::PosixFile::open_temp(::testing::TempDir(), pc);
+  }
+  if (name == "striped") {
+    pfs::StripeLayout layout;
+    layout.rotate = true;
+    layout.queue_depth = 2;
+    return pfs::StripedFile::create(
+        {pfs::MemFile::create(), pfs::MemFile::create(),
+         pfs::MemFile::create()},
+        640, layout);
+  }
+  if (name == "psrv") return iotest::make_backend(iotest::Backend::PsrvList);
+  if (name == "faulty")  // armed with nothing: a pass-through decorator
+    return pfs::FaultyFile::wrap(pfs::MemFile::create(), pfs::FaultPlan{});
+  return pfs::MemFile::create();
+}
+
+TEST_P(ZerocopyFuzz, DirectWindowsByteIdenticalEverywhere) {
+  // Interleaved Fig 4 views whose blocks meet the default
+  // llio_zerocopy_min_run, so the IOP windows go direct: on both
+  // engines, serial and pipelined, over every storage stack, the image
+  // must equal the staged one.
+  Rng rng(GetParam() * 104729u);
+  const Off min_run = Options{}.zerocopy_min_run;
+  for (int iter = 0; iter < 2; ++iter) {
+    const int nprocs = static_cast<int>(testutil::rnd(rng, 2, 3));
+    const Off nblock = testutil::rnd(rng, 2, 5);
+    const Off sblock = testutil::rnd(rng, 1, 3) * min_run;
+    const auto ft_of = [&, nblock, sblock, nprocs](int r) {
+      return iotest::noncontig_filetype(nblock, sblock, nprocs, r);
+    };
+    const Off unit = nblock * sblock;
+    const Off nbytes = testutil::rnd(rng, 1, 2) * unit;
+    const Off offset = testutil::rnd(rng, 0, 2) * unit;
+    const Off disp = testutil::rnd(rng, 0, 4) * 8;
+    const Off fbs =
+        testutil::rnd(rng, 1, 4) * 1024 + 8 * testutil::rnd(rng, 0, 7);
+    const bool nc_mem = testutil::rnd(rng, 0, 1) == 1;
+    const unsigned seed = GetParam() * 100 + static_cast<unsigned>(iter);
+    for (Method m : {Method::ListBased, Method::Listless}) {
+      for (const int depth : {0, 2}) {
+        for (const char* b : kDirectBackends) {
+          ZcStats wr_on, wr_off;
+          ByteVec on = run_fuzz(m, Zerocopy::Auto, make_direct_backend(b),
+                                nprocs, ft_of, disp, nbytes, offset, fbs,
+                                seed, nc_mem, false, depth, min_run, &wr_on);
+          ByteVec off = run_fuzz(m, Zerocopy::Off, make_direct_backend(b),
+                                 nprocs, ft_of, disp, nbytes, offset, fbs,
+                                 seed, nc_mem, false, depth, min_run,
+                                 &wr_off);
+          iotest::pad_to_common(on, off);
+          const std::string where =
+              std::string(method_name(m)) + " over " + b +
+              " depth=" + std::to_string(depth) +
+              " nblock=" + std::to_string(nblock) +
+              " sblock=" + std::to_string(sblock) +
+              " fbs=" + std::to_string(fbs);
+          EXPECT_EQ(on, off) << where;
+          // The APs' slices save at most nprocs * nbytes of staging; the
+          // rest is IOP windows that went direct.
+          EXPECT_GT(wr_on.saved, nprocs * nbytes) << where;
+          EXPECT_EQ(wr_off.windows, 0u) << where;
+        }
+      }
     }
   }
 }

@@ -8,14 +8,15 @@ CURRENT holds one JSON object per line (the `sed -n 's/^json://p'`
 extraction of the bench output; a leading schema line is tolerated).
 The gate is within-run, so machine speed cancels out:
 
-  * every dense-workload zerocopy=auto row must reach at least
-    --min-speedup x its own staged (zerocopy=off) baseline, and
-  * dense auto rows must actually have taken the descriptor path
+  * every dense- and interleaved-workload zerocopy=auto row must reach
+    at least --min-speedup x its own staged (zerocopy=off) baseline, and
+  * those auto rows must actually have taken the descriptor path
     (zerocopy_windows > 0, staging_bytes_saved > 0) — a silently
-    disengaged fast path would otherwise pass at 1.0x forever.
+    disengaged fast path would otherwise pass at 1.0x forever.  The
+    interleaved workload (4 KiB blocks over 3 ranks) never takes the
+    dense bypass; its gain comes from the IOP's direct windows.
 
-Holey rows are reported but not gated: staging may legitimately win
-there, which is exactly why llio_zerocopy=auto falls back per window.
+Holey rows are reported but not gated.
 
 Exit status: 0 when the gate holds, 1 otherwise.
 """
@@ -55,7 +56,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("current")
     ap.add_argument("--min-speedup", type=float, default=1.0,
-                    help="floor for dense auto vs staged (default 1.0)")
+                    help="floor for gated auto vs staged (default 1.0)")
     args = ap.parse_args()
 
     rows = load_rows(args.current)
@@ -64,20 +65,24 @@ def main():
         print(f"error: no zerocopy=auto rows in {args.current}")
         return 1
 
+    if not any(r["workload"] == "interleaved" for r in auto_rows):
+        print(f"error: no interleaved zerocopy=auto rows in {args.current}")
+        return 1
+
     failed = False
     for r in auto_rows:
-        dense = r["workload"] == "dense"
+        gated = r["workload"] in ("dense", "interleaved")
         speedup = r["speedup_vs_staged"]
         problems = []
-        if dense and speedup < args.min_speedup:
+        if gated and speedup < args.min_speedup:
             problems.append(f"speedup {speedup:.2f} < floor {args.min_speedup:.2f}")
-        if dense and r["zerocopy_windows"] <= 0:
+        if gated and r["zerocopy_windows"] <= 0:
             problems.append("descriptor path never engaged")
-        if dense and r["staging_bytes_saved"] <= 0:
+        if gated and r["staging_bytes_saved"] <= 0:
             problems.append("no staging bytes saved")
         verdict = "FAILED: " + "; ".join(problems) if problems else (
-            "ok" if dense else "ok (not gated)")
-        print(f"{r['backend']:>10} {r['workload']:<6} "
+            "ok" if gated else "ok (not gated)")
+        print(f"{r['backend']:>10} {r['workload']:<11} "
               f"speedup {speedup:5.2f}x  zc_windows {r['zerocopy_windows']:>4}  "
               f"{verdict}")
         failed |= bool(problems)
