@@ -22,7 +22,7 @@ Off ListlessNav::stream_to_file_end(Off s) { return fotf::mem_end(ft_, s); }
 Off ListlessNav::file_to_stream(Off mem) { return fotf::data_below(ft_, mem); }
 
 fotf::SegmentCursor& ListlessNav::at(Off s, Off hi) {
-  const Off need = ceil_div(hi, ft_->size()) + 1;
+  const Off need = instances_below(hi);
   if (!cur_ || cur_instances_ < need) {
     // Grow geometrically so sequential accesses rarely reconstruct.
     cur_instances_ = std::max<Off>(need * 2, 16);
@@ -66,8 +66,7 @@ bool ListlessNav::layout_runs(Off s, Off n, std::size_t max_runs,
     out.clear();
     return false;
   }
-  return pl->materialize(0, ceil_div(s + n, ft_->size()) + 1, s, n, max_runs,
-                         out);
+  return pl->materialize(0, instances_below(s + n), s, n, max_runs, out);
 }
 
 void ListlessNav::fold(const fotf::RangeStats& rs) {
@@ -89,7 +88,7 @@ void ListlessNav::scatter(Byte* win, Off bias, Off s, const Byte* src,
   if (pl == nullptr && !fotf::will_parallelize(cfg_, n))
     reuse = &at(s, s + n);
   const Off count =
-      reuse != nullptr ? cur_instances_ : ceil_div(s + n, ft_->size()) + 1;
+      reuse != nullptr ? cur_instances_ : instances_below(s + n);
   fotf::RangeStats rs;
   const Off copied =
       fotf::unpack_range(ft_, count, win, bias, s, src, n, cfg_, pl, &rs,
@@ -101,16 +100,7 @@ void ListlessNav::scatter(Byte* win, Off bias, Off s, const Byte* src,
 
 void ListlessNav::for_each_segment(
     Off s, Off n, const std::function<void(Off, Off, Off)>& fn) {
-  if (n <= 0) return;
-  fotf::SegmentCursor& cur = at(s, s + n);
-  Off done = 0;
-  while (done < n) {
-    const Off len = std::min(cur.run_len(), n - done);
-    fn(cur.run_mem(), s + done, len);
-    cur.consume(len);
-    done += len;
-  }
-  next_stream_ = s + n;
+  for_each_run(s, n, fn);
 }
 
 void ListlessNav::gather(Byte* dst, const Byte* win, Off bias, Off s, Off n) {
@@ -120,7 +110,7 @@ void ListlessNav::gather(Byte* dst, const Byte* win, Off bias, Off s, Off n) {
   if (pl == nullptr && !fotf::will_parallelize(cfg_, n))
     reuse = &at(s, s + n);
   const Off count =
-      reuse != nullptr ? cur_instances_ : ceil_div(s + n, ft_->size()) + 1;
+      reuse != nullptr ? cur_instances_ : instances_below(s + n);
   fotf::RangeStats rs;
   const Off copied =
       fotf::pack_range(ft_, count, win, bias, s, dst, n, cfg_, pl, &rs,

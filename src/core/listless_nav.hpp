@@ -37,6 +37,13 @@ class ListlessNav final : public mpiio::ViewNav {
   void for_each_segment(
       Off s, Off n, const std::function<void(Off, Off, Off)>& fn) override;
 
+  /// The run walk: visit stream bytes [s, s+n) in stream order as
+  /// fn(layout offset, stream offset, length), adjacent runs coalesced.
+  /// Replays the compiled plan's runs; walks the cursor only when the
+  /// view has no plan (plans disabled, or PackPlan::compile declined).
+  template <class Fn>
+  void for_each_run(Off s, Off n, Fn&& fn);
+
   /// Average bytes per contiguous run of one filetype instance, in O(1)
   /// from the compiled plan (unbounded for a dense view); 0 without a
   /// plan.  The direct-window test of the listless codec.
@@ -51,6 +58,9 @@ class ListlessNav final : public mpiio::ViewNav {
   /// Ensure the cursor covers stream bytes up to `hi` and is positioned
   /// at `s` (re-seeks only on non-sequential access).
   fotf::SegmentCursor& at(Off s, Off hi);
+
+  /// Filetype instances a plan replay of stream bytes below `hi` spans.
+  Off instances_below(Off hi) const { return ceil_div(hi, ft_->size()) + 1; }
 
   /// The compiled plan (lazy, one compile attempt per view) or nullptr
   /// when disabled / declined; counts the compile as a miss.
@@ -70,5 +80,38 @@ class ListlessNav final : public mpiio::ViewNav {
   Off cur_instances_ = 0;
   Off next_stream_ = -1;  ///< stream position the cursor currently sits at
 };
+
+template <class Fn>
+void ListlessNav::for_each_run(Off s, Off n, Fn&& fn) {
+  if (n <= 0) return;
+  if (const fotf::PackPlan* pl = compiled()) {
+    Off stream = s;
+    pl->for_each_run(0, instances_below(s + n), s, n, [&](Off mem, Off len) {
+      fn(mem, stream, len);
+      stream += len;
+      return true;
+    });
+    return;
+  }
+  fotf::SegmentCursor& cur = at(s, s + n);
+  next_stream_ = -1;  // if fn throws mid-walk, the next walk re-seeks
+  Off run_mem = cur.run_mem();
+  Off run_s = s;
+  Off run_len = 0;
+  for (Off done = 0; done < n;) {
+    if (cur.run_mem() != run_mem + run_len) {
+      fn(run_mem, run_s, run_len);
+      run_mem = cur.run_mem();
+      run_s = s + done;
+      run_len = 0;
+    }
+    const Off len = std::min(cur.run_len(), n - done);
+    cur.consume(len);
+    run_len += len;
+    done += len;
+  }
+  fn(run_mem, run_s, run_len);
+  next_stream_ = s + n;
+}
 
 }  // namespace llio::core

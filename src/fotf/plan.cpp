@@ -112,47 +112,16 @@ Off PackPlan::transfer(Byte* typed, Off bias, Off count, Off skip, Byte* pk,
 
 bool PackPlan::materialize(Off mem_bias, Off count, Off skip, Off n,
                            std::size_t max_runs, IoVecSpan& out) const {
-  LLIO_REQUIRE(skip >= 0 && n >= 0, Errc::InvalidArgument,
-               "PackPlan: negative skip or size");
   out.clear();
-  if (size_ <= 0 || count <= 0) return true;
-  const Off total = count * size_;
-  if (skip >= total) return true;
-  n = std::min(n, total - skip);
-
-  const Off nruns = static_cast<Off>(len_.size());
-  Off inst = skip / size_;
-  const Off rem = skip - inst * size_;
-  Off r = std::upper_bound(prefix_.begin(), prefix_.end(), rem) -
-          prefix_.begin() - 1;
-  Off inrun = rem - prefix_[to_size(r)];
-
-  Off done = 0;
-  while (done < n) {
-    const Off take = std::min(len_[to_size(r)] - inrun, n - done);
-    const Off mem = inst * extent_ + mem_[to_size(r)] + inrun - mem_bias;
-    if (!out.runs.empty() &&
-        out.runs.back().mem + out.runs.back().len == mem) {
-      out.runs.back().len += take;  // coalesce, incl. across instance wrap
-    } else {
-      if (out.runs.size() >= max_runs) {
-        out.clear();
-        return false;
-      }
-      out.runs.push_back({mem, take});
-    }
-    done += take;
-    inrun += take;
-    if (inrun == len_[to_size(r)]) {
-      inrun = 0;
-      if (++r == nruns) {
-        r = 0;
-        ++inst;
-      }
-    }
-  }
-  out.total = done;
-  return true;
+  const bool fits = for_each_run(mem_bias, count, skip, n, [&](Off mem,
+                                                               Off len) {
+    if (out.runs.size() >= max_runs) return false;
+    out.runs.push_back({mem, len});
+    out.total += len;
+    return true;
+  });
+  if (!fits) out.clear();
+  return fits;
 }
 
 Off PackPlan::pack(const Byte* typed_base, Off mem_bias, Off count, Off skip,

@@ -25,10 +25,12 @@
 // the parallel slicer hands the same plan to every slice.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/error.hpp"
 #include "dtype/datatype.hpp"
 
 namespace llio::fotf {
@@ -83,11 +85,18 @@ class PackPlan {
   Off unpack(Byte* typed_base, Off mem_bias, Off count, Off skip,
              const Byte* src, Off n) const;
 
-  /// Describe stream bytes [skip, skip + n) of `count` instances as
-  /// memory runs (same addressing as pack/unpack, instance wraps
-  /// included, adjacent runs coalesced — also across the wrap).  Returns
-  /// false, with `out` cleared, when the range needs more than
-  /// `max_runs` runs: the caller falls back to the staged pack path.
+  /// The run walk: visit stream bytes [skip, skip + n) of `count`
+  /// instances as memory runs, fn(mem, len) -> bool, in stream order
+  /// (same addressing as pack/unpack, instance wraps included, adjacent
+  /// runs coalesced — also across the wrap, so no two consecutive runs
+  /// touch).  Stops early, returning false, when fn returns false.
+  template <class Fn>
+  bool for_each_run(Off mem_bias, Off count, Off skip, Off n, Fn&& fn) const;
+
+  /// Describe stream bytes [skip, skip + n) of `count` instances as the
+  /// run walk's memory runs.  Returns false, with `out` cleared, when
+  /// the range needs more than `max_runs` runs: the caller falls back to
+  /// the staged pack path.
   bool materialize(Off mem_bias, Off count, Off skip, Off n,
                    std::size_t max_runs, IoVecSpan& out) const;
 
@@ -105,5 +114,45 @@ class PackPlan {
   Off useg_ = 0;             ///< uniform: bytes per segment
   Off ustride_ = 0;          ///< uniform: distance between segment starts
 };
+
+template <class Fn>
+bool PackPlan::for_each_run(Off mem_bias, Off count, Off skip, Off n,
+                            Fn&& fn) const {
+  LLIO_REQUIRE(skip >= 0 && n >= 0, Errc::InvalidArgument,
+               "PackPlan: negative skip or size");
+  if (size_ <= 0 || count <= 0) return true;
+  const Off total = count * size_;
+  n = std::min(n, total - skip);
+  if (n <= 0) return true;
+
+  const std::size_t nruns = len_.size();
+  const Off inst = skip / size_;
+  const Off rem = skip - inst * size_;
+  std::size_t r = to_size(std::upper_bound(prefix_.begin(), prefix_.end(),
+                                           rem) -
+                          prefix_.begin() - 1);
+  Off base = inst * extent_ - mem_bias;  // memory origin of the instance
+  Off run_mem = base + mem_[r] + (rem - prefix_[r]);
+  Off run_len = std::min(len_[r] - (rem - prefix_[r]), n);
+  // compile() merged touching runs, so only an instance wrap can extend
+  // the pending run.
+  for (Off done = run_len; done < n;) {
+    if (++r == nruns) {
+      r = 0;
+      base += extent_;
+    }
+    const Off mem = base + mem_[r];
+    const Off take = std::min(len_[r], n - done);
+    if (run_mem + run_len == mem) {
+      run_len += take;
+    } else {
+      if (!fn(run_mem, run_len)) return false;
+      run_mem = mem;
+      run_len = take;
+    }
+    done += take;
+  }
+  return fn(run_mem, run_len);
+}
 
 }  // namespace llio::fotf

@@ -19,6 +19,7 @@
 // server receives exactly its slice of the data — no wire duplication.
 #pragma once
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -94,8 +95,18 @@ class ServerFile final : public pfs::FileBackend, public pfs::ViewIo {
   RequestClass cls_;
   std::unique_ptr<Session> session_;  ///< after pool_: closed before release
 
+  /// Orders serialized trees by length, then bytes: one memcmp, where
+  /// std::less<ByteVec>'s lexicographic compare trips gcc 12's
+  /// -Wstringop-overread.
+  struct TreeLess {
+    bool operator()(const ByteVec& a, const ByteVec& b) const noexcept {
+      if (a.size() != b.size()) return a.size() < b.size();
+      return !a.empty() && std::memcmp(a.data(), b.data(), a.size()) < 0;
+    }
+  };
+
   std::mutex views_mu_;
-  std::map<ByteVec, std::shared_ptr<ClientView>> views_;
+  std::map<ByteVec, std::shared_ptr<ClientView>, TreeLess> views_;
 };
 
 /// Build a pool + handle from the llio_psrv_* options: psrv_servers,

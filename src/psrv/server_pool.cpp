@@ -411,6 +411,10 @@ void ServerPool::serve(int idx) {
 
   ViewCache views;
   std::uint64_t use_tick = 0;
+  // View requests' iovecs, kept across requests: a steady stream of view
+  // requests allocates none.
+  std::vector<pfs::IoVec> view_riov;
+  std::vector<pfs::ConstIoVec> view_wiov;
 
   FairScheduler sched(cfg_.deadline_ticks);
   lease::LeaseTable leases(cfg_.lease_grace);
@@ -584,7 +588,9 @@ void ServerPool::serve(int idx) {
     std::vector<std::pair<PendingReq, Off>> agg;
     bool failed = false;
     try {
-      obs::Phase timed(service_s, nullptr);
+      obs::Phase timed(service_s, "psrv_service");
+      timed.arg("op", static_cast<long long>(op));
+      timed.arg("session", static_cast<long long>(session));
       switch (op) {
         case wire::Op::Read: {
           const Off off = rd.i64();
@@ -764,70 +770,31 @@ void ServerPool::serve(int idx) {
           it->second.last_use = ++use_tick;
           core::ListlessNav& nav = *it->second.nav;
 
+          // One pass over the view's runs, each checked against the shard
+          // and aimed at its slice of the dense stream: the payload
+          // (write) or the reply (read).
+          const auto walk = [&](auto& iov, auto* stream) {
+            iov.clear();
+            nav.for_each_run(stream_lo, n, [&](Off mem, Off s, Off seglen) {
+              const Off file = disp + mem;
+              LLIO_REQUIRE(file >= dom.lo && file + seglen <= dom.hi,
+                           Errc::Protocol, "psrv: view segment outside shard");
+              iov.push_back(
+                  {file - dom.lo, {stream + (s - stream_lo), to_size(seglen)}});
+            });
+            st.view_segments.fetch_add(iov.size(), std::memory_order_relaxed);
+          };
           if (writing) {
-            std::vector<pfs::ConstIoVec> iov;
-            Off segments = 0;
-            nav.for_each_segment(
-                stream_lo, n, [&](Off mem, Off s, Off seglen) {
-                  const Off file = disp + mem;
-                  LLIO_REQUIRE(file >= dom.lo && file + seglen <= dom.hi,
-                               Errc::Protocol,
-                               "psrv: view segment outside shard");
-                  const Off local = file - dom.lo;
-                  const Byte* p = payload.data() + (s - stream_lo);
-                  ++segments;
-                  if (!iov.empty() &&
-                      iov.back().offset + to_off(iov.back().buf.size()) ==
-                          local &&
-                      iov.back().buf.data() + iov.back().buf.size() == p) {
-                    iov.back().buf = ConstByteSpan(
-                        iov.back().buf.data(),
-                        iov.back().buf.size() + to_size(seglen));
-                    st.batched_extents.fetch_add(1,
-                                                 std::memory_order_relaxed);
-                  } else {
-                    iov.push_back({local, ConstByteSpan(p, to_size(seglen))});
-                  }
-                });
-            shard.pwritev(iov);
+            walk(view_wiov, payload.data());
+            shard.pwritev(view_wiov);
             resp = wire::ok_response(n);
-            st.view_segments.fetch_add(
-                static_cast<std::uint64_t>(segments),
-                std::memory_order_relaxed);
           } else {
             resp = wire::ok_response(n, n);
             const std::size_t at = resp.size();
             resp.resize(at + to_size(n));
-            Byte* out = resp.data() + at;
-            std::vector<pfs::IoVec> iov;
-            Off segments = 0;
-            nav.for_each_segment(
-                stream_lo, n, [&](Off mem, Off s, Off seglen) {
-                  const Off file = disp + mem;
-                  LLIO_REQUIRE(file >= dom.lo && file + seglen <= dom.hi,
-                               Errc::Protocol,
-                               "psrv: view segment outside shard");
-                  const Off local = file - dom.lo;
-                  Byte* p = out + (s - stream_lo);
-                  ++segments;
-                  if (!iov.empty() &&
-                      iov.back().offset + to_off(iov.back().buf.size()) ==
-                          local &&
-                      iov.back().buf.data() + iov.back().buf.size() == p) {
-                    iov.back().buf =
-                        ByteSpan(iov.back().buf.data(),
-                                 iov.back().buf.size() + to_size(seglen));
-                    st.batched_extents.fetch_add(1,
-                                                 std::memory_order_relaxed);
-                  } else {
-                    iov.push_back({local, ByteSpan(p, to_size(seglen))});
-                  }
-                });
-            shard.preadv(iov);
+            walk(view_riov, resp.data() + at);
+            shard.preadv(view_riov);
             resp_cls = sim::MsgClass::Data;
-            st.view_segments.fetch_add(
-                static_cast<std::uint64_t>(segments),
-                std::memory_order_relaxed);
           }
           st.view_ops.fetch_add(1, std::memory_order_relaxed);
           st.view_bytes.fetch_add(static_cast<std::uint64_t>(n),

@@ -128,8 +128,8 @@ struct ServerStats {
   std::uint64_t view_bytes = 0;
 
   std::uint64_t list_extents = 0;    ///< ol-list entries replayed
-  std::uint64_t view_segments = 0;   ///< contiguous runs navigated
-  std::uint64_t batched_extents = 0; ///< extents merged away by adjacency
+  std::uint64_t view_segments = 0;   ///< coalesced view runs (iovecs)
+  std::uint64_t batched_extents = 0; ///< list extents merged by adjacency
 
   std::uint64_t view_installs = 0;
   std::uint64_t view_evictions = 0;

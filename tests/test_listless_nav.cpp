@@ -75,6 +75,56 @@ TEST(ListlessNavUnit, SegmentIterationCoversStream) {
   EXPECT_EQ(covered, 50);
 }
 
+TEST(ListlessNavUnit, PlanWalkMatchesCursorWalk) {
+  // The run walk replays the compiled plan, and walks the cursor only
+  // when there is none.  Over random navigable views and ranges, both
+  // must give the same runs in stream order, each at the layout offset
+  // of its first stream byte, and no two consecutive plan runs touch.
+  struct Run {
+    Off mem, stream, len;
+    bool operator==(const Run&) const = default;
+  };
+  const auto walk = [](ListlessNav& nav, Off s, Off n) {
+    std::vector<Run> runs;
+    nav.for_each_run(s, n, [&](Off mem, Off stream, Off len) {
+      runs.push_back({mem, stream, len});
+    });
+    return runs;
+  };
+  testutil::Rng rng(19);
+  fotf::PackConfig no_plan;
+  no_plan.use_plan = false;
+  int planned = 0;
+  for (int i = 0; i < 200; ++i) {
+    const dt::Type ft = testutil::random_navigable_type(rng, 3);
+    if (ft->size() == 0) continue;
+    ListlessNav with_plan(ft);
+    ListlessNav cursor_only(ft, no_plan);
+    if (with_plan.avg_run() > 0) ++planned;
+    for (int k = 0; k < 8; ++k) {
+      const Off s = testutil::rnd(rng, 0, 3 * ft->size());
+      const Off n = testutil::rnd(rng, 0, 4 * ft->size());
+      const std::vector<Run> runs = walk(with_plan, s, n);
+      Off next = s;
+      for (std::size_t j = 0; j < runs.size(); ++j) {
+        const Run& r = runs[j];
+        ASSERT_GT(r.len, 0) << dt::to_string(ft);
+        ASSERT_EQ(r.stream, next) << dt::to_string(ft);
+        ASSERT_EQ(r.mem, fotf::mem_start(ft, r.stream)) << dt::to_string(ft);
+        if (j > 0) {
+          ASSERT_NE(runs[j - 1].mem + runs[j - 1].len, r.mem)
+              << dt::to_string(ft) << " s=" << s << " n=" << n;
+        }
+        next += r.len;
+      }
+      ASSERT_EQ(next, s + n) << dt::to_string(ft);
+      ASSERT_EQ(walk(cursor_only, s, n), runs)
+          << dt::to_string(ft) << " s=" << s << " n=" << n;
+    }
+  }
+  EXPECT_GT(planned, 150);
+}
+
 TEST(FotfMoverUnit, RoundTripsAgainstReference) {
   testutil::Rng rng(11);
   for (int i = 0; i < 40; ++i) {

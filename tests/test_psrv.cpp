@@ -7,6 +7,7 @@
 
 #include <thread>
 
+#include "fotf/plan.hpp"
 #include "io_test_util.hpp"
 #include "mpiio/info.hpp"
 #include "pfs/faulty_file.hpp"
@@ -201,6 +202,40 @@ TEST(PsrvBackend, ServerStatsAttributeRequestClasses) {
   EXPECT_GT(t.view_segments, 0u);
   EXPECT_GT(t.view_installs, 0u);
   EXPECT_EQ(t.view_bytes, 32u);
+}
+
+TEST(PsrvBackend, ViewPastThePlanCapWalksTheCursor) {
+  // One more 1-byte run per instance than PackPlan compiles: the server
+  // walks this view with the cursor.  Each run is one iovec, so
+  // view_segments counts one per byte moved, and nothing batches.
+  constexpr Off kRuns = Off{fotf::PackPlan::kDefaultMaxRuns} + 1;
+  const dt::Type ft =
+      dt::resized(dt::hvector(kRuns, 1, 2, dt::byte()), 0, 2 * kRuns);
+  ASSERT_EQ(fotf::PackPlan::compile(ft), nullptr);
+  const Off disp = 16;
+  const Off nbytes = 2 * kRuns + 100;  // across two instance wraps
+  PoolConfig cfg = small_pool_config();
+  cfg.stripe = 1024;
+  cfg.capacity = 3 * 4 * 1024;
+  auto f = make_file(RequestClass::View, cfg);
+  const ByteVec stream = iotest::payload_stream(5, nbytes);
+  f->view_write(ft, disp, 0, stream);
+  ByteVec back(to_size(nbytes));
+  f->view_read(ft, disp, 0, back);
+  EXPECT_EQ(back, stream);
+
+  pfs::FilePtr ref = pfs::MemFile::create();
+  for (Off k = 0; k < nbytes; ++k)
+    ref->pwrite(disp + fotf::mem_start(ft, k),
+                ConstByteSpan(stream.data() + k, 1));
+  ByteVec img = iotest::backend_image(f);
+  ByteVec want = iotest::backend_image(ref);
+  iotest::pad_to_common(img, want);
+  EXPECT_EQ(img, want);
+
+  const ServerStats t = f->pool()->total_server_stats();
+  EXPECT_EQ(t.view_segments, static_cast<std::uint64_t>(2 * nbytes));
+  EXPECT_EQ(t.batched_extents, 0u);
 }
 
 TEST(PsrvBackend, ViewWireBytesBeatListWireBytesOnSparsePattern) {
