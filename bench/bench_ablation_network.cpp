@@ -30,9 +30,7 @@ int main() {
     cfg.write = true;
     cfg.target_bytes_pp = target;
     cfg.min_seconds = min_s;
-    // Route the model through the hint so the named-model plumbing
-    // (llio_net_model -> sim::named_cost_model) is what gets measured.
-    cfg.hints.set("llio_net_model", net.first);
+    cfg.net = net.second;
 
     cfg.method = mpiio::Method::ListBased;
     const BenchPoint list = run_noncontig(cfg);

@@ -29,6 +29,7 @@
 #include "mpiio/info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pfs/backend_spec.hpp"
 #include "pfs/mem_file.hpp"
 #include "pfs/posix_file.hpp"
 #include "psrv/server_file.hpp"
@@ -52,27 +53,6 @@ inline double env_double(const char* name, double fallback) {
 inline std::string env_str(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return (v == nullptr || *v == '\0') ? fallback : std::string(v);
-}
-
-/// Resolve a named storage target (hint llio_backend / env
-/// LLIO_BENCH_BACKEND) so every bench can swap its backend with one flag:
-///   "mem"          fresh pfs::MemFile (the default)
-///   "posix:<dir>"  anonymous PosixFile scratch file in <dir> (unlinked
-///                  at open, so aborted runs leave no litter), with
-///                  queue depth / O_DIRECT taken from opts.posix_qd and
-///                  opts.posix_direct
-inline pfs::FilePtr make_named_backend(const std::string& target,
-                                       const mpiio::Options& opts) {
-  if (target.empty() || target == "mem") return pfs::MemFile::create();
-  if (target.rfind("posix:", 0) == 0) {
-    pfs::PosixConfig pc;
-    pc.queue_depth = opts.posix_qd;
-    pc.direct = opts.posix_direct;
-    return pfs::PosixFile::open_temp(target.substr(6), pc);
-  }
-  throw_error(Errc::InvalidArgument,
-              "unknown storage target '" + target +
-                  "' (expected mem or posix:<dir>)");
 }
 
 /// The paper's Fig. 4 fileview for one rank.
@@ -107,9 +87,11 @@ struct NoncontigConfig {
   sim::CommCostModel net;   ///< interconnect model (default: free)
   mpiio::Info hints;        ///< extra hints applied on top of the config
 
-  /// Backend factory, called once per data point; default is a fresh
-  /// pfs::MemFile.  Benches measuring networked backends (psrv) install
-  /// their own and keep a handle on the pool for wire statistics.
+  /// Backend factory, called once per data point.  Unset = the backend
+  /// spec (hint llio_backend, else env LLIO_BENCH_BACKEND, else "mem")
+  /// built by psrv::make_backend.  Benches measuring networked backends
+  /// (psrv) install their own and keep a handle on the pool for wire
+  /// statistics.
   std::function<pfs::FilePtr()> make_backend;
 };
 
@@ -165,29 +147,18 @@ inline BenchPoint run_noncontig(const NoncontigConfig& cfg) {
   mpiio::IoOpStats folded;
 
   // The backend and the client interconnect are fixed before the world
-  // is created, so the hints that select them (llio_psrv_*,
-  // llio_net_model) are resolved here rather than per-rank.
-  const mpiio::Options hint_opts =
-      mpiio::apply_info(cfg.hints, mpiio::Options{});
+  // is created, so the spec that selects them (hint llio_backend, else
+  // env LLIO_BENCH_BACKEND) is resolved here rather than per-rank; its
+  // net model drives both the client comm and the psrv wire.
+  const pfs::BackendSpec spec = pfs::parse_backend_spec(
+      cfg.hints.get("llio_backend")
+          .value_or(env_str("LLIO_BENCH_BACKEND", "mem")));
   sim::CommCostModel net = cfg.net;
-  if (!hint_opts.net_model.empty())
-    net = sim::named_cost_model(hint_opts.net_model);
-
-  const std::string backend_target =
-      !hint_opts.backend.empty() ? hint_opts.backend
-                                 : env_str("LLIO_BENCH_BACKEND", "");
-  pfs::FilePtr fs;
-  if (cfg.make_backend) {
-    fs = cfg.make_backend();
-  } else if (!backend_target.empty()) {
-    fs = make_named_backend(backend_target, hint_opts);
-  } else if (hint_opts.psrv_servers > 0) {
-    psrv::PoolConfig pc;
-    pc.net = net;  // same interconnect on the client/server wire
-    fs = psrv::make_server_file(hint_opts, std::move(pc));
-  } else {
-    fs = pfs::MemFile::create();
-  }
+  if (!spec.net.empty()) net = sim::named_cost_model(spec.net);
+  psrv::PoolConfig pc;
+  pc.net = net;
+  pfs::FilePtr fs = cfg.make_backend ? cfg.make_backend()
+                                     : psrv::make_backend(spec, std::move(pc));
   if (!cfg.write) fs->resize(Off{cfg.nprocs} * nbytes + 64);
 
   sim::Runtime::run(cfg.nprocs, net, [&](sim::Comm& comm) {

@@ -16,12 +16,16 @@
 //                            this target),
 //                 tmpfs      PosixFile scratch file in /dev/shm,
 //                 dir        PosixFile scratch file in
-//                            $LLIO_BENCH_POSIX_DIR (default /tmp).
+//                            $LLIO_BENCH_POSIX_DIR (default /tmp);
+//                            both built from the backend spec
+//                            posix:<dir>,qd=N, i.e. an AsyncQdFile of
+//                            depth N over the file when N > 1.
 //               The qd=1 row runs the identical per-group decomposition
 //               serially, so the sweep varies concurrency only.
-//   B (direct)  O_DIRECT off/on at qd=4 on the `dir` target with an
-//               unaligned block size (Sblock=10000), exercising the
-//               alignment-aware read-modify-write at block edges.
+//   B (direct)  O_DIRECT off/on under an AsyncQdFile of depth 4 on the
+//               `dir` target with an unaligned block size (Sblock=10000),
+//               exercising the alignment-aware read-modify-write at
+//               block edges.
 //               `direct_active` reports whether the file system actually
 //               honored O_DIRECT (tmpfs does not; rows stay honest).
 //   C (rotate)  FFS cylinder-group rotation off/on for a striped target:
@@ -29,7 +33,10 @@
 //               = 256 KiB, P=4.  Without rotation every IOP's k-th
 //               window lands on device k%4 in lockstep and the exclusive
 //               devices serialize; with rotation row r starts on device
-//               r%4 and the four IOP streams fan out cleanly.
+//               r%4 and the four IOP streams fan out cleanly.  The
+//               striped file walks its devices synchronously (qd 1):
+//               each window maps to one device, so there is nothing
+//               for a queue depth to overlap.
 //
 // Scale knobs: LLIO_BENCH_TARGET_KB, LLIO_BENCH_MIN_SECONDS,
 // LLIO_BENCH_POSIX_DIR; --quick shrinks the sweep for CI.
@@ -111,7 +118,7 @@ int main(int argc, char** argv) {
   Table qd_table({"target", "qd", "MB/s/proc", "speedup", "repeats"});
   struct Target {
     std::string name;
-    std::string backend;  ///< llio_backend hint; empty = make_backend
+    std::string backend;  ///< llio_backend spec; empty = make_backend
   };
   std::vector<Target> targets = {{"throttled", ""},
                                  {"tmpfs", "posix:/dev/shm"},
@@ -135,8 +142,8 @@ int main(int argc, char** argv) {
               pfs::ThrottledFile::wrap(pfs::MemFile::create(), tc), qd);
         };
       } else {
-        cfg.hints.set("llio_backend", t.backend);
-        cfg.hints.set("llio_posix_qd", strprintf("%d", qd));
+        cfg.hints.set("llio_backend",
+                      strprintf("%s,qd=%d", t.backend.c_str(), qd));
       }
       const BenchPoint p = run_noncontig(cfg);
       if (qd == qds.front()) base_mbps = p.mbps_pp();
@@ -165,10 +172,9 @@ int main(int argc, char** argv) {
     std::shared_ptr<pfs::PosixFile> handle;
     cfg.make_backend = [&] {
       pfs::PosixConfig pc;
-      pc.queue_depth = 4;
       pc.direct = direct != 0;
       handle = pfs::PosixFile::open_temp(posix_dir, pc);
-      return handle;
+      return pfs::AsyncQdFile::wrap(handle, 4);
     };
     const BenchPoint p = run_noncontig(cfg);
     const bool active = handle && handle->direct_active();
@@ -214,7 +220,6 @@ int main(int argc, char** argv) {
       }
       pfs::StripeLayout layout;
       layout.rotate = rotate != 0;
-      layout.queue_depth = 4;
       return pfs::StripedFile::create(std::move(devs), stripe, layout);
     };
     const BenchPoint p = run_noncontig(cfg);
@@ -223,7 +228,7 @@ int main(int argc, char** argv) {
     r_table.add_row({rotate ? "on" : "off", fmt_mbps(p.mbps_pp()),
                      strprintf("%.2fx", speedup),
                      strprintf("%d", p.repeats)});
-    json += json_row("rotate", "striped", 4, false, false, rotate != 0,
+    json += json_row("rotate", "striped", 1, false, false, rotate != 0,
                      p.mbps_pp(), speedup, p.repeats);
   }
   r_table.print("FFS cylinder-group rotation [per-process bandwidth]");

@@ -7,6 +7,7 @@
 #include "mpiio/sieve.hpp"
 #include "obs/phase.hpp"
 #include "obs/snapshot.hpp"
+#include "pfs/backend_spec.hpp"
 #include "pfs/view_io.hpp"
 
 namespace llio::mpiio {
@@ -19,6 +20,8 @@ IoEngine::IoEngine(sim::Comm* comm, pfs::FilePtr file,
   LLIO_REQUIRE(file_ != nullptr, Errc::InvalidArgument, "engine: null file");
   LLIO_REQUIRE(opts_.file_buffer_size > 0 && opts_.pack_buffer_size > 0,
                Errc::InvalidArgument, "engine: non-positive buffer size");
+  // Validate here: observe_op re-parses it where it must not throw.
+  if (!opts_.backend.empty()) pfs::parse_backend_spec(opts_.backend);
 }
 
 Off IoEngine::check_access(Off offset_etypes, const void* buf, Off count,
@@ -185,10 +188,11 @@ void IoEngine::observe_op(std::uint32_t op_id, const IoOpStats& s,
   if (!sampler.enabled()) return;
   if (!sample_dims_.resolved) {  // one-time per handle; op_mu_ is held
     sample_dims_.engine = sampler.intern(method_name(opts_.method));
+    const std::string net =
+        opts_.backend.empty() ? "" : pfs::parse_backend_spec(opts_.backend).net;
     sample_dims_.backend =
         sampler.intern(opts_.backend.empty() ? "default" : opts_.backend);
-    sample_dims_.net =
-        sampler.intern(opts_.net_model.empty() ? "default" : opts_.net_model);
+    sample_dims_.net = sampler.intern(net.empty() ? "default" : net);
     sample_dims_.resolved = true;
   }
   obs::OpSample sample;

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/format.hpp"
+#include "pfs/backend_spec.hpp"
 
 namespace llio::mpiio {
 
@@ -119,62 +120,9 @@ Options apply_info(const Info& info, Options base) {
       else
         throw_error(Errc::InvalidArgument,
                     "hint llio_pack_plan: expected on/off");
-    } else if (key == "llio_psrv_servers") {
-      base.psrv_servers = parse_int(key, value);
-    } else if (key == "llio_psrv_queue_depth") {
-      const int n = parse_int(key, value);
-      LLIO_REQUIRE(n >= 1, Errc::InvalidArgument,
-                   "hint llio_psrv_queue_depth: expected a count >= 1");
-      base.psrv_queue_depth = n;
-    } else if (key == "llio_psrv_request") {
-      LLIO_REQUIRE(value == "contig" || value == "list" || value == "view",
-                   Errc::InvalidArgument,
-                   "hint llio_psrv_request: expected contig/list/view");
-      base.psrv_request = value;
-    } else if (key == "llio_psrv_session_weight") {
-      const int n = parse_int(key, value);
-      LLIO_REQUIRE(n >= 1, Errc::InvalidArgument,
-                   "hint llio_psrv_session_weight: expected a weight >= 1");
-      base.psrv_session_weight = n;
-    } else if (key == "llio_psrv_cache") {
-      if (value == "on")
-        base.psrv_cache = true;
-      else if (value == "off")
-        base.psrv_cache = false;
-      else
-        throw_error(Errc::InvalidArgument,
-                    "hint llio_psrv_cache: expected on/off");
-    } else if (key == "llio_psrv_lease_ms") {
-      base.psrv_lease_ms = parse_int(key, value);
-    } else if (key == "llio_posix_qd") {
-      const int n = parse_int(key, value);
-      LLIO_REQUIRE(n >= 1, Errc::InvalidArgument,
-                   "hint llio_posix_qd: expected a depth >= 1");
-      base.posix_qd = n;
-    } else if (key == "llio_posix_direct") {
-      if (value == "on")
-        base.posix_direct = true;
-      else if (value == "off")
-        base.posix_direct = false;
-      else
-        throw_error(Errc::InvalidArgument,
-                    "hint llio_posix_direct: expected on/off");
-    } else if (key == "llio_stripe_rotate") {
-      if (value == "on")
-        base.stripe_rotate = true;
-      else if (value == "off")
-        base.stripe_rotate = false;
-      else
-        throw_error(Errc::InvalidArgument,
-                    "hint llio_stripe_rotate: expected on/off");
     } else if (key == "llio_backend") {
-      LLIO_REQUIRE(!value.empty(), Errc::InvalidArgument,
-                   "hint llio_backend: empty target");
+      pfs::parse_backend_spec(value);  // validate now, build in the harness
       base.backend = value;
-    } else if (key == "llio_net_model") {
-      LLIO_REQUIRE(!value.empty(), Errc::InvalidArgument,
-                   "hint llio_net_model: empty model name");
-      base.net_model = value;
     } else if (key == "llio_trace") {
       if (value == "off")
         base.trace = obs::TraceLevel::Off;
@@ -256,24 +204,7 @@ Info options_to_info(const Options& o) {
   info.set("llio_pack_parallel_min",
            strprintf("%lld", (long long)o.pack_parallel_min));
   info.set("llio_pack_plan", o.pack_plan ? "on" : "off");
-  // psrv/net hints appear only when set away from their defaults (they
-  // configure the harness-built backend, not the engines).
-  if (o.psrv_servers > 0)
-    info.set("llio_psrv_servers", strprintf("%d", o.psrv_servers));
-  if (o.psrv_queue_depth > 0)
-    info.set("llio_psrv_queue_depth", strprintf("%d", o.psrv_queue_depth));
-  if (o.psrv_request != "contig") info.set("llio_psrv_request", o.psrv_request);
-  if (o.psrv_session_weight > 0)
-    info.set("llio_psrv_session_weight",
-             strprintf("%d", o.psrv_session_weight));
-  if (o.psrv_cache) info.set("llio_psrv_cache", "on");
-  if (o.psrv_lease_ms > 0)
-    info.set("llio_psrv_lease_ms", strprintf("%d", o.psrv_lease_ms));
-  if (o.posix_qd > 1) info.set("llio_posix_qd", strprintf("%d", o.posix_qd));
-  if (o.posix_direct) info.set("llio_posix_direct", "on");
-  if (o.stripe_rotate) info.set("llio_stripe_rotate", "on");
   if (!o.backend.empty()) info.set("llio_backend", o.backend);
-  if (!o.net_model.empty()) info.set("llio_net_model", o.net_model);
   // Observability hints appear only when explicitly set: unset means
   // "leave the process-global tracer/registry alone".
   if (o.trace) info.set("llio_trace", obs::trace_level_name(*o.trace));

@@ -85,9 +85,9 @@ namespace llio::mpiio {
   X(std::uint64_t, pack_slices, Sum, nullptr)                             \
   X(double, pack_slice_max_s, Max, nullptr)                               \
   X(double, pack_slice_total_s, Sum, nullptr)                             \
-  /* Async queue-depth backend (llio_posix_qd / StripeLayout.queue_depth): \
-     operations submitted to an AsyncIo engine during this op, and the   \
-     engine's peak concurrent ops */                                      \
+  /* Async queue-depth backend (an AsyncQdFile in the stack, e.g. spec    \
+     posix:<dir>,qd=N): operations submitted to its AsyncIo engine        \
+     during this op, and the engine's peak concurrent ops */              \
   X(std::uint64_t, async_file_ops, Sum, "async_file_ops")                 \
   X(std::uint64_t, async_inflight_peak, Max, nullptr)
 

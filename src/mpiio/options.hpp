@@ -64,10 +64,6 @@ struct Options {
   /// (paper §2.3 / §3.2.4).
   MergeContig merge_contig = MergeContig::Auto;
 
-  /// Independent writes: skip the sieving pre-read when the window is
-  /// fully covered by the access.
-  bool sieve_skip_covered_read = true;
-
   /// Collective buffering (two-phase) on/off per direction; when off,
   /// collective calls degrade to independent accesses plus a barrier
   /// (ROMIO's romio_cb_write/read = disable).
@@ -126,46 +122,14 @@ struct Options {
   /// at every set_view, so they can never outlive their view epoch.
   bool pack_plan = true;
 
-  /// File-server subsystem (psrv) selection, consumed by the harnesses
-  /// that build the backend (psrv::make_server_file) — the engines see
-  /// only the resulting pfs::FileBackend.  psrv_servers 0 = harness
-  /// default; psrv_request picks the wire translation (contig|list|view).
-  int psrv_servers = 0;
-  int psrv_queue_depth = 0;
-  std::string psrv_request = "contig";
-
-  /// Multi-tenant psrv knobs: psrv_session_weight is this handle's
-  /// fair-share weight on every server's scheduler rotation (hint
-  /// llio_psrv_session_weight; 0 = default weight 1); psrv_cache turns
-  /// on the lease-coherent client block cache (hint llio_psrv_cache);
-  /// psrv_lease_ms overrides the read-lease term, measured in sim-clock
-  /// ticks despite the conventional _ms suffix (hint llio_psrv_lease_ms;
-  /// 0 = pool default).
-  int psrv_session_weight = 0;
-  bool psrv_cache = false;
-  int psrv_lease_ms = 0;
-
-  /// POSIX/striped backend layout tuning, consumed by the harnesses that
-  /// build the backend (bench_common's named factory) — the engines see
-  /// only the resulting pfs::FileBackend.  posix_qd is the AsyncIo queue
-  /// depth per file (hint llio_posix_qd; 1 = the classic synchronous
-  /// path, byte-identical); posix_direct engages O_DIRECT with aligned
-  /// RMW at block edges (hint llio_posix_direct); stripe_rotate turns on
-  /// FFS cylinder-group rotation for striped targets (hint
-  /// llio_stripe_rotate).
-  int posix_qd = 1;
-  bool posix_direct = false;
-  bool stripe_rotate = false;
-
-  /// Named storage target for harness-built backends (hint llio_backend,
-  /// env LLIO_BENCH_BACKEND as a bench-wide default): "mem" or
-  /// "posix:<dir>" (anonymous scratch file in <dir>, configured by the
-  /// posix_* knobs above).  Empty = the harness's own default.
+  /// Backend spec for harness-built storage (hint llio_backend, env
+  /// LLIO_BENCH_BACKEND as a bench-wide default), e.g. "mem",
+  /// "posix:/tmp,qd=4" or "psrv:servers=2,request=view,net=mid"; see
+  /// pfs/backend_spec.hpp for the grammar and psrv::make_backend for the
+  /// factory.  The engines see only the resulting pfs::FileBackend; this
+  /// string (and its net value) only labels the sampling ring.  Empty =
+  /// the harness's own default.
   std::string backend = {};
-
-  /// Named interconnect cost model (hint llio_net_model, see
-  /// sim::named_cost_model); empty = whatever the harness configured.
-  std::string net_model = {};
 
   /// Observability (hints llio_trace / llio_trace_file / llio_metrics).
   /// The tracer and metrics registry are process-global; File::open

@@ -140,7 +140,7 @@ Off sieve_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
     std::optional<pfs::ScopedRangeLock> lock;
     if (!ctx.whole_range_locked) lock.emplace(ctx.locks, pos, win_hi);
     const bool covered = avail == win;
-    if (!covered || !ctx.opts.sieve_skip_covered_read)
+    if (!covered)
       timed_pread_zero_fill(ctx, pos, ByteSpan(fbuf.data(), to_size(win)));
 
     {

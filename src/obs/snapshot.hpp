@@ -48,8 +48,8 @@ struct OpSample {
   std::int32_t rank = -1;
   std::uint32_t op = 0;       ///< "read_at_all", ... (interned)
   std::uint32_t engine = 0;   ///< "listless" / "list-based" (interned)
-  std::uint32_t backend = 0;  ///< llio_backend target (interned)
-  std::uint32_t net = 0;      ///< llio_net_model (interned)
+  std::uint32_t backend = 0;  ///< llio_backend spec (interned)
+  std::uint32_t net = 0;      ///< the spec's net model (interned)
   std::int32_t qd = 1;        ///< backend queue depth during the op
   long long bytes = 0;        ///< user payload bytes
   long long runs = 0;         ///< storage accesses (read + write ops)

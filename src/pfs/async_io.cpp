@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <optional>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -22,8 +22,7 @@ AsyncIo::Batch::~Batch() {
   engine_->cv_.wait(lock, [&] { return pending_ == 0; });
 }
 
-AsyncIo::AsyncIo(int queue_depth, std::string metric)
-    : qd_(queue_depth), metric_(std::move(metric)) {
+AsyncIo::AsyncIo(int queue_depth) : qd_(queue_depth) {
   LLIO_REQUIRE(qd_ >= 1, Errc::InvalidArgument,
                "AsyncIo: queue depth must be >= 1");
   // The reservation guarantees qd_ dedicated workers exist even when the
@@ -79,11 +78,11 @@ void AsyncIo::submit(Batch& batch, std::function<void()> op, Off bytes) {
   LLIO_REQUIRE(batch.engine_ == nullptr || batch.engine_ == this,
                Errc::InvalidArgument, "AsyncIo: batch belongs elsewhere");
   batch.engine_ = this;
-  if (!metric_.empty() && obs::metrics_enabled() &&
+  if (obs::metrics_enabled() &&
       lat_hist_.load(std::memory_order_relaxed) == nullptr) {
     // Registry references are stable; a racing double-resolve stores the
     // same pointer.
-    lat_hist_.store(&obs::Registry::instance().histogram(metric_ + ".op_us"),
+    lat_hist_.store(&obs::Registry::instance().histogram("aio.op_us"),
                     std::memory_order_release);
   }
   if (qd_ == 1) {
@@ -162,7 +161,7 @@ AsyncIoStats AsyncIo::stats() const {
 // ---- AsyncQdFile -------------------------------------------------------
 
 AsyncQdFile::AsyncQdFile(FilePtr inner, int queue_depth)
-    : inner_(std::move(inner)), aio_(queue_depth, "aio") {}
+    : inner_(std::move(inner)), aio_(queue_depth) {}
 
 std::shared_ptr<AsyncQdFile> AsyncQdFile::wrap(FilePtr inner,
                                                int queue_depth) {
@@ -194,7 +193,6 @@ Off AsyncQdFile::do_preadv(std::span<const IoVec> iov) {
   if (iov.size() < 2 || !iov_groups_disjoint(iov)) return inner_->preadv(iov);
   std::atomic<Off> total{0};
   AsyncIo::Batch batch;
-  std::size_t groups = 0;
   for (std::size_t i = 0; i < iov.size();) {
     const std::size_t j = contig_group_end(iov, i);
     const std::span<const IoVec> group = iov.subspan(i, j - i);
@@ -206,7 +204,6 @@ Off AsyncQdFile::do_preadv(std::span<const IoVec> iov) {
           total.fetch_add(inner_->preadv(group), std::memory_order_relaxed);
         },
         bytes);
-    ++groups;
     i = j;
   }
   aio_.wait(batch);

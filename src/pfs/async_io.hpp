@@ -21,15 +21,18 @@
 //
 // queue_depth == 1 runs every operation inline on the submitting thread
 // (no pool, deterministic order) — byte- and schedule-identical to the
-// pre-async synchronous path, which is what lets llio_posix_qd=1 be the
-// fuzz-asserted baseline.
+// synchronous path, which is what lets qd=1 be the fuzz-asserted
+// baseline.
 //
 // The engine holds a WorkerPool reservation of `queue_depth` for its
 // lifetime, so submitting from inside another pool job (the collective
 // pipeline's I/O workers call FileBackend::pwritev, which may land here)
 // cannot starve: the reservation guarantees this engine's operations have
 // workers of their own.  Per-op latency lands in the obs histogram
-// registry under "<metric>.op_us" when metrics are on.
+// registry under "aio.op_us" when metrics are on.
+//
+// AsyncQdFile below is the one storage-side owner of an engine: any
+// backend gains queue depth by being wrapped in it.
 #pragma once
 
 #include <atomic>
@@ -37,7 +40,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <string>
 
 #include "common/worker_pool.hpp"
 #include "pfs/file_backend.hpp"
@@ -67,9 +69,7 @@ class AsyncIo {
     std::exception_ptr err_;
   };
 
-  /// `metric` names the obs histogram family ("posix", "stripe", ...);
-  /// empty disables metric recording.
-  explicit AsyncIo(int queue_depth, std::string metric = {});
+  explicit AsyncIo(int queue_depth);
   ~AsyncIo();
 
   AsyncIo(const AsyncIo&) = delete;
@@ -94,7 +94,6 @@ class AsyncIo {
   void wait_locked(std::unique_lock<std::mutex>& lock, Batch& batch);
 
   const int qd_;
-  const std::string metric_;
   WorkerPool::Reservation reserved_;
   std::atomic<obs::Histogram*> lat_hist_{nullptr};  ///< lazy, then stable
 
@@ -108,10 +107,10 @@ class AsyncIo {
 /// Queue-depth decorator over any backend: vectored batches are split
 /// into file-contiguous groups and up to `queue_depth` inner preadv/
 /// pwritev submissions are kept in flight, completing out of order.  This
-/// is how cost-model backends (ThrottledFile) and plain files gain the
-/// same overlapped submission discipline PosixFile implements natively —
-/// and the throttled wrap is the deterministic fallback target for the CI
-/// perf gate, where queue depth provably overlaps per-op latency.
+/// is how PosixFile (backend spec `posix:<dir>,qd=N`) and cost-model
+/// backends (ThrottledFile) gain overlapped submission — and the
+/// throttled wrap is the deterministic fallback target for the CI perf
+/// gate, where queue depth provably overlaps per-op latency.
 ///
 /// Groups are only issued concurrently when they are sorted and disjoint
 /// (engine-generated batches always are); anything else falls back to the

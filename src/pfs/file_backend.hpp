@@ -114,10 +114,10 @@ class FileBackend {
   virtual ViewIo* view_io() { return nullptr; }
 
   /// Optional capability: the backend runs a queue-depth async submission
-  /// engine internally (PosixFile with queue_depth > 1, AsyncQdFile, a
-  /// StripedFile with a parallel layout).  Purely observational —
-  /// decorators forward inward so engines and benches can report queue
-  /// depth and in-flight statistics no matter how the stack is wrapped.
+  /// engine (AsyncQdFile) or direct I/O (PosixFile in direct mode).
+  /// Purely observational — decorators forward inward so engines and
+  /// benches can report queue depth and in-flight statistics no matter
+  /// how the stack is wrapped.
   virtual std::optional<AsyncInfo> async_info() const { return std::nullopt; }
 
   FileStats stats() const;

@@ -69,10 +69,7 @@ PosixFile::PosixFile(std::string path, int fd, const PosixConfig& cfg,
       fd_(fd),
       cfg_(cfg),
       direct_active_(direct_active),
-      logical_size_(initial_size) {
-  if (cfg_.queue_depth > 1)
-    aio_ = std::make_unique<AsyncIo>(cfg_.queue_depth, "posix");
-}
+      logical_size_(initial_size) {}
 
 std::shared_ptr<PosixFile> PosixFile::open(const std::string& path,
                                            bool truncate) {
@@ -82,8 +79,6 @@ std::shared_ptr<PosixFile> PosixFile::open(const std::string& path,
 std::shared_ptr<PosixFile> PosixFile::open(const std::string& path,
                                            bool truncate,
                                            const PosixConfig& cfg) {
-  LLIO_REQUIRE(cfg.queue_depth >= 1, Errc::InvalidArgument,
-               "PosixFile: queue depth must be >= 1");
   LLIO_REQUIRE(!cfg.direct || (cfg.direct_align >= 512 &&
                                (cfg.direct_align &
                                 (cfg.direct_align - 1)) == 0),
@@ -127,8 +122,6 @@ std::shared_ptr<PosixFile> PosixFile::open_temp(const std::string& dir,
 }
 
 PosixFile::~PosixFile() {
-  // Drain the async engine before the fd goes away.
-  aio_.reset();
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -156,11 +149,11 @@ void PosixFile::remove(const std::string& path) {
 }
 
 std::optional<AsyncInfo> PosixFile::async_info() const {
-  if (!aio_ && !cfg_.direct) return std::nullopt;
+  // Synchronous, but report direct mode so an AsyncQdFile over this
+  // file (or a bench reading it) can show it.
+  if (!cfg_.direct) return std::nullopt;
   AsyncInfo info;
-  info.queue_depth = cfg_.queue_depth;
-  info.direct = cfg_.direct;
-  if (aio_) info.stats = aio_->stats();
+  info.direct = true;
   return info;
 }
 
@@ -218,70 +211,30 @@ void PosixFile::do_pwrite(Off offset, ConstByteSpan data) {
 // ---- vectored entry points ---------------------------------------------
 //
 // Both split the batch into file-contiguous groups of at most kMaxIov
-// segments (exactly the classic grouping) and either run the groups
-// serially on the calling thread (queue_depth == 1 — bit-identical to
-// the pre-async path) or keep up to queue_depth groups in flight on the
-// AsyncIo engine.  Concurrent submission requires the groups to be
-// sorted and pairwise disjoint; anything else falls back to serial.
+// segments and run them in order on the calling thread: one vectored
+// syscall per group, or the aligned-RMW path in direct mode.
 
 Off PosixFile::do_preadv(std::span<const IoVec> iov) {
-  if (iov.empty()) return 0;
-  if (aio_ && iov.size() >= 2 && iov_groups_disjoint(iov)) {
-    std::atomic<Off> total{0};
-    AsyncIo::Batch batch;
-    for (std::size_t i = 0; i < iov.size();) {
-      const std::size_t j = contig_group_end(iov, i, kMaxIov);
-      const std::span<const IoVec> group = iov.subspan(i, j - i);
-      aio_->submit(
-          batch,
-          [this, group, &total] {
-            total.fetch_add(read_group(group), std::memory_order_relaxed);
-          },
-          group_len(group));
-      i = j;
-    }
-    aio_->wait(batch);
-    return total.load(std::memory_order_relaxed);
-  }
   Off total = 0;
   for (std::size_t i = 0; i < iov.size();) {
     const std::size_t j = contig_group_end(iov, i, kMaxIov);
-    total += read_group(iov.subspan(i, j - i));
+    const std::span<const IoVec> group = iov.subspan(i, j - i);
+    total += cfg_.direct ? read_group_direct(group) : read_group_plain(group);
     i = j;
   }
   return total;
 }
 
 void PosixFile::do_pwritev(std::span<const ConstIoVec> iov) {
-  if (iov.empty()) return;
-  if (aio_ && iov.size() >= 2 && iov_groups_disjoint(iov)) {
-    AsyncIo::Batch batch;
-    for (std::size_t i = 0; i < iov.size();) {
-      const std::size_t j = contig_group_end(iov, i, kMaxIov);
-      const std::span<const ConstIoVec> group = iov.subspan(i, j - i);
-      aio_->submit(batch, [this, group] { write_group(group); },
-                   group_len(group));
-      i = j;
-    }
-    aio_->wait(batch);
-    return;
-  }
   for (std::size_t i = 0; i < iov.size();) {
     const std::size_t j = contig_group_end(iov, i, kMaxIov);
-    write_group(iov.subspan(i, j - i));
+    const std::span<const ConstIoVec> group = iov.subspan(i, j - i);
+    if (cfg_.direct)
+      write_group_direct(group);
+    else
+      write_group_plain(group);
     i = j;
   }
-}
-
-Off PosixFile::read_group(std::span<const IoVec> group) {
-  return cfg_.direct ? read_group_direct(group) : read_group_plain(group);
-}
-
-void PosixFile::write_group(std::span<const ConstIoVec> group) {
-  if (cfg_.direct)
-    write_group_direct(group);
-  else
-    write_group_plain(group);
 }
 
 // ---- plain (buffered) group I/O ----------------------------------------

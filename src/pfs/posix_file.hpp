@@ -1,26 +1,20 @@
-// POSIX-backed file (pread/pwrite on a local path), with optional
-// queue-depth asynchronous submission (AsyncIo) and an O_DIRECT-style
-// aligned read-modify-write mode.
+// POSIX-backed file (pread/pwrite on a local path), with an
+// O_DIRECT-style aligned read-modify-write mode.  Queue depth comes from
+// composition: AsyncQdFile::wrap(PosixFile, n).
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <string>
 
-#include "pfs/async_io.hpp"
 #include "pfs/file_backend.hpp"
 #include "pfs/range_lock.hpp"
 
 namespace llio::pfs {
 
-/// Tuning knobs for PosixFile::open.  The MPI info hints llio_posix_qd
-/// and llio_posix_direct (mpiio::Options) map onto these.
+/// Tuning knobs for PosixFile::open (backend spec `posix:<dir>,direct=1`
+/// maps onto these).
 struct PosixConfig {
-  /// Backend operations kept in flight per vectored call.  1 (default)
-  /// runs everything inline on the calling thread — byte- and
-  /// schedule-identical to the classic synchronous path.
-  int queue_depth = 1;
-
   /// Engage the aligned read-modify-write discipline and request
   /// O_DIRECT.  The RMW path always runs when this is set (so behavior
   /// is identical whether or not the kernel honors the flag); the
@@ -78,10 +72,6 @@ class PosixFile final : public FileBackend {
   PosixFile(std::string path, int fd, const PosixConfig& cfg,
             bool direct_active, Off initial_size);
 
-  /// One file-contiguous run (<= kMaxIov segments): dispatch to the
-  /// plain vectored path or the direct aligned-RMW path.
-  Off read_group(std::span<const IoVec> group);
-  void write_group(std::span<const ConstIoVec> group);
   Off read_group_plain(std::span<const IoVec> group);
   void write_group_plain(std::span<const ConstIoVec> group);
   Off read_group_direct(std::span<const IoVec> group);
@@ -103,7 +93,6 @@ class PosixFile final : public FileBackend {
   /// (every RMW write preserves that invariant).
   std::atomic<Off> logical_size_{0};
 
-  std::unique_ptr<AsyncIo> aio_;  ///< present iff queue_depth > 1
   RangeLock edge_lock_;  ///< direct mode: serializes aligned-range writes
 };
 

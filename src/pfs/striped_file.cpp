@@ -9,10 +9,7 @@ namespace llio::pfs {
 
 StripedFile::StripedFile(std::vector<FilePtr> devices, Off stripe_bytes,
                          const StripeLayout& layout)
-    : devices_(std::move(devices)), stripe_(stripe_bytes), layout_(layout) {
-  if (layout_.queue_depth > 0)
-    aio_ = std::make_unique<AsyncIo>(layout_.queue_depth, "stripe");
-}
+    : devices_(std::move(devices)), stripe_(stripe_bytes), layout_(layout) {}
 
 std::shared_ptr<StripedFile> StripedFile::create(std::vector<FilePtr> devices,
                                                  Off stripe_bytes) {
@@ -29,8 +26,6 @@ std::shared_ptr<StripedFile> StripedFile::create(std::vector<FilePtr> devices,
                  "StripedFile: null device");
   LLIO_REQUIRE(stripe_bytes > 0, Errc::InvalidArgument,
                "StripedFile: non-positive stripe size");
-  LLIO_REQUIRE(layout.queue_depth >= 0, Errc::InvalidArgument,
-               "StripedFile: negative queue depth");
   return std::shared_ptr<StripedFile>(
       new StripedFile(std::move(devices), stripe_bytes, layout));
 }
@@ -110,22 +105,8 @@ Off StripedFile::do_preadv(std::span<const IoVec> iov) {
                      total += n;
                    });
   }
-  if (aio_) {
-    // Per-device batches are disjoint by construction: overlap them.
-    AsyncIo::Batch batch;
-    for (std::size_t d = 0; d < per_dev.size(); ++d) {
-      if (per_dev[d].empty()) continue;
-      Off bytes = 0;
-      for (const IoVec& v : per_dev[d]) bytes += to_off(v.buf.size());
-      aio_->submit(
-          batch, [this, d, &per_dev] { devices_[d]->preadv(per_dev[d]); },
-          bytes);
-    }
-    aio_->wait(batch);
-  } else {
-    for (std::size_t d = 0; d < per_dev.size(); ++d)
-      if (!per_dev[d].empty()) devices_[d]->preadv(per_dev[d]);
-  }
+  for (std::size_t d = 0; d < per_dev.size(); ++d)
+    if (!per_dev[d].empty()) devices_[d]->preadv(per_dev[d]);
   return total;
 }
 
@@ -138,21 +119,8 @@ void StripedFile::do_pwritev(std::span<const ConstIoVec> iov) {
                          {dev_off,
                           ConstByteSpan(v.buf.data() + buf_off, to_size(n))});
                    });
-  if (aio_) {
-    AsyncIo::Batch batch;
-    for (std::size_t d = 0; d < per_dev.size(); ++d) {
-      if (per_dev[d].empty()) continue;
-      Off bytes = 0;
-      for (const ConstIoVec& v : per_dev[d]) bytes += to_off(v.buf.size());
-      aio_->submit(
-          batch, [this, d, &per_dev] { devices_[d]->pwritev(per_dev[d]); },
-          bytes);
-    }
-    aio_->wait(batch);
-  } else {
-    for (std::size_t d = 0; d < per_dev.size(); ++d)
-      if (!per_dev[d].empty()) devices_[d]->pwritev(per_dev[d]);
-  }
+  for (std::size_t d = 0; d < per_dev.size(); ++d)
+    if (!per_dev[d].empty()) devices_[d]->pwritev(per_dev[d]);
 }
 
 Off StripedFile::size() const {
@@ -197,16 +165,6 @@ void StripedFile::resize(Off new_size) {
 
 void StripedFile::sync() {
   for (const FilePtr& d : devices_) d->sync();
-}
-
-std::optional<AsyncInfo> StripedFile::async_info() const {
-  if (!aio_) return std::nullopt;
-  AsyncInfo info;
-  info.queue_depth = layout_.queue_depth;
-  for (const FilePtr& d : devices_)
-    if (auto in = d->async_info(); in && in->direct) info.direct = true;
-  info.stats = aio_->stats();
-  return info;
 }
 
 }  // namespace llio::pfs

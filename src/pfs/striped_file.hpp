@@ -9,31 +9,23 @@
 #include <memory>
 #include <vector>
 
-#include "pfs/async_io.hpp"
 #include "pfs/file_backend.hpp"
 
 namespace llio::pfs {
 
-/// Layout policy for StripedFile (hints llio_stripe_rotate / the striped
-/// bench flags map here).
+/// Layout policy for StripedFile.
 struct StripeLayout {
   /// FFS cylinder-group rotation: row r of stripes (logical stripes
   /// r*nd .. r*nd+nd-1) starts on device r % nd instead of device 0, so
   /// collective IOP windows that all begin at a stripe boundary fan out
   /// across every device instead of hammering device 0 in lockstep.
   bool rotate = false;
-
-  /// > 0: run an AsyncIo engine of this depth and issue the per-device
-  /// vectored batches of one preadv/pwritev concurrently (they are
-  /// disjoint by construction — one batch per device).  0 = classic
-  /// serial device loop.
-  int queue_depth = 0;
 };
 
 class StripedFile final : public FileBackend {
  public:
   /// Stripe unit `stripe_bytes` over the given devices (>= 1), classic
-  /// layout (no rotation, serial device loop).
+  /// layout (no rotation).
   static std::shared_ptr<StripedFile> create(std::vector<FilePtr> devices,
                                              Off stripe_bytes);
   static std::shared_ptr<StripedFile> create(std::vector<FilePtr> devices,
@@ -47,7 +39,6 @@ class StripedFile final : public FileBackend {
     FileBackend::set_iov_batch_max(n);
     for (const FilePtr& d : devices_) d->set_iov_batch_max(n);
   }
-  std::optional<AsyncInfo> async_info() const override;
 
   int device_count() const { return static_cast<int>(devices_.size()); }
   Off stripe_bytes() const { return stripe_; }
@@ -75,7 +66,6 @@ class StripedFile final : public FileBackend {
   std::vector<FilePtr> devices_;
   Off stripe_;
   StripeLayout layout_;
-  std::unique_ptr<AsyncIo> aio_;  ///< present iff layout_.queue_depth > 0
 };
 
 }  // namespace llio::pfs

@@ -11,7 +11,9 @@
 #include "core/listless_nav.hpp"
 #include "dtype/normalize.hpp"
 #include "dtype/serialize.hpp"
-#include "mpiio/options.hpp"
+#include "pfs/async_io.hpp"
+#include "pfs/mem_file.hpp"
+#include "pfs/posix_file.hpp"
 #include "psrv/wire.hpp"
 #include "simmpi/net_model.hpp"
 
@@ -511,23 +513,29 @@ void ServerFile::sync() {
   transact(reqs);
 }
 
-// ---- options factory -----------------------------------------------------
+// ---- backend factory -----------------------------------------------------
 
-std::shared_ptr<ServerFile> make_server_file(const mpiio::Options& opts,
-                                             PoolConfig base) {
-  PoolConfig cfg = std::move(base);
-  if (opts.psrv_servers > 0) cfg.nservers = opts.psrv_servers;
-  if (opts.psrv_queue_depth > 0) cfg.queue_depth = opts.psrv_queue_depth;
-  if (!opts.net_model.empty()) {
-    cfg.net = sim::named_cost_model(opts.net_model);
-    cfg.net_name = opts.net_model;
+pfs::FilePtr make_backend(const pfs::BackendSpec& spec, PoolConfig base) {
+  using Kind = pfs::BackendSpec::Kind;
+  if (!spec.net.empty()) {  // resolved on every kind, so a bad name throws
+    base.net = sim::named_cost_model(spec.net);
+    base.net_name = spec.net;
   }
+  if (spec.kind == Kind::Mem) return pfs::MemFile::create();
+  if (spec.kind == Kind::Posix) {
+    pfs::PosixConfig pc;
+    pc.direct = spec.direct;
+    pfs::FilePtr f = pfs::PosixFile::open_temp(spec.dir, pc);
+    return spec.qd > 1 ? pfs::AsyncQdFile::wrap(std::move(f), spec.qd) : f;
+  }
+  if (spec.servers > 0) base.nservers = spec.servers;
+  if (spec.qd > 0) base.queue_depth = spec.qd;
   SessionConfig scfg;
-  if (opts.psrv_session_weight > 0) scfg.weight = opts.psrv_session_weight;
-  scfg.cache = opts.psrv_cache;
-  if (opts.psrv_lease_ms > 0) scfg.lease_term = opts.psrv_lease_ms;
-  return ServerFile::create(ServerPool::create(std::move(cfg)),
-                            request_class_from_name(opts.psrv_request), scfg);
+  if (spec.weight > 0) scfg.weight = spec.weight;
+  scfg.cache = spec.cache;
+  if (spec.lease > 0) scfg.lease_term = spec.lease;
+  return ServerFile::create(ServerPool::create(std::move(base)),
+                            request_class_from_name(spec.request), scfg);
 }
 
 }  // namespace llio::psrv

@@ -25,14 +25,11 @@
 #include <mutex>
 #include <string>
 
+#include "pfs/backend_spec.hpp"
 #include "pfs/file_backend.hpp"
 #include "pfs/view_io.hpp"
 #include "psrv/server_pool.hpp"
 #include "psrv/session.hpp"
-
-namespace llio::mpiio {
-struct Options;
-}
 
 namespace llio::psrv {
 
@@ -109,12 +106,17 @@ class ServerFile final : public pfs::FileBackend, public pfs::ViewIo {
   std::map<ByteVec, std::shared_ptr<ClientView>, TreeLess> views_;
 };
 
-/// Build a pool + handle from the llio_psrv_* options: psrv_servers,
-/// psrv_queue_depth, psrv_request, psrv_session_weight, psrv_cache,
-/// psrv_lease_ms, plus llio_net_model for the interconnect.  `base`
-/// supplies everything the options do not cover (stripe, capacity, shard
-/// factory, ...).
-std::shared_ptr<ServerFile> make_server_file(const mpiio::Options& opts,
-                                             PoolConfig base = {});
+/// The one place that builds a storage stack from a backend spec
+/// (pfs/backend_spec.hpp):
+///   mem    a fresh pfs::MemFile
+///   posix  an anonymous PosixFile scratch file in `dir` (unlinked at
+///          open, so aborted runs leave no litter), wrapped in
+///          pfs::AsyncQdFile when qd > 1
+///   psrv   a fresh ServerPool and a ServerFile handle on it; `base`
+///          supplies every pool setting the spec does not cover (stripe,
+///          capacity, shard factory, ...)
+/// A `net` model replaces base.net; an unknown name throws
+/// Errc::InvalidArgument on every kind.
+pfs::FilePtr make_backend(const pfs::BackendSpec& spec, PoolConfig base = {});
 
 }  // namespace llio::psrv

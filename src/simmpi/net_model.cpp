@@ -44,10 +44,4 @@ standard_cost_models() {
   return kModels;
 }
 
-CommCostModel cost_model_from_env(const CommCostModel& fallback) {
-  const char* v = std::getenv("LLIO_NET_MODEL");
-  if (v == nullptr || *v == '\0') return fallback;
-  return named_cost_model(v);
-}
-
 }  // namespace llio::sim

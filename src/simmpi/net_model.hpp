@@ -2,8 +2,8 @@
 //
 // The network-sensitivity ablations (paper §5) and the file-server
 // subsystem all sweep the same few interconnect classes; naming them once
-// here keeps the hint (`llio_net_model`), the environment override
-// (LLIO_NET_MODEL) and the bench tables in agreement.
+// here keeps the backend spec's `net=<name>` and the bench tables in
+// agreement.
 #pragma once
 
 #include <string>
@@ -26,9 +26,5 @@ CommCostModel named_cost_model(const std::string& name);
 /// Each entry is {name, model}; names resolve through named_cost_model().
 const std::vector<std::pair<std::string, CommCostModel>>&
 standard_cost_models();
-
-/// named_cost_model(LLIO_NET_MODEL) if the variable is set and non-empty,
-/// else `fallback`.
-CommCostModel cost_model_from_env(const CommCostModel& fallback = {});
 
 }  // namespace llio::sim

@@ -1,4 +1,4 @@
-// Async submission/completion engine and its queue-depth decorators:
+// Async submission/completion engine and its queue-depth decorator:
 // inline determinism at depth 1, SQ-full backpressure, per-batch error
 // isolation, and — the load-bearing property — byte-identical semantics
 // of every async/direct configuration against the synchronous reference,
@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "pfs/mem_file.hpp"
 #include "pfs/posix_file.hpp"
 #include "pfs/striped_file.hpp"
+#include "psrv/server_file.hpp"
 
 namespace llio::pfs {
 namespace {
@@ -204,16 +206,19 @@ TEST(AsyncQdFile, ReportsAsyncInfo) {
   EXPECT_EQ(info->stats.completed, 3u);
 }
 
+/// The stack the backend spec posix:<dir>,qd=N builds: a PosixFile
+/// scratch file, behind an AsyncQdFile when qd > 1.
+FilePtr posix_at_depth(int qd, bool direct = false) {
+  return psrv::make_backend(parse_backend_spec(
+      "posix:" + ::testing::TempDir() + ",qd=" + std::to_string(qd) +
+      (direct ? ",direct=1" : "")));
+}
+
 TEST(PosixFileAsync, FuzzMatchesMemAcrossDepthAndDirect) {
   unsigned seed = 7000;
   for (const bool direct : {false, true}) {
-    for (const int qd : {1, 4}) {
-      PosixConfig pc;
-      pc.queue_depth = qd;
-      pc.direct = direct;
-      fuzz_against_mem(PosixFile::open_temp(::testing::TempDir(), pc),
-                       ++seed);
-    }
+    for (const int qd : {1, 4})
+      fuzz_against_mem(posix_at_depth(qd, direct), ++seed);
   }
 }
 
@@ -241,19 +246,18 @@ TEST(PosixFileAsync, DirectUnalignedRmwPreservesNeighbors) {
 }
 
 TEST(PosixFileAsync, ReportsAsyncInfo) {
-  PosixConfig pc;
-  pc.queue_depth = 2;
-  auto f = PosixFile::open_temp(::testing::TempDir(), pc);
+  auto posix = PosixFile::open_temp(::testing::TempDir());
+  auto f = AsyncQdFile::wrap(posix, 2);
   f->pwrite(0, ByteVec(16, Byte{1}));
   const auto info = f->async_info();
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->queue_depth, 2);
-  EXPECT_EQ(info->direct, f->direct_active());
+  EXPECT_EQ(info->direct, posix->direct_active());
 }
 
 // The acceptance fuzz: through the full MPI-IO stack, both engines over
-// an async PosixFile (qd=1 and qd=4, direct off) must produce the exact
-// image the MemFile reference run produces.
+// a PosixFile at qd=1 and behind an AsyncQdFile of depth 4 (direct off)
+// must produce the exact image the MemFile reference run produces.
 TEST(PosixFileAsync, EnginesMatchMemImageOverAsyncBackend) {
   const int nprocs = 2;
   const Off nblock = 6, sblock = 7;
@@ -281,10 +285,7 @@ TEST(PosixFileAsync, EnginesMatchMemImageOverAsyncBackend) {
        {mpiio::Method::ListBased, mpiio::Method::Listless}) {
     const ByteVec want = run(method, MemFile::create());
     for (const int qd : {1, 4}) {
-      PosixConfig pc;
-      pc.queue_depth = qd;
-      ByteVec got =
-          run(method, PosixFile::open_temp(::testing::TempDir(), pc));
+      ByteVec got = run(method, posix_at_depth(qd));
       ByteVec ref = want;
       iotest::pad_to_common(ref, got);
       EXPECT_EQ(got, ref) << mpiio::method_name(method) << " qd=" << qd;
@@ -297,7 +298,6 @@ TEST(PosixFileAsync, EnginesMatchMemImageOverAsyncBackend) {
 TEST(StripedFile, RotationMatchesClassicImageFuzz) {
   StripeLayout rotated;
   rotated.rotate = true;
-  rotated.queue_depth = 2;
   auto make = [&](const StripeLayout& layout) {
     std::vector<FilePtr> devs = {MemFile::create(), MemFile::create(),
                                  MemFile::create()};
@@ -339,7 +339,6 @@ TEST(StripedFile, RotationShiftsRowsAcrossDevices) {
 TEST(StripedFile, RotationSizeResizeRoundtrip) {
   StripeLayout layout;
   layout.rotate = true;
-  layout.queue_depth = 2;
   std::vector<FilePtr> devs = {MemFile::create(), MemFile::create(),
                                MemFile::create(), MemFile::create()};
   auto f = StripedFile::create(std::move(devs), 32, layout);

@@ -79,7 +79,7 @@ TEST(MemFile, BackendContract) {
 }
 
 TEST(PosixFile, BackendContract) {
-  const std::string path = ::testing::TempDir() + "/llio_posix_test.bin";
+  const std::string path = ::testing::TempDir() + "/llio_pfs_posix_test.bin";
   backend_contract([&] { return PosixFile::open(path, /*truncate=*/true); });
   std::remove(path.c_str());
 }
@@ -122,7 +122,7 @@ TEST(MemFile, VectoredContract) {
 }
 
 TEST(PosixFile, VectoredContract) {
-  const std::string path = ::testing::TempDir() + "/llio_posix_vec_test.bin";
+  const std::string path = ::testing::TempDir() + "/llio_pfs_posix_vec_test.bin";
   vectored_contract([&] { return PosixFile::open(path, /*truncate=*/true); });
   std::remove(path.c_str());
 }

@@ -10,6 +10,7 @@
 #include "fotf/plan.hpp"
 #include "io_test_util.hpp"
 #include "mpiio/info.hpp"
+#include "pfs/async_io.hpp"
 #include "pfs/faulty_file.hpp"
 #include "pfs/throttled_file.hpp"
 #include "pfs/traced_file.hpp"
@@ -450,18 +451,18 @@ TEST(PsrvDecorators, EngineFallsBackThroughMaskingDecorators) {
 }
 
 TEST(PsrvHints, OptionsSelectServersQueueDepthRequestClassAndNet) {
-  mpiio::Info info;
-  info.set("llio_psrv_servers", "5");
-  info.set("llio_psrv_queue_depth", "3");
-  info.set("llio_psrv_request", "view");
-  info.set("llio_net_model", "mid");
-  const mpiio::Options o = mpiio::apply_info(info, {});
-  EXPECT_EQ(o.psrv_servers, 5);
-  EXPECT_EQ(o.psrv_queue_depth, 3);
-  EXPECT_EQ(o.psrv_request, "view");
-  EXPECT_EQ(o.net_model, "mid");
+  const std::string spec = "psrv:servers=5,qd=3,request=view,net=mid";
+  const mpiio::Options o =
+      mpiio::apply_info(mpiio::Info{{"llio_backend", spec}}, {});
+  EXPECT_EQ(o.backend, spec);
+  const pfs::BackendSpec bs = pfs::parse_backend_spec(o.backend);
+  EXPECT_EQ(bs.servers, 5);
+  EXPECT_EQ(bs.qd, 3);
+  EXPECT_EQ(bs.request, "view");
+  EXPECT_EQ(bs.net, "mid");
 
-  auto f = make_server_file(o);
+  auto f = std::dynamic_pointer_cast<ServerFile>(make_backend(bs));
+  ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->pool()->nservers(), 5);
   EXPECT_EQ(f->pool()->config().queue_depth, 3);
   EXPECT_EQ(f->request_class(), RequestClass::View);
@@ -471,20 +472,76 @@ TEST(PsrvHints, OptionsSelectServersQueueDepthRequestClassAndNet) {
   EXPECT_EQ(f->pool()->config().net.bandwidth_bps, mid.bandwidth_bps);
 
   // Round trip through options_to_info.
-  const mpiio::Info out = mpiio::options_to_info(o);
-  const mpiio::Options o2 = mpiio::apply_info(out, {});
-  EXPECT_EQ(o2.psrv_servers, 5);
-  EXPECT_EQ(o2.psrv_queue_depth, 3);
-  EXPECT_EQ(o2.psrv_request, "view");
-  EXPECT_EQ(o2.net_model, "mid");
+  const mpiio::Options o2 = mpiio::apply_info(mpiio::options_to_info(o), {});
+  EXPECT_EQ(o2.backend, spec);
 
-  mpiio::Info bad;
-  bad.set("llio_psrv_request", "bulk");
-  EXPECT_THROW(mpiio::apply_info(bad, {}), Error);
-  mpiio::Info bad2;
-  bad2.set("llio_psrv_queue_depth", "0");
-  EXPECT_THROW(mpiio::apply_info(bad2, {}), Error);
+  EXPECT_THROW(mpiio::apply_info(
+                   mpiio::Info{{"llio_backend", "psrv:request=bulk"}}, {}),
+               Error);
+  EXPECT_THROW(
+      mpiio::apply_info(mpiio::Info{{"llio_backend", "psrv:qd=0"}}, {}),
+      Error);
   EXPECT_THROW(request_class_from_name("bulk"), Error);
+}
+
+TEST(PsrvHints, BackendSpecsRejectMalformedAndComposePosixQueueDepth) {
+  // Every malformed spec fails with InvalidArgument, both as an
+  // llio_backend hint and through the factory.
+  const char* const kBad[] = {
+      "",                            // unknown kind
+      "disk:/tmp",                   // unknown kind
+      "psrv:servers=2,bogus=1",      // unknown key
+      "mem,qd=4",                    // key of another kind
+      "posix:/tmp,cache=1",          // key of another kind
+      "psrv:qd=2,qd=3",              // repeated key
+      "mem,net=mid,net=fast",        // repeated key
+      "psrv:servers=two",            // malformed value
+      "psrv:servers=-1",             // malformed value
+      "psrv:servers",                // not key=value
+      "posix:/tmp,direct=yes",       // malformed value
+      "psrv:request=bulk",           // malformed value
+      "mem,net=",                    // malformed value
+      "mem,",                        // empty item
+      "mem:x",                       // mem takes no field
+      "posix:/tmp,qd=0",             // qd=0
+      "psrv:qd=0",                   // qd=0
+      "posix",                       // empty <dir>
+      "posix:",                      // empty <dir>
+      "posix:,qd=2",                 // empty <dir>
+  };
+  for (const char* spec : kBad) {
+    try {
+      make_backend(pfs::parse_backend_spec(spec));
+      ADD_FAILURE() << "accepted '" << spec << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::InvalidArgument) << spec;
+    }
+    EXPECT_THROW(mpiio::apply_info(mpiio::Info{{"llio_backend", spec}}, {}),
+                 Error)
+        << spec;
+  }
+  // A well-formed spec naming an unknown interconnect fails in the
+  // factory, on every kind.
+  for (const char* spec : {"mem,net=warp", "psrv:net=warp"}) {
+    try {
+      make_backend(pfs::parse_backend_spec(spec));
+      ADD_FAILURE() << "accepted '" << spec << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::InvalidArgument) << spec;
+    }
+  }
+
+  // posix with qd > 1 composes an AsyncQdFile over the PosixFile.
+  const pfs::FilePtr f = make_backend(pfs::parse_backend_spec(
+      "posix:" + ::testing::TempDir() + ",qd=4,direct=1"));
+  ASSERT_NE(std::dynamic_pointer_cast<pfs::AsyncQdFile>(f), nullptr);
+  const auto info = f->async_info();
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->queue_depth, 4);
+  EXPECT_TRUE(info->direct);
+  EXPECT_NE(std::dynamic_pointer_cast<pfs::MemFile>(
+                make_backend(pfs::parse_backend_spec("mem,net=mid"))),
+            nullptr);
 }
 
 TEST(PsrvHints, NamedCostModels) {

@@ -11,6 +11,7 @@
 #include "io_test_util.hpp"
 #include "mpiio/info.hpp"
 #include "psrv/lease.hpp"
+#include "psrv/server_file.hpp"
 #include "psrv/session.hpp"
 #include "psrv/wire.hpp"
 
@@ -300,22 +301,20 @@ TEST(SessionCache, AbandonedClientExpiresByGraceAndLateFlushIsFenced) {
 }
 
 TEST(SessionHints, OptionsConfigureWeightCacheAndLeaseTerm) {
-  mpiio::Info info;
-  info.set("llio_psrv_servers", "2");
-  info.set("llio_psrv_session_weight", "5");
-  info.set("llio_psrv_cache", "on");
-  info.set("llio_psrv_lease_ms", "4096");
-  const mpiio::Options o = mpiio::apply_info(info, mpiio::Options{});
-  auto f = make_server_file(o);
+  const mpiio::Options o = mpiio::apply_info(
+      mpiio::Info{
+          {"llio_backend", "psrv:servers=2,weight=5,cache=1,lease=4096"}},
+      mpiio::Options{});
+  auto f = std::dynamic_pointer_cast<ServerFile>(
+      make_backend(pfs::parse_backend_spec(o.backend)));
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->pool()->nservers(), 2);
   EXPECT_EQ(f->session().config().weight, 5);
   EXPECT_TRUE(f->session().cache_enabled());
   EXPECT_EQ(f->session().config().lease_term, 4096);
   EXPECT_THROW(
-      {
-        mpiio::Info bad;
-        bad.set("llio_psrv_session_weight", "0");
-        mpiio::apply_info(bad, mpiio::Options{});
-      },
+      mpiio::apply_info(mpiio::Info{{"llio_backend", "psrv:weight=0"}},
+                        mpiio::Options{}),
       Error);
 }
 

@@ -10,6 +10,7 @@
 #include "fotf/plan.hpp"
 #include "io_test_util.hpp"
 #include "mpiio/mergeview.hpp"
+#include "pfs/async_io.hpp"
 #include "pfs/faulty_file.hpp"
 #include "pfs/posix_file.hpp"
 #include "pfs/striped_file.hpp"
@@ -443,15 +444,12 @@ const char* const kDirectBackends[] = {"mem", "posix", "striped", "psrv",
                                        "faulty"};
 
 pfs::FilePtr make_direct_backend(const std::string& name) {
-  if (name == "posix") {
-    pfs::PosixConfig pc;
-    pc.queue_depth = 4;  // disjoint runs complete out of order
-    return pfs::PosixFile::open_temp(::testing::TempDir(), pc);
-  }
+  if (name == "posix")  // disjoint runs complete out of order
+    return pfs::AsyncQdFile::wrap(
+        pfs::PosixFile::open_temp(::testing::TempDir()), 4);
   if (name == "striped") {
     pfs::StripeLayout layout;
     layout.rotate = true;
-    layout.queue_depth = 2;
     return pfs::StripedFile::create(
         {pfs::MemFile::create(), pfs::MemFile::create(),
          pfs::MemFile::create()},
