@@ -25,9 +25,7 @@ llio_add_bench(bench_ablation_pipeline)
 llio_add_bench(bench_ablation_mergeview)
 llio_add_bench(bench_ablation_servers)
 llio_add_bench(bench_ablation_zerocopy)
-llio_add_bench(bench_ablation_multitenant)
 llio_add_bench(bench_posix)
-llio_add_bench(bench_shared_log)
 
 llio_add_bench(bench_ablation_pack)
 llio_add_bench(bench_ablation_olist)

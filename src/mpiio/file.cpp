@@ -422,15 +422,6 @@ obs::JobReport File::close() {
           {"psrv.bytes_in", ps.bytes_in},
           {"psrv.bytes_out", ps.bytes_out},
           {"psrv.batched_extents", ps.batched_extents},
-          {"psrv.session_ops", ps.session_ops},
-          {"psrv.lease_ops", ps.lease_ops},
-          {"psrv.writeback_ops", ps.writeback_ops},
-          {"psrv.writeback_bytes", ps.writeback_bytes},
-          {"psrv.recalls_sent", ps.recalls_sent},
-          {"psrv.parked", ps.parked},
-          {"psrv.fenced_drops", ps.fenced_drops},
-          {"psrv.agg_writes", ps.agg_writes},
-          {"psrv.escalations", ps.escalations},
           {"psrv.max_queue_depth", ps.max_queue_depth},
       };
     }

@@ -134,7 +134,7 @@ struct JobReport {
   std::vector<std::pair<std::string, HistogramSummary>> global_hists;
 
   /// Process-global counters attached by the caller (e.g. the psrv pool's
-  /// summed ServerStats: psrv.requests, psrv.recalls_sent, ...).  Kept
+  /// summed ServerStats: psrv.requests, psrv.max_queue_depth, ...).  Kept
   /// apart from `counters`, which are per-rank sums.
   std::vector<std::pair<std::string, std::uint64_t>> global_counters;
 

@@ -92,12 +92,6 @@ BackendSpec parse_backend_spec(std::string_view spec) {
       if (value != "contig" && value != "list" && value != "view")
         bad_spec(spec, "request wants contig, list or view");
       out.request = value;
-    } else if (key == "weight" && psrv) {
-      out.weight = parse_count(spec, key, value);
-    } else if (key == "cache" && psrv) {
-      out.cache = parse_flag(spec, key, value);
-    } else if (key == "lease" && psrv) {
-      out.lease = parse_count(spec, key, value);
     } else {
       bad_spec(spec, "unknown key " + std::string(key));
     }

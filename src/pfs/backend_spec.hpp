@@ -5,8 +5,7 @@
 // Grammar, `kind[:field][,key=value]...`:
 //   mem
 //   posix:<dir>[,qd=N][,direct=1]
-//   psrv[:servers=N][,qd=N][,request=contig|list|view][,weight=N]
-//       [,cache=1][,lease=N]
+//   psrv[:servers=N][,qd=N][,request=contig|list|view]
 // and `,net=<name>` (an interconnect model, see sim::named_cost_model) on
 // every kind.  This header only parses; psrv::make_backend builds the
 // stack a spec names.
@@ -31,17 +30,11 @@ struct BackendSpec {
   /// posix: O_DIRECT with aligned read-modify-write at block edges.
   bool direct = false;
 
-  /// psrv: server count, fair-share session weight and read-lease term
-  /// in sim-clock ticks.  0 = the pool's or session's default.
+  /// psrv: server count.  0 = the pool's default.
   int servers = 0;
-  int weight = 0;
-  int lease = 0;
 
   /// psrv: wire translation (contig|list|view).
   std::string request = "contig";
-
-  /// psrv: lease-coherent client block cache.
-  bool cache = false;
 
   /// Interconnect model name; empty = whatever the harness configured.
   std::string net;

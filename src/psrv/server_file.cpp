@@ -70,18 +70,14 @@ struct ServerFile::SubReq {
   std::function<ByteVec()> rebuild_with_tree;
 };
 
-ServerFile::ServerFile(std::shared_ptr<ServerPool> pool, RequestClass cls,
-                       SessionConfig scfg)
+ServerFile::ServerFile(std::shared_ptr<ServerPool> pool, RequestClass cls)
     : pool_(std::move(pool)), cls_(cls) {
   LLIO_REQUIRE(pool_ != nullptr, Errc::InvalidArgument, "psrv: null pool");
-  session_ = Session::open(pool_, scfg);
 }
 
 std::shared_ptr<ServerFile> ServerFile::create(std::shared_ptr<ServerPool> pool,
-                                               RequestClass cls,
-                                               SessionConfig scfg) {
-  return std::shared_ptr<ServerFile>(
-      new ServerFile(std::move(pool), cls, scfg));
+                                               RequestClass cls) {
+  return std::shared_ptr<ServerFile>(new ServerFile(std::move(pool), cls));
 }
 
 void ServerFile::transact(std::vector<SubReq>& reqs) {
@@ -137,15 +133,16 @@ void ServerFile::transact(std::vector<SubReq>& reqs) {
   // Sliding window: send when a credit is free, otherwise drain an
   // outstanding response (which frees one).  Blocking on a credit is only
   // safe with nothing of ours outstanding — with fewer credits than
-  // sub-requests on one server, send-all-then-drain would deadlock.
+  // sub-requests on one server, send-all-then-drain would deadlock.  The
+  // credits are shared by every handle on the pool, but a blocked call
+  // holds none, so every credit it waits for is held by a call that is
+  // making progress.
   std::size_t sent = 0, done = 0;
   while (done < reqs.size()) {
     if (sent < reqs.size()) {
       SubReq& r = reqs[sent];
       std::optional<ServerPool::Credit> credit =
-          pool_->try_acquire_credit(r.server, session_->id());
-      if (!credit && done == sent)
-        credit = pool_->acquire_credit(r.server, session_->id());
+          pool_->acquire_credit(r.server, /*wait=*/done == sent);
       if (credit) {
         credits[sent] = std::move(credit);
         ep.comm().send_gather(r.server, wire::kTagRequest,
@@ -204,19 +201,18 @@ void split_extent(const ServerPool& pool, Off off, SpanT buf,
 /// One Read/Write round trip per piece (the chatty contig baseline).
 template <typename SpanT>
 void encode_contig(std::vector<Piece<SpanT>>& pieces, bool writing,
-                   std::int64_t session,
                    std::vector<ServerFile::SubReq>& reqs) {
   for (Piece<SpanT>& p : pieces) {
     ServerFile::SubReq r;
     r.server = p.server;
     if (writing) {
       r.cls = sim::MsgClass::Data;
-      r.msg = wire::request_header(wire::Op::Write, session);
+      r.msg = wire::request_header(wire::Op::Write);
       wire::put_i64(r.msg, p.local_off);
       r.payload_runs.push_back(ConstByteSpan(p.buf.data(), p.buf.size()));
     } else {
       r.cls = sim::MsgClass::Meta;
-      r.msg = wire::request_header(wire::Op::Read, session);
+      r.msg = wire::request_header(wire::Op::Read);
       wire::put_i64(r.msg, p.local_off);
       wire::put_i64(r.msg, to_off(p.buf.size()));
       if constexpr (std::is_same_v<SpanT, ByteSpan>) r.dests.push_back(p.buf);
@@ -232,8 +228,7 @@ void encode_contig(std::vector<Piece<SpanT>>& pieces, bool writing,
 /// backends honor Options::iov_batch_max.
 template <typename SpanT>
 void encode_list(std::vector<Piece<SpanT>>& pieces, bool writing, int nservers,
-                 Off batch_max, std::int64_t session,
-                 std::vector<ServerFile::SubReq>& reqs) {
+                 Off batch_max, std::vector<ServerFile::SubReq>& reqs) {
   const std::size_t max_extents = batch_max > 0
                                       ? to_size(batch_max)
                                       : std::numeric_limits<std::size_t>::max();
@@ -245,8 +240,8 @@ void encode_list(std::vector<Piece<SpanT>>& pieces, bool writing, int nservers,
       ServerFile::SubReq r;
       r.server = s;
       r.cls = writing ? sim::MsgClass::Data : sim::MsgClass::Meta;
-      r.msg = wire::request_header(
-          writing ? wire::Op::WriteList : wire::Op::ReadList, session);
+      r.msg = wire::request_header(writing ? wire::Op::WriteList
+                                           : wire::Op::ReadList);
       wire::put_i64(r.msg, to_off(extents.size()));
       for (const auto& [off, len] : extents) {
         wire::put_i64(r.msg, off);
@@ -281,17 +276,10 @@ void encode_list(std::vector<Piece<SpanT>>& pieces, bool writing, int nservers,
 }  // namespace
 
 void ServerFile::do_pwrite(Off offset, ConstByteSpan data) {
-  // Cache-enabled sessions buffer the write under write leases; a lease
-  // denial (cross-session contention) falls back to the wire path after
-  // the session flushed + dropped the overlapping cache state.
-  if (session_->cache_enabled() && session_->cached_write(offset, data)) {
-    pool_->grow_size(offset + to_off(data.size()));
-    return;
-  }
   std::vector<WPiece> pieces;
   split_extent(*pool_, offset, data, pieces);
   std::vector<SubReq> reqs;
-  encode_contig(pieces, /*writing=*/true, session_->id(), reqs);
+  encode_contig(pieces, /*writing=*/true, reqs);
   transact(reqs);
   pool_->grow_size(offset + to_off(data.size()));
 }
@@ -299,12 +287,10 @@ void ServerFile::do_pwrite(Off offset, ConstByteSpan data) {
 Off ServerFile::do_pread(Off offset, ByteSpan out) {
   const Off len = to_off(out.size());
   const Off fsize = pool_->logical_size();
-  if (session_->cache_enabled() && session_->cached_read(offset, out))
-    return std::clamp<Off>(fsize - offset, 0, len);
   std::vector<RPiece> pieces;
   split_extent(*pool_, offset, out, pieces);
   std::vector<SubReq> reqs;
-  encode_contig(pieces, /*writing=*/false, session_->id(), reqs);
+  encode_contig(pieces, /*writing=*/false, reqs);
   transact(reqs);
   // Servers zero-fill past their shard EOF; the read count follows the
   // logical file size (short reads only at end of file).
@@ -317,16 +303,13 @@ void ServerFile::do_pwritev(std::span<const pfs::ConstIoVec> iov) {
   for (const pfs::ConstIoVec& v : iov) {
     split_extent(*pool_, v.offset, v.buf, pieces);
     hi = std::max(hi, v.offset + to_off(v.buf.size()));
-    if (session_->cache_enabled())
-      session_->prepare_bypass(v.offset, v.offset + to_off(v.buf.size()),
-                               /*writing=*/true);
   }
   std::vector<SubReq> reqs;
   if (cls_ == RequestClass::Contig)
-    encode_contig(pieces, /*writing=*/true, session_->id(), reqs);
+    encode_contig(pieces, /*writing=*/true, reqs);
   else
     encode_list(pieces, /*writing=*/true, pool_->nservers(), iov_batch_max(),
-                session_->id(), reqs);
+                reqs);
   transact(reqs);
   pool_->grow_size(hi);
 }
@@ -334,18 +317,13 @@ void ServerFile::do_pwritev(std::span<const pfs::ConstIoVec> iov) {
 Off ServerFile::do_preadv(std::span<const pfs::IoVec> iov) {
   const Off fsize = pool_->logical_size();
   std::vector<RPiece> pieces;
-  for (const pfs::IoVec& v : iov) {
-    split_extent(*pool_, v.offset, v.buf, pieces);
-    if (session_->cache_enabled())
-      session_->prepare_bypass(v.offset, v.offset + to_off(v.buf.size()),
-                               /*writing=*/false);
-  }
+  for (const pfs::IoVec& v : iov) split_extent(*pool_, v.offset, v.buf, pieces);
   std::vector<SubReq> reqs;
   if (cls_ == RequestClass::Contig)
-    encode_contig(pieces, /*writing=*/false, session_->id(), reqs);
+    encode_contig(pieces, /*writing=*/false, reqs);
   else
     encode_list(pieces, /*writing=*/false, pool_->nservers(), iov_batch_max(),
-                session_->id(), reqs);
+                reqs);
   transact(reqs);
   Off got = 0;
   for (const pfs::IoVec& v : iov)
@@ -379,10 +357,6 @@ Off ServerFile::view_access(const dt::Type& filetype, Off disp, Off stream_lo,
   if (n <= 0) return 0;
   LLIO_REQUIRE(stream_lo >= 0 && disp >= 0, Errc::InvalidArgument,
                "psrv view access: negative position");
-  // A view access' precise footprint is only known after navigation;
-  // keep the cache coherent conservatively over the whole file.
-  if (session_->cache_enabled())
-    session_->prepare_bypass(0, ServerPool::kOpenEnd, writing);
   std::shared_ptr<ClientView> cv = intern_view(filetype);
 
   // Split the stream range at shard boundaries: navigable monotone
@@ -430,10 +404,9 @@ Off ServerFile::view_access(const dt::Type& filetype, Off disp, Off stream_lo,
     // gather run straight out of the caller's buffer (transact uses
     // send_gather), so a view write costs one header allocation, not a
     // header-plus-payload copy.
-    const auto build = [cv, disp, writing, seg, slen,
-                        session = session_->id()](bool with_tree) {
-      ByteVec m = wire::request_header(
-          writing ? wire::Op::WriteView : wire::Op::ReadView, session);
+    const auto build = [cv, disp, writing, seg, slen](bool with_tree) {
+      ByteVec m = wire::request_header(writing ? wire::Op::WriteView
+                                               : wire::Op::ReadView);
       wire::put_i64(m, cv->id);
       wire::put_i64(m, disp);
       wire::put_i64(m, seg.slo);
@@ -485,15 +458,11 @@ Off ServerFile::view_read(const dt::Type& filetype, Off disp, Off stream_lo,
 void ServerFile::resize(Off new_size) {
   LLIO_REQUIRE(new_size >= 0, Errc::InvalidArgument,
                "psrv resize: negative size");
-  // A resize invalidates cached state wholesale (truncation may cut
-  // under any block): flush, drop, release.
-  if (session_->cache_enabled())
-    session_->prepare_bypass(0, ServerPool::kOpenEnd, /*writing=*/true);
   std::vector<SubReq> reqs;
   for (int s = 0; s < pool_->nservers(); ++s) {
     SubReq r;
     r.server = s;
-    r.msg = wire::request_header(wire::Op::Resize, session_->id());
+    r.msg = wire::request_header(wire::Op::Resize);
     wire::put_i64(r.msg, new_size);
     reqs.push_back(std::move(r));
   }
@@ -502,12 +471,11 @@ void ServerFile::resize(Off new_size) {
 }
 
 void ServerFile::sync() {
-  if (session_->cache_enabled()) session_->flush();
   std::vector<SubReq> reqs;
   for (int s = 0; s < pool_->nservers(); ++s) {
     SubReq r;
     r.server = s;
-    r.msg = wire::request_header(wire::Op::Sync, session_->id());
+    r.msg = wire::request_header(wire::Op::Sync);
     reqs.push_back(std::move(r));
   }
   transact(reqs);
@@ -519,7 +487,6 @@ pfs::FilePtr make_backend(const pfs::BackendSpec& spec, PoolConfig base) {
   using Kind = pfs::BackendSpec::Kind;
   if (!spec.net.empty()) {  // resolved on every kind, so a bad name throws
     base.net = sim::named_cost_model(spec.net);
-    base.net_name = spec.net;
   }
   if (spec.kind == Kind::Mem) return pfs::MemFile::create();
   if (spec.kind == Kind::Posix) {
@@ -530,12 +497,8 @@ pfs::FilePtr make_backend(const pfs::BackendSpec& spec, PoolConfig base) {
   }
   if (spec.servers > 0) base.nservers = spec.servers;
   if (spec.qd > 0) base.queue_depth = spec.qd;
-  SessionConfig scfg;
-  if (spec.weight > 0) scfg.weight = spec.weight;
-  scfg.cache = spec.cache;
-  if (spec.lease > 0) scfg.lease_term = spec.lease;
   return ServerFile::create(ServerPool::create(std::move(base)),
-                            request_class_from_name(spec.request), scfg);
+                            request_class_from_name(spec.request));
 }
 
 }  // namespace llio::psrv

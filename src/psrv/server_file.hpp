@@ -29,7 +29,6 @@
 #include "pfs/file_backend.hpp"
 #include "pfs/view_io.hpp"
 #include "psrv/server_pool.hpp"
-#include "psrv/session.hpp"
 
 namespace llio::psrv {
 
@@ -41,16 +40,13 @@ const char* request_class_name(RequestClass cls) noexcept;
 
 class ServerFile final : public pfs::FileBackend, public pfs::ViewIo {
  public:
-  /// Every handle opens a client session on the pool (its scheduling and
-  /// lease identity); `scfg` picks the fair-share weight and, optionally,
-  /// the lease-coherent client cache.
+  /// A handle onto `pool`; any number of handles may share one pool.
   static std::shared_ptr<ServerFile> create(
       std::shared_ptr<ServerPool> pool,
-      RequestClass cls = RequestClass::Contig, SessionConfig scfg = {});
+      RequestClass cls = RequestClass::Contig);
 
   const std::shared_ptr<ServerPool>& pool() const noexcept { return pool_; }
   RequestClass request_class() const noexcept { return cls_; }
-  Session& session() noexcept { return *session_; }
 
   struct ClientView;
   struct SubReq;
@@ -74,8 +70,7 @@ class ServerFile final : public pfs::FileBackend, public pfs::ViewIo {
   void do_pwritev(std::span<const pfs::ConstIoVec> iov) override;
 
  private:
-  ServerFile(std::shared_ptr<ServerPool> pool, RequestClass cls,
-             SessionConfig scfg);
+  ServerFile(std::shared_ptr<ServerPool> pool, RequestClass cls);
 
   /// Send every sub-request (credit-gated) and drain the responses in
   /// order on one endpoint; throws the first server-reported error after
@@ -90,7 +85,6 @@ class ServerFile final : public pfs::FileBackend, public pfs::ViewIo {
 
   std::shared_ptr<ServerPool> pool_;
   RequestClass cls_;
-  std::unique_ptr<Session> session_;  ///< after pool_: closed before release
 
   /// Orders serialized trees by length, then bytes: one memcmp, where
   /// std::less<ByteVec>'s lexicographic compare trips gcc 12's

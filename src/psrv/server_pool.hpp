@@ -18,21 +18,15 @@
 //            server navigates it locally with the listless cursor, i.e.
 //            listless I/O over the wire (fileview caching of §3.2.3).
 //
-// Multi-tenancy: every request carries a session id.  Each server thread
-// runs a FairScheduler (session.hpp) instead of serving mailbox order —
-// express admin lane, deadline escalation, weighted round-robin across
-// sessions — plus a LeaseTable (lease.hpp) for client-cache coherence and
-// cross-session aggregation of adjacent queued writes.
+// Each server thread serves its requests in arrival order: it drains its
+// mailbox into one FIFO queue, stamping every request as it arrives, and
+// answers the front request before taking the next.  One server answers
+// one client endpoint in send order, which is what the client's in-order
+// response matching relies on.
 //
-// Flow control is client-side and per (server, session): a session may
-// hold at most `queue_depth` credits per server, bounding what any one
-// tenant can pile onto a server while others share it.
-//
-// Sim clock: one pool-wide tick counter, advanced once per served
-// request and jumped forward to the earliest recall deadline when a
-// server stalls with parked work.  Lease expiry is defined entirely in
-// ticks — wall time is used only for liveness waits, never for protocol
-// decisions, so coherence outcomes are machine-speed independent.
+// Flow control is client-side and per server: at most `queue_depth`
+// requests are in flight on a server at once, summed over every handle
+// on the pool.
 #pragma once
 
 #include <atomic>
@@ -65,7 +59,7 @@ struct PoolConfig {
   /// on the last (non-empty) server, whose domain is open-ended.
   Off capacity = Off{1} << 30;
 
-  /// Max requests a client may have in flight per server (credit-based).
+  /// Max requests in flight per server, over all handles (credit-based).
   int queue_depth = 16;
 
   /// Concurrent client endpoints (one per in-progress backend operation).
@@ -74,37 +68,8 @@ struct PoolConfig {
   /// Cached fileviews per server before LRU eviction.
   int view_cache_cap = 64;
 
-  /// Recall-callback slots: one per concurrently open *cached* session
-  /// (sessions without the client cache never hold leases and need none).
-  int session_slots = 8;
-
-  /// Default read-lease lifetime in sim-clock ticks (sessions may ask for
-  /// their own term at open).  Generous: the clock ticks once per served
-  /// request pool-wide, so heavy cross-traffic ages leases fast.
-  std::int64_t lease_term = 1 << 16;
-
-  /// Recall grace in ticks: how long a recalled lease stays valid so a
-  /// live client can flush write-back data before it is force-expired.
-  /// Sized so concurrent tenants' traffic cannot burn it before a live
-  /// flush lands; a dead client costs no extra wall time — a stalled
-  /// server jumps the clock straight to the deadline.
-  std::int64_t lease_grace = 1024;
-
-  /// Queue-age (in ticks) past which a waiting request escalates into the
-  /// deadline lane, bounding worst-case latency for low-weight sessions.
-  std::int64_t deadline_ticks = 256;
-
-  /// Max adjacent queued writes coalesced into one shard pwritev
-  /// (cross-session write aggregation); 1 disables.
-  int agg_max = 8;
-
   /// Interconnect between clients and servers.
   sim::CommCostModel net;
-
-  /// Name of the interconnect model ("shared-mem", "fast", ...).  Pure
-  /// metadata: it becomes the net dimension on obs::Sampler records for
-  /// psrv client-side cache hits, which otherwise never touch the wire.
-  std::string net_name = "shared-mem";
 
   /// Shard store factory; default pfs::MemFile.  Wrap in ThrottledFile to
   /// model slow storage behind the servers.
@@ -135,23 +100,9 @@ struct ServerStats {
   std::uint64_t view_evictions = 0;
   std::uint64_t view_misses = 0;  ///< UnknownView responses (client retries)
 
-  // Multi-tenancy (sessions, leases, scheduler).
-  std::uint64_t session_ops = 0;      ///< OpenSession/CloseSession
-  std::uint64_t lease_ops = 0;        ///< LeaseAcquire/LeaseRelease
-  std::uint64_t writeback_ops = 0;    ///< WriteBack requests served
-  std::uint64_t writeback_bytes = 0;  ///< write-back payload applied
-  std::uint64_t recalls_sent = 0;     ///< recall messages pushed to clients
-  std::uint64_t parked = 0;           ///< requests parked on lease conflicts
-  std::uint64_t fenced_drops = 0;     ///< write-back extents fenced away
-  std::uint64_t agg_writes = 0;       ///< queued writes coalesced by
-                                      ///< cross-session aggregation
-  std::uint64_t escalations = 0;      ///< deadline-lane promotions
-
-  /// High-water of in-flight requests *per session* (flow control is per
-  /// (server, session); the pool-wide queue is sessions x depth deep).
-  std::uint64_t max_queue_depth = 0;
+  std::uint64_t max_queue_depth = 0;  ///< high-water of in-flight requests
   double service_s = 0;     ///< wall time spent serving
-  double queue_wait_s = 0;  ///< wall time requests sat queued/parked
+  double queue_wait_s = 0;  ///< wall time requests sat queued
 
   ServerStats& operator+=(const ServerStats& o);
 };
@@ -223,12 +174,10 @@ class ServerPool {
     std::optional<sim::Comm> comm_;
   };
 
-  /// One queue-depth credit for a (server, session) pair, held from send
-  /// to response.
+  /// One queue-depth credit on a server, held from send to response.
   class Credit {
    public:
-    Credit(Credit&& o) noexcept
-        : pool_(o.pool_), server_(o.server_), session_(o.session_) {
+    Credit(Credit&& o) noexcept : pool_(o.pool_), server_(o.server_) {
       o.pool_ = nullptr;
     }
     Credit(const Credit&) = delete;
@@ -238,7 +187,6 @@ class ServerPool {
         release();
         pool_ = o.pool_;
         server_ = o.server_;
-        session_ = o.session_;
         o.pool_ = nullptr;
       }
       return *this;
@@ -249,76 +197,26 @@ class ServerPool {
 
    private:
     friend class ServerPool;
-    Credit(ServerPool* pool, int server, std::int64_t session)
-        : pool_(pool), server_(server), session_(session) {}
+    Credit(ServerPool* pool, int server) : pool_(pool), server_(server) {}
 
     ServerPool* pool_;
     int server_;
-    std::int64_t session_ = 0;
-  };
-
-  /// Exclusive use of one recall-callback slot for a cached session's
-  /// lifetime.  The comm is owned by the session's listener thread; the
-  /// slot index is what servers send kTagRecall messages to.
-  class SessionSlot {
-   public:
-    SessionSlot(SessionSlot&& o) noexcept
-        : pool_(o.pool_), slot_(o.slot_), comm_(std::move(o.comm_)) {
-      o.pool_ = nullptr;
-    }
-    SessionSlot(const SessionSlot&) = delete;
-    SessionSlot& operator=(const SessionSlot&) = delete;
-    SessionSlot& operator=(SessionSlot&&) = delete;
-    ~SessionSlot();
-
-    sim::Comm& comm() { return *comm_; }
-    int slot() const noexcept { return slot_; }
-
-   private:
-    friend class ServerPool;
-    SessionSlot(ServerPool* pool, int slot, sim::Comm comm)
-        : pool_(pool), slot_(slot), comm_(std::move(comm)) {}
-
-    ServerPool* pool_;
-    int slot_;
-    std::optional<sim::Comm> comm_;
   };
 
   /// A file offset at or above this marks an open-ended (last) domain.
   static constexpr Off kOpenEnd = std::numeric_limits<Off>::max() / 2;
 
   Endpoint checkout();  ///< blocks until a client slot is free
-  SessionSlot checkout_session_slot();  ///< blocks until a slot is free
 
-  /// One queue-depth credit for `session` on server `s`, held from send
-  /// to response (blocking / non-blocking).
-  Credit acquire_credit(int s, std::int64_t session);
-  std::optional<Credit> try_acquire_credit(int s, std::int64_t session);
+  /// One queue-depth credit on server `s`, held from send to response.
+  /// With `wait`, blocks until one is free; otherwise returns nullopt
+  /// when the server is at queue_depth.
+  std::optional<Credit> acquire_credit(int s, bool wait);
 
   /// Allocate a pool-unique fileview id (client side).
   std::int64_t alloc_view_id() {
     return next_view_id_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  std::int64_t alloc_session_id() {
-    return next_session_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::int64_t alloc_lease_id() {
-    return next_lease_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // ---- sim clock -------------------------------------------------------
-
-  std::int64_t now() const noexcept {
-    return clock_.load(std::memory_order_acquire);
-  }
-  /// Advance by one (a request was served) and return the new time.
-  std::int64_t tick() noexcept {
-    return clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  }
-  /// Jump the clock forward to at least `t` (stalled server with parked
-  /// work waiting out a recall grace period).  Never moves it backwards.
-  void advance_to(std::int64_t t) noexcept;
 
  private:
   explicit ServerPool(PoolConfig cfg);
@@ -337,17 +235,10 @@ class ServerPool {
 
   std::atomic<Off> size_{0};
   std::atomic<std::int64_t> next_view_id_{1};
-  std::atomic<std::int64_t> next_session_id_{1};
-  std::atomic<std::int64_t> next_lease_id_{1};
-  std::atomic<std::int64_t> clock_{1};
 
   std::mutex ep_mu_;
   std::condition_variable ep_cv_;
   std::vector<int> free_slots_;
-
-  std::mutex ss_mu_;
-  std::condition_variable ss_cv_;
-  std::vector<int> free_session_slots_;
 
   std::vector<std::thread> threads_;
 };

@@ -6,11 +6,7 @@
 // client and servers share a process, but the format is kept explicit so
 // the byte volumes the benches report are honest.
 //
-// Every request starts with `op u8, session i64`: the session id is the
-// multi-tenancy handle — it selects the fair-share scheduler lane, the
-// per-session credit account, and the lease ownership domain.
-//
-// Request layout (after the leading op byte and session id):
+// Request layout (after the leading op byte):
 //   Read         off, len                       — shard-local offsets
 //   Write        off, payload
 //   ReadList     n, n x (off, len)
@@ -21,13 +17,6 @@
 //   Resize       new_global_size
 //   Sync         —
 //   Stop         —
-//   OpenSession  weight, callback_slot, lease_term
-//                                  — callback_slot -1 = no recall channel
-//   CloseSession —
-//   LeaseAcquire mode u8, lo, hi                — GLOBAL file offsets
-//   LeaseRelease lease_id
-//   WriteBack    n, n x (off, len), payload     — WriteList validated
-//                                                 against write leases
 //
 // View requests address the *global* file through the fileview (the
 // server clips to its shard); tree_len may be 0 when the client believes
@@ -35,17 +24,9 @@
 // it does not (e.g. after eviction) and the client retries with the tree.
 //
 // Response layout:
-//   status Ok          n, payload (reads; LeaseAcquire: granted u8,
-//                      lease_id i64, expiry i64)
+//   status Ok          n, payload (reads)
 //   status UnknownView —
 //   status Fail        errc, message bytes
-//
-// Servers additionally push lease recalls to a session's callback slot
-// on kTagRecall: `lease_id, lo, hi, deadline` (global offsets, deadline
-// in sim-clock ticks).  lease_id -1 is the local listener-stop sentinel
-// (never sent by a server).  A recall is advisory — the server never
-// waits for an answer; release or grace expiry unparks the conflicting
-// request either way.
 #pragma once
 
 #include <cstdint>
@@ -66,11 +47,6 @@ enum class Op : std::uint8_t {
   Resize,
   Sync,
   Stop,
-  OpenSession,
-  CloseSession,
-  LeaseAcquire,
-  LeaseRelease,
-  WriteBack,
 };
 
 enum class Status : std::uint8_t {
@@ -81,10 +57,6 @@ enum class Status : std::uint8_t {
 
 constexpr int kTagRequest = 11;
 constexpr int kTagResponse = 12;
-constexpr int kTagRecall = 13;
-
-/// Listener-stop sentinel lease id on kTagRecall messages.
-constexpr std::int64_t kRecallStop = -1;
 
 inline void put_u8(ByteVec& b, std::uint8_t v) {
   b.push_back(static_cast<Byte>(v));
@@ -100,11 +72,10 @@ inline void put_bytes(ByteVec& b, ConstByteSpan s) {
   b.insert(b.end(), s.begin(), s.end());
 }
 
-/// Start a request: the op byte plus the session id every request carries.
-inline ByteVec request_header(Op op, std::int64_t session) {
+/// Start a request: its op byte.
+inline ByteVec request_header(Op op) {
   ByteVec b;
   put_u8(b, static_cast<std::uint8_t>(op));
-  put_i64(b, session);
   return b;
 }
 
@@ -139,8 +110,6 @@ class Reader {
     p_ = end_;
     return out;
   }
-
-  Off remaining() const { return static_cast<Off>(end_ - p_); }
 
  private:
   void need(std::size_t n) const {

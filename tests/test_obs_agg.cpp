@@ -544,47 +544,6 @@ TEST(Sampler, SnapshotStaysCoherentDuringConcurrentWrites) {
   s.set_capacity(1024);
 }
 
-// ---- psrv session-cache sampling ----------------------------------------
-
-// A cache-hit read on a psrv session never reaches the wire, so the
-// engine-side observe_op path never sees it — the session itself must
-// stamp the sample, *including* its backend/net dimensions, so that a
-// snapshot filtered by backend or net model counts every op the handle
-// made.  (Regression: these records used to land without dims, so
-// snapshot consumers filtering on backend=="psrv" silently missed every
-// cached read.)
-TEST(Sampler, PsrvCachedReadsCarryBackendAndNetDims) {
-  ObsSandbox sandbox(/*metrics=*/false);
-  psrv::PoolConfig cfg = iotest::small_pool_config();
-  cfg.session_slots = 4;
-  cfg.net_name = "tcp-lan";
-  auto pool = psrv::ServerPool::create(cfg);
-  psrv::SessionConfig sc;
-  sc.cache = true;
-  auto f = psrv::ServerFile::create(pool, psrv::RequestClass::List, sc);
-  const ByteVec data(150, Byte{0x42});
-  f->pwrite(0, data);
-  ByteVec back(150);
-  f->pread(0, back);  // fills the client cache
-  f->pread(0, back);  // pure cache hit: no wire traffic
-  ASSERT_GT(f->session().cache_stats().hits, 0u);
-
-  obs::Sampler& s = obs::Sampler::instance();
-  const obs::MetricsSnapshot snap = s.snapshot();
-  const std::uint32_t op_id = s.intern("psrv.cached_read");
-  bool found = false;
-  for (const obs::OpSample& smp : snap.samples) {
-    if (smp.op != op_id) continue;
-    found = true;
-    EXPECT_EQ(s.name(smp.engine), "psrv-session");
-    EXPECT_EQ(s.name(smp.backend), "psrv");
-    EXPECT_EQ(s.name(smp.net), "tcp-lan");
-    EXPECT_GT(smp.bytes, 0);
-    EXPECT_GE(smp.dur_ns, 0);
-  }
-  EXPECT_TRUE(found) << "cache-hit reads must land in the sampling ring";
-}
-
 // ---- critical path ------------------------------------------------------
 
 obs::TraceEvent span(const char* name, int pid, int tid, double ts,

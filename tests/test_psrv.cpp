@@ -1,10 +1,12 @@
 // The parallel file-server subsystem (src/psrv): shard partitioning,
 // all three request classes (contig / list / view), flow control, the
 // fileview cache with eviction + UnknownView retry, fault propagation,
-// decorator composition, and the wire-volume claim that makes view I/O
+// decorator composition, concurrent handles on one pool checked against
+// an in-memory model, and the wire-volume claim that makes view I/O
 // worthwhile — the serialized tree replaces the ol-list on the wire.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 
 #include "fotf/plan.hpp"
@@ -291,13 +293,19 @@ TEST(PsrvBackend, QueueDepthIsBounded) {
   cfg.queue_depth = 2;
   cfg.client_slots = 8;
   auto pool = ServerPool::create(cfg);
-  auto f = ServerFile::create(pool, RequestClass::Contig);
-  // 8 concurrent writers, each splitting into many per-shard round trips.
+  // Credits belong to the server, not the handle: two handles writing at
+  // once still share a depth of 2.
+  const std::shared_ptr<ServerFile> files[] = {
+      ServerFile::create(pool, RequestClass::Contig),
+      ServerFile::create(pool, RequestClass::Contig)};
+  // 8 concurrent writers on alternating handles, each splitting into many
+  // per-shard round trips.
   std::vector<std::thread> writers;
   for (int w = 0; w < 8; ++w)
     writers.emplace_back([&, w] {
+      ServerFile& f = *files[w % 2];
       for (int i = 0; i < 4; ++i)
-        f->pwrite(w * 400, iotest::payload_stream(w, 384));
+        f.pwrite(w * 400, iotest::payload_stream(w, 384));
     });
   for (auto& t : writers) t.join();
   for (int s = 0; s < pool->nservers(); ++s)
@@ -492,7 +500,10 @@ TEST(PsrvHints, BackendSpecsRejectMalformedAndComposePosixQueueDepth) {
       "disk:/tmp",                   // unknown kind
       "psrv:servers=2,bogus=1",      // unknown key
       "mem,qd=4",                    // key of another kind
-      "posix:/tmp,cache=1",          // key of another kind
+      "posix:/tmp,cache=1",          // unknown key
+      "psrv:weight=2",               // unknown key
+      "psrv:cache=1",                // unknown key
+      "psrv:lease=8",                // unknown key
       "psrv:qd=2,qd=3",              // repeated key
       "mem,net=mid,net=fast",        // repeated key
       "psrv:servers=two",            // malformed value
@@ -584,6 +595,76 @@ TEST(PsrvConcurrency, ManyClientsOneSharedPool) {
     reader->pread(c * kSpan, back);
     EXPECT_EQ(back, iotest::payload_stream(c, kSpan)) << "client " << c;
   }
+}
+
+// Byte i belongs to handle (i / kChunk) % kHandles.  kChunk does not
+// divide the 64-byte stripe, so chunks straddle shard boundaries.
+constexpr int kHandles = 3;
+constexpr Off kModelSpan = 4 << 10;
+constexpr Off kChunk = 48;
+
+TEST(PsrvConcurrency, InterleavedHandlesMatchModel) {
+  PoolConfig cfg = small_pool_config();
+  cfg.capacity = kModelSpan;
+  auto pool = ServerPool::create(cfg);
+  {  // Pre-extend to the full span so no read ever lands past EOF.
+    auto init = ServerFile::create(pool, RequestClass::List);
+    init->pwrite(0, ByteVec(to_size(kModelSpan), Byte{0}));
+  }
+  std::vector<std::shared_ptr<ServerFile>> files;
+  for (int h = 0; h < kHandles; ++h)
+    files.push_back(ServerFile::create(pool, RequestClass::List));
+
+  ByteVec model(to_size(kModelSpan), Byte{0});
+  std::vector<std::thread> clients;
+  for (int h = 0; h < kHandles; ++h) {
+    clients.emplace_back([&, h] {
+      std::uint64_t rng = 0x9E3779B97F4A7C15ull * static_cast<unsigned>(h + 1);
+      auto next = [&rng] {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng;
+      };
+      ServerFile& f = *files[static_cast<std::size_t>(h)];
+      for (int op = 0; op < 160; ++op) {
+        // Pick one of my chunks and a sub-extent inside it.
+        const Off nchunks = kModelSpan / kChunk;
+        Off c = to_off(next() % static_cast<std::uint64_t>(nchunks));
+        c = c - (c % kHandles) + Off{h};  // chunk index owned by me
+        if (c >= nchunks) c = Off{h};
+        const Off base = c * kChunk;
+        const Off lo = base + to_off(next() % 32);
+        const Off len = 1 + to_off(next() % to_size(kChunk - (lo - base)));
+        const std::uint64_t kind = next() % 8;
+        if (kind < 4) {  // write my bytes, remember them in the model
+          ByteVec data(to_size(len));
+          for (Off i = 0; i < len; ++i)
+            data[to_size(i)] = Byte{static_cast<unsigned char>(next())};
+          f.pwrite(lo, data);
+          // My bytes are mine alone: plain stores race with nobody.
+          std::memcpy(model.data() + lo, data.data(), data.size());
+        } else if (kind < 7) {  // read my bytes back, verify vs model
+          ByteVec back(to_size(len));
+          f.pread(lo, back);
+          for (Off i = 0; i < len; ++i)
+            EXPECT_EQ(back[to_size(i)], model[to_size(lo + i)])
+                << "handle " << h << " off " << lo + i;
+        } else {  // read across other handles' bytes while they write
+          const Off flo = to_off(next() % to_size(kModelSpan - 64));
+          ByteVec sink(64);
+          f.pread(flo, sink);
+        }
+      }
+      f.sync();
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  auto reader = ServerFile::create(pool, RequestClass::List);
+  ByteVec image(to_size(kModelSpan), Byte{0});
+  reader->pread(0, image);
+  EXPECT_EQ(image, model);
 }
 
 }  // namespace
