@@ -93,6 +93,11 @@ struct NoncontigConfig {
   /// (psrv) install their own and keep a handle on the pool for wire
   /// statistics.
   std::function<pfs::FilePtr()> make_backend;
+
+  /// Called on rank 0 right before the measured loop, while every rank is
+  /// parked: benches reset backend-side counters here so warm-up and
+  /// calibration traffic stays out of their per-op figures.
+  std::function<void()> on_measure_start;
 };
 
 struct BenchPoint {
@@ -221,6 +226,7 @@ inline BenchPoint run_noncontig(const NoncontigConfig& cfg) {
       // Every rank is parked at the barrier above, so nothing races this.
       if (obs::trace_enabled()) obs::Tracer::instance().clear();
       if (obs::metrics_enabled()) obs::Registry::instance().reset_values();
+      if (cfg.on_measure_start) cfg.on_measure_start();
     }
     comm.barrier();
     WallTimer t;

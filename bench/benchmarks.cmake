@@ -19,7 +19,6 @@ llio_add_bench(bench_btio)
 llio_add_bench(bench_noncontig_cli)
 llio_add_bench(bench_ablation_sieve)
 llio_add_bench(bench_ablation_network)
-llio_add_bench(bench_ablation_activebuf)
 llio_add_bench(bench_ablation_striping)
 llio_add_bench(bench_ablation_pipeline)
 llio_add_bench(bench_ablation_mergeview)

@@ -2,7 +2,10 @@
  * strided fileviews (the paper's Fig. 4 pattern) and move their data with
  * one collective call each — the MPI-IO workflow, without C++.
  *
- *   build/examples/capi_demo
+ *   build/examples/capi_demo [spec]
+ *
+ * The optional argument is a backend spec (default "mem"), e.g.
+ * "psrv:servers=3,request=view"; a malformed spec exits nonzero.
  */
 #include <stdio.h>
 #include <stdlib.h>
@@ -72,10 +75,10 @@ static void body(LLIO_Comm comm, void* user) {
   CHECK(llio_file_close(&file));
 }
 
-int main(void) {
+int main(int argc, char** argv) {
   LLIO_Storage storage;
   llio_offset size;
-  CHECK(llio_storage_mem_create(&storage));
+  CHECK(llio_storage_open(argc > 1 ? argv[1] : "mem", &storage));
   CHECK(llio_run(NPROCS, body, storage));
   CHECK(llio_storage_size(storage, &size));
   printf("file holds %lld bytes across %d interleaved rank partitions\n",

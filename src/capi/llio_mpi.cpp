@@ -8,7 +8,7 @@
 #include "dtype/datatype.hpp"
 #include "fotf/mpi_pack.hpp"
 #include "mpiio/file.hpp"
-#include "pfs/mem_file.hpp"
+#include "pfs/backend_spec.hpp"
 #include "pfs/posix_file.hpp"
 #include "psrv/server_file.hpp"
 #include "simmpi/comm.hpp"
@@ -118,10 +118,11 @@ int llio_barrier(LLIO_Comm comm) {
 
 /* ---- storage ---------------------------------------------------------- */
 
-int llio_storage_mem_create(LLIO_Storage* out) {
-  LLIO_C_REQUIRE(out != nullptr);
+int llio_storage_open(const char* spec, LLIO_Storage* out) {
+  LLIO_C_REQUIRE(spec != nullptr && out != nullptr);
   return guarded([&] {
-    *out = new llio_storage_s{llio::pfs::MemFile::create()};
+    *out = new llio_storage_s{
+        llio::psrv::make_backend(llio::pfs::parse_backend_spec(spec))};
   });
 }
 
@@ -130,19 +131,6 @@ int llio_storage_posix_open(const char* path, int truncate,
   LLIO_C_REQUIRE(path != nullptr && out != nullptr);
   return guarded([&] {
     *out = new llio_storage_s{llio::pfs::PosixFile::open(path, truncate != 0)};
-  });
-}
-
-int llio_storage_psrv_create(int nservers, llio_offset stripe,
-                             const char* request_class, LLIO_Storage* out) {
-  LLIO_C_REQUIRE(request_class != nullptr && out != nullptr);
-  return guarded([&] {
-    llio::psrv::PoolConfig cfg;
-    if (nservers > 0) cfg.nservers = nservers;
-    if (stripe > 0) cfg.stripe = stripe;
-    *out = new llio_storage_s{llio::psrv::ServerFile::create(
-        llio::psrv::ServerPool::create(std::move(cfg)),
-        llio::psrv::request_class_from_name(request_class))};
   });
 }
 

@@ -12,7 +12,7 @@
  * soon as they have been passed to set_view or an access routine.
  *
  * Example (see examples/capi_demo.c):
- *   LLIO_Storage st; llio_storage_mem_create(&st);
+ *   LLIO_Storage st; llio_storage_open("mem", &st);
  *   llio_run(4, body, st);      // body(comm, user) runs on 4 ranks
  *   ...
  *   void body(LLIO_Comm comm, void* user) {
@@ -66,16 +66,17 @@ int llio_barrier(LLIO_Comm comm);
 
 /* ---- storage ----------------------------------------------------------- */
 
-int llio_storage_mem_create(LLIO_Storage* out);
+/* Fresh storage named by a backend spec, the string the llio_backend
+ * hint takes: "mem", "posix:<dir>[,qd=N][,direct=1]" (an unlinked
+ * scratch file in <dir>) or
+ * "psrv[:servers=N][,qd=N][,request=contig|list|view]" (a pool of file
+ * servers, each owning a stripe-aligned shard, reached over a simulated
+ * interconnect), plus ",net=<model>" on any kind.  A malformed spec
+ * returns LLIO_ERR_ARG. */
+int llio_storage_open(const char* spec, LLIO_Storage* out);
+/* A named, persistent POSIX file (truncated to zero if truncate != 0). */
 int llio_storage_posix_open(const char* path, int truncate,
                             LLIO_Storage* out);
-/* Parallel file-server storage: nservers server threads each own a
- * stripe-aligned shard of the file, reached over a simulated
- * interconnect.  request_class is "contig", "list" or "view" (how client
- * accesses translate to the wire); nservers <= 0 and stripe <= 0 pick
- * the defaults. */
-int llio_storage_psrv_create(int nservers, llio_offset stripe,
-                             const char* request_class, LLIO_Storage* out);
 int llio_storage_size(LLIO_Storage st, llio_offset* size);
 int llio_storage_free(LLIO_Storage* st);
 

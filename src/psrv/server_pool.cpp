@@ -538,10 +538,12 @@ void ServerPool::serve(int idx) {
     st.bytes_out.fetch_add(resp.size(), std::memory_order_relaxed);
     st.service_ns.fetch_add(static_cast<std::uint64_t>(service_s * 1e9),
                             std::memory_order_relaxed);
+    // Ingest-to-now spans the wait and the service; keep only the wait.
     const double wait_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       r.enq)
-            .count();
+            .count() -
+        service_s;
     st.queue_wait_ns.fetch_add(static_cast<std::uint64_t>(wait_s * 1e9),
                                std::memory_order_relaxed);
     if (service_hist != nullptr)

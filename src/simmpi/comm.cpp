@@ -143,33 +143,6 @@ class Context {
     return std::make_pair(src, std::move(out));
   }
 
-  std::optional<std::pair<int, ByteVec>> recv_any_for(int self, int tag,
-                                                      double timeout_s) {
-    Mailbox& mb = mailboxes_[to_size(Off{self})];
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(std::max(timeout_s, 0.0)));
-    std::unique_lock<std::mutex> lock(mb.mu);
-    for (;;) {
-      check_alive();
-      auto it = std::find_if(mb.queue.begin(), mb.queue.end(),
-                             [&](const Message& m) { return m.tag == tag; });
-      if (it != mb.queue.end()) {
-        const int src = it->src;
-        ByteVec out = std::move(it->data);
-        mb.queue.erase(it);
-        if (!net_.free()) {
-          lock.unlock();
-          charge_network(net_, out.size());
-        }
-        return std::make_pair(src, std::move(out));
-      }
-      if (mb.cv.wait_until(lock, deadline) == std::cv_status::timeout)
-        return std::nullopt;
-    }
-  }
-
   /// Burn wall time per the interconnect cost model.
   static void charge_network(const CommCostModel& net, std::size_t bytes) {
     double s = net.latency_s;
@@ -298,12 +271,6 @@ std::pair<int, ByteVec> Comm::recv_any(int tag) {
 
 std::optional<std::pair<int, ByteVec>> Comm::try_recv_any(int tag) {
   return ctx_->try_recv_any(rank_, tag);
-}
-
-std::optional<std::pair<int, ByteVec>> Comm::recv_any_for(int tag,
-                                                          double timeout_s) {
-  obs::Span span("recv_any", obs::TraceLevel::Full);
-  return ctx_->recv_any_for(rank_, tag, timeout_s);
 }
 
 void Comm::barrier() {

@@ -129,13 +129,6 @@ class Comm {
   /// its mailbox without stalling on an empty queue.
   std::optional<std::pair<int, ByteVec>> try_recv_any(int tag);
 
-  /// Bounded-wait receive: like recv_any but gives up after `timeout_s`
-  /// seconds of an empty mailbox and returns std::nullopt.  This is a
-  /// liveness mechanism only (detecting a stalled peer) — protocol
-  /// decisions keyed to it must use a logical clock, not the wall time.
-  std::optional<std::pair<int, ByteVec>> recv_any_for(int tag,
-                                                      double timeout_s);
-
   void barrier();
 
   /// Gather every rank's contribution; result[i] is rank i's bytes.

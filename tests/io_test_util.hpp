@@ -2,35 +2,25 @@
 // reference file images computed independently of the engines under test.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
 #include <functional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "dtype/flatten.hpp"
 #include "fotf/navigate.hpp"
 #include "mpiio/file.hpp"
+#include "pfs/backend_spec.hpp"
 #include "pfs/mem_file.hpp"
 #include "psrv/server_file.hpp"
 #include "simmpi/comm.hpp"
 #include "test_util.hpp"
 
 namespace llio::iotest {
-
-/// Storage backends the randomized suites run the engines over: the
-/// in-memory reference plus the file-server pool in all three request
-/// classes.
-enum class Backend { Mem, PsrvContig, PsrvList, PsrvView };
-
-constexpr Backend kAllBackends[] = {Backend::Mem, Backend::PsrvContig,
-                                    Backend::PsrvList, Backend::PsrvView};
-
-inline const char* backend_name(Backend b) {
-  switch (b) {
-    case Backend::Mem: return "mem";
-    case Backend::PsrvContig: return "psrv-contig";
-    case Backend::PsrvList: return "psrv-list";
-    case Backend::PsrvView: return "psrv-view";
-  }
-  return "?";
-}
 
 /// A deliberately tiny pool (3 servers, 64-byte stripe) so the modest
 /// accesses the tests make still cross shard boundaries.
@@ -44,15 +34,47 @@ inline psrv::PoolConfig small_pool_config() {
   return cfg;
 }
 
-inline pfs::FilePtr make_backend(Backend b) {
-  if (b == Backend::Mem) return pfs::MemFile::create();
-  const psrv::RequestClass cls = b == Backend::PsrvContig
-                                     ? psrv::RequestClass::Contig
-                                 : b == Backend::PsrvList
-                                     ? psrv::RequestClass::List
-                                     : psrv::RequestClass::View;
-  return psrv::ServerFile::create(psrv::ServerPool::create(small_pool_config()),
-                                  cls);
+/// The storage matrix the randomized engine suites run over, as backend
+/// specs (pfs/backend_spec.hpp): the in-memory reference first, then a
+/// POSIX scratch file plain, behind the queue-depth engine and with
+/// O_DIRECT, then the file-server pool in all three request classes.
+inline const std::vector<std::string>& backend_specs() {
+  static const std::vector<std::string> specs = [] {
+    const std::string posix = "posix:" + ::testing::TempDir();
+    return std::vector<std::string>{
+        "mem",
+        posix,
+        posix + ",qd=4",
+        posix + ",direct=1",
+        "psrv:servers=3,request=contig",
+        "psrv:servers=3,request=list",
+        "psrv:servers=3,request=view"};
+  }();
+  return specs;
+}
+
+/// Fresh storage for `spec`; a psrv pool gets small_pool_config().
+inline pfs::FilePtr make_backend(const std::string& spec) {
+  return psrv::make_backend(pfs::parse_backend_spec(spec),
+                            small_pool_config());
+}
+
+/// `spec` without its posix directory and with every run of other
+/// characters than letters and digits turned into one '_': a name that
+/// is stable across hosts, usable as a gtest parameter name.
+inline std::string spec_label(std::string_view spec) {
+  std::string out;
+  if (spec.starts_with("posix:")) {
+    out = "posix";
+    spec.remove_prefix(std::min(spec.find(','), spec.size()));
+  }
+  for (const char c : spec) {
+    if (std::isalnum(static_cast<unsigned char>(c)) != 0)
+      out += c;
+    else if (out.empty() || out.back() != '_')
+      out += '_';
+  }
+  return out;
 }
 
 /// Full file image through the public read path (works on any backend).

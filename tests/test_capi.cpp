@@ -123,7 +123,7 @@ void body(LLIO_Comm comm, void* user) {
 
 TEST(CApi, CollectiveFileRoundTrip) {
   BodyCtx ctx;
-  C_OK(llio_storage_mem_create(&ctx.storage));
+  C_OK(llio_storage_open("mem", &ctx.storage));
   C_OK(llio_run(3, fileio::body, &ctx));
   EXPECT_EQ(ctx.failures, 0);
   llio_offset size = 0;
@@ -134,21 +134,26 @@ TEST(CApi, CollectiveFileRoundTrip) {
 
 TEST(CApi, PsrvStorageRoundTripAllRequestClasses) {
   // The same collective round trip, but over the parallel file-server
-  // pool in each request class: the C shim needs no psrv-specific code
-  // beyond the storage constructor.
-  for (const char* cls : {"contig", "list", "view"}) {
+  // pool in each request class: the C shim needs no psrv-specific code,
+  // only a different spec string.
+  for (const char* spec : {"psrv:servers=3,request=contig",
+                           "psrv:servers=3,request=list",
+                           "psrv:servers=3,request=view"}) {
     BodyCtx ctx;
-    C_OK(llio_storage_psrv_create(3, 64, cls, &ctx.storage));
+    C_OK(llio_storage_open(spec, &ctx.storage));
     C_OK(llio_run(3, fileio::body, &ctx));
-    EXPECT_EQ(ctx.failures, 0) << cls;
+    EXPECT_EQ(ctx.failures, 0) << spec;
     llio_offset size = 0;
     C_OK(llio_storage_size(ctx.storage, &size));
-    EXPECT_EQ(size, 3 * 32) << cls;
+    EXPECT_EQ(size, 3 * 32) << spec;
     C_OK(llio_storage_free(&ctx.storage));
   }
   LLIO_Storage bad = nullptr;
-  EXPECT_EQ(llio_storage_psrv_create(2, 64, "bulk", &bad), LLIO_ERR_ARG);
-  EXPECT_EQ(llio_storage_psrv_create(2, 64, nullptr, &bad), LLIO_ERR_ARG);
+  EXPECT_EQ(llio_storage_open("psrv:servers=2,request=bulk", &bad),
+            LLIO_ERR_ARG);
+  EXPECT_EQ(llio_storage_open(nullptr, &bad), LLIO_ERR_ARG);
+  EXPECT_EQ(llio_storage_open("tape:/dev/st0", &bad), LLIO_ERR_ARG);
+  EXPECT_EQ(bad, nullptr);
 }
 
 namespace darray_check {

@@ -27,9 +27,8 @@ struct Workload {
 ByteVec run_workload(Method method, int nprocs, Off disp,
                      const std::function<dt::Type(int)>& ft_of, Off nbytes,
                      Off offset_etypes, Off fbs, Off pbs, bool collective,
-                     unsigned seed,
-                     iotest::Backend backend = iotest::Backend::Mem) {
-  auto fs = iotest::make_backend(backend);
+                     unsigned seed, const std::string& spec = "mem") {
+  auto fs = iotest::make_backend(spec);
   sim::Runtime::run(nprocs, [&](sim::Comm& comm) {
     Options o;
     o.method = method;
@@ -270,10 +269,11 @@ TEST_P(Equivalence, DarrayFileviewsCollective) {
 }
 
 TEST_P(Equivalence, PsrvBackendsMatchMemFileImages) {
-  // The same workloads over the file-server pool — every request class —
-  // must produce the MemFile image, for both engines, collectively and
-  // independently.  (The view class reroutes the whole independent path
-  // through ViewIo; images may differ only in trailing zeros.)
+  // The same workloads over every backend of the matrix — POSIX files
+  // and the file-server pool in every request class — must produce the
+  // MemFile image, for both engines, collectively and independently.
+  // (The view class reroutes the whole independent path through ViewIo;
+  // images may differ only in trailing zeros.)
   Rng rng(GetParam() + 60000);
   for (int iter = 0; iter < 2; ++iter) {
     const int nprocs = static_cast<int>(testutil::rnd(rng, 2, 4));
@@ -292,17 +292,17 @@ TEST_P(Equivalence, PsrvBackendsMatchMemFileImages) {
     const unsigned seed = GetParam() * 977 + static_cast<unsigned>(iter);
     for (Method m : {Method::ListBased, Method::Listless}) {
       ByteVec ref;
-      for (iotest::Backend b : iotest::kAllBackends) {
+      for (const std::string& spec : iotest::backend_specs()) {
         ByteVec img = run_workload(m, nprocs, disp, ft_of, nbytes, offset,
-                                   fbs, pbs, collective, seed, b);
-        if (b == iotest::Backend::Mem) {
+                                   fbs, pbs, collective, seed, spec);
+        if (spec == "mem") {
           ref = std::move(img);
           continue;
         }
         ByteVec want = ref;
         iotest::pad_to_common(img, want);
         EXPECT_EQ(img, want)
-            << method_name(m) << " over " << iotest::backend_name(b)
+            << method_name(m) << " over " << spec
             << " nblock=" << nblock << " sblock=" << sblock
             << " nbytes=" << nbytes << " offset=" << offset
             << " disp=" << disp << " collective=" << collective;

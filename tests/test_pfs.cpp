@@ -9,7 +9,6 @@
 #include "pfs/mem_file.hpp"
 #include "pfs/posix_file.hpp"
 #include "pfs/range_lock.hpp"
-#include "pfs/active_buffer_file.hpp"
 #include "pfs/striped_file.hpp"
 #include "pfs/faulty_file.hpp"
 #include "pfs/throttled_file.hpp"
@@ -150,10 +149,6 @@ TEST(FaultyFile, VectoredContract) {
   });
 }
 
-TEST(ActiveBufferFile, VectoredContract) {
-  vectored_contract([] { return ActiveBufferFile::wrap(MemFile::create()); });
-}
-
 TEST(FaultyFile, VectoredOpsTriggerFaults) {
   FaultPlan plan;
   plan.fail_after_writes = 0;
@@ -281,75 +276,6 @@ TEST(ThrottledFile, RejectsBadConfig) {
   cfg.read_bandwidth_bps = 0;
   EXPECT_THROW(ThrottledFile::wrap(MemFile::create(), cfg), Error);
   EXPECT_THROW(ThrottledFile::wrap(nullptr, ThrottleConfig{}), Error);
-}
-
-TEST(ActiveBufferFile, WriteBehindFlushesInOrder) {
-  auto inner = MemFile::create();
-  auto f = ActiveBufferFile::wrap(inner, 1 << 20);
-  const ByteVec a = pattern_bytes(64, 1);
-  const ByteVec b = pattern_bytes(64, 2);
-  f->pwrite(0, a);
-  f->pwrite(32, b);  // overlaps; must apply after a
-  f->drain();
-  ByteVec out(96);
-  EXPECT_EQ(inner->pread(0, out), 96);
-  EXPECT_TRUE(std::equal(a.begin(), a.begin() + 32, out.begin()));
-  EXPECT_TRUE(std::equal(b.begin(), b.end(), out.begin() + 32));
-}
-
-TEST(ActiveBufferFile, ReadsSeeStagedWrites) {
-  auto f = ActiveBufferFile::wrap(MemFile::create());
-  const ByteVec data = pattern_bytes(256);
-  f->pwrite(0, data);
-  // No explicit drain: the read must still observe the write.
-  ByteVec out(256);
-  EXPECT_EQ(f->pread(0, out), 256);
-  EXPECT_EQ(out, data);
-}
-
-TEST(ActiveBufferFile, SizeIncludesStagedTail) {
-  auto f = ActiveBufferFile::wrap(MemFile::create());
-  f->pwrite(1000, pattern_bytes(24));
-  EXPECT_EQ(f->size(), 1024);  // even before the flush completes
-  f->drain();
-  EXPECT_EQ(f->size(), 1024);
-}
-
-TEST(ActiveBufferFile, BackpressureBoundsStage) {
-  auto inner = MemFile::create();
-  ThrottleConfig cfg;
-  cfg.write_bandwidth_bps = 50e6;
-  auto slow = ThrottledFile::wrap(inner, cfg);
-  auto f = ActiveBufferFile::wrap(slow, /*max_pending_bytes=*/4096);
-  const ByteVec chunk = pattern_bytes(1024);
-  for (int i = 0; i < 32; ++i) f->pwrite(i * 1024, chunk);
-  f->drain();
-  EXPECT_LE(f->peak_pending_bytes(), 4096 + 1024);
-  EXPECT_EQ(inner->size(), 32 * 1024);
-}
-
-TEST(ActiveBufferFile, FlushErrorsSurfaceOnNextOperation) {
-  FaultPlan plan;
-  plan.fail_after_writes = 0;
-  auto faulty = FaultyFile::wrap(MemFile::create(), plan);
-  auto f = ActiveBufferFile::wrap(faulty);
-  f->pwrite(0, pattern_bytes(16));  // flush will fail asynchronously
-  EXPECT_THROW(f->drain(), Error);
-}
-
-TEST(ActiveBufferFile, WorksUnderTheFileApi) {
-  auto inner = MemFile::create();
-  auto f = ActiveBufferFile::wrap(inner);
-  sim::Runtime::run(2, [&](sim::Comm& comm) {
-    mpiio::File file = mpiio::File::open(comm, f, mpiio::Options{});
-    const ByteVec data = pattern_bytes(128, 5u + (unsigned)comm.rank());
-    file.write_at(comm.rank() * 128, data.data(), 128, dt::byte());
-    file.sync();
-    ByteVec back(128);
-    file.read_at(comm.rank() * 128, back.data(), 128, dt::byte());
-    EXPECT_EQ(back, data);
-  });
-  EXPECT_EQ(inner->size(), 256);
 }
 
 TEST(StripedFile, BackendContract) {

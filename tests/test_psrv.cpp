@@ -313,6 +313,22 @@ TEST(PsrvBackend, QueueDepthIsBounded) {
   EXPECT_GT(pool->total_server_stats().requests, 0u);
 }
 
+TEST(PsrvBackend, QueueWaitExcludesService) {
+  // One client issuing one request at a time never queues behind anyone,
+  // so its requests' wait must stay below the time spent serving them.
+  PoolConfig cfg = small_pool_config();
+  cfg.make_shard = [](int) -> pfs::FilePtr {
+    pfs::ThrottleConfig tc;
+    tc.op_latency_s = 2e-3;
+    return pfs::ThrottledFile::wrap(pfs::MemFile::create(), tc);
+  };
+  auto f = make_file(RequestClass::Contig, cfg);
+  for (int i = 0; i < 8; ++i) f->pwrite(i * 16, iotest::payload_stream(i, 16));
+  const ServerStats t = f->pool()->total_server_stats();
+  EXPECT_GT(t.service_s, 8 * 2e-3);
+  EXPECT_LT(t.queue_wait_s, t.service_s);
+}
+
 TEST(PsrvBackend, ViewCacheEvictionTriggersUnknownViewRetry) {
   PoolConfig cfg = small_pool_config();
   cfg.view_cache_cap = 1;

@@ -159,7 +159,7 @@ TEST(SharedFp, WorksThroughNoncontigView) {
 // as a torn or misplaced shared append — so run the core scenarios over
 // the full backend matrix, verifying through the public read path
 // (MemFile::contents() does not exist on a ServerFile).
-class SharedFpBackend : public ::testing::TestWithParam<iotest::Backend> {};
+class SharedFpBackend : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SharedFpBackend, ConcurrentWritesClaimDisjointRanges) {
   const int P = 4;
@@ -258,11 +258,9 @@ TEST_P(SharedFpBackend, AtomicOverlappingWritersAreNotTorn) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllBackends, SharedFpBackend, ::testing::ValuesIn(iotest::kAllBackends),
-    [](const ::testing::TestParamInfo<iotest::Backend>& pinfo) {
-      std::string n = iotest::backend_name(pinfo.param);
-      std::replace(n.begin(), n.end(), '-', '_');
-      return n;
+    AllBackends, SharedFpBackend, ::testing::ValuesIn(iotest::backend_specs()),
+    [](const ::testing::TestParamInfo<std::string>& pinfo) {
+      return iotest::spec_label(pinfo.param);
     });
 
 }  // namespace

@@ -302,22 +302,6 @@ TEST(PointToPoint, TryRecvAnyDrainsWithoutBlocking) {
   });
 }
 
-TEST(PointToPoint, RecvAnyForTimesOutOnSilenceThenDelivers) {
-  Runtime::run(2, [&](Comm& c) {
-    if (c.rank() == 0) {
-      EXPECT_FALSE(c.recv_any_for(5, 0.01).has_value());
-      c.barrier();  // now the sender fires
-      const auto m = c.recv_any_for(5, 10.0);
-      ASSERT_TRUE(m.has_value());
-      EXPECT_EQ(m->first, 1);
-      EXPECT_EQ(string_of(m->second), "late");
-    } else {
-      c.barrier();
-      c.send(0, 5, bytes_of("late"));
-    }
-  });
-}
-
 TEST(Runtime, RunJobsWorldsAreIndependent) {
   // Each job is its own communicator world: collectives see only the
   // job's own ranks, never a neighbor job's.

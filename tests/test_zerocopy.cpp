@@ -10,9 +10,7 @@
 #include "fotf/plan.hpp"
 #include "io_test_util.hpp"
 #include "mpiio/mergeview.hpp"
-#include "pfs/async_io.hpp"
 #include "pfs/faulty_file.hpp"
-#include "pfs/posix_file.hpp"
 #include "pfs/striped_file.hpp"
 
 namespace llio::mpiio {
@@ -394,16 +392,16 @@ TEST_P(ZerocopyFuzz, OnOffByteIdenticalEverywhere) {
     const bool nc_mem = testutil::rnd(rng, 0, 1) == 1;
     const unsigned seed = GetParam() * 100 + static_cast<unsigned>(iter);
     for (Method m : {Method::ListBased, Method::Listless}) {
-      for (iotest::Backend b : iotest::kAllBackends) {
-        ByteVec on = run_fuzz(m, Zerocopy::Auto, iotest::make_backend(b),
+      for (const std::string& spec : iotest::backend_specs()) {
+        ByteVec on = run_fuzz(m, Zerocopy::Auto, iotest::make_backend(spec),
                               nprocs, ft_of, disp, nbytes, offset, fbs, seed,
                               nc_mem);
-        ByteVec off = run_fuzz(m, Zerocopy::Off, iotest::make_backend(b),
+        ByteVec off = run_fuzz(m, Zerocopy::Off, iotest::make_backend(spec),
                                nprocs, ft_of, disp, nbytes, offset, fbs, seed,
                                nc_mem);
         iotest::pad_to_common(on, off);
         EXPECT_EQ(on, off)
-            << method_name(m) << " over " << iotest::backend_name(b)
+            << method_name(m) << " over " << spec
             << " nblock=" << nblock << " sblock=" << sblock
             << " nbytes=" << nbytes << " offset=" << offset
             << " disp=" << disp << " nc_mem=" << nc_mem;
@@ -439,14 +437,16 @@ TEST_P(ZerocopyFuzz, RandomNavigableViewsOnOffIdentical) {
   }
 }
 
-/// The storage stacks a direct window must work on.
-const char* const kDirectBackends[] = {"mem", "posix", "striped", "psrv",
-                                       "faulty"};
+/// The storage stacks a direct window must work on: the backend matrix
+/// plus two decorator stacks no spec names.
+std::vector<std::string> direct_stacks() {
+  std::vector<std::string> stacks = iotest::backend_specs();
+  stacks.push_back("striped");
+  stacks.push_back("faulty");
+  return stacks;
+}
 
 pfs::FilePtr make_direct_backend(const std::string& name) {
-  if (name == "posix")  // disjoint runs complete out of order
-    return pfs::AsyncQdFile::wrap(
-        pfs::PosixFile::open_temp(::testing::TempDir()), 4);
   if (name == "striped") {
     pfs::StripeLayout layout;
     layout.rotate = true;
@@ -455,10 +455,9 @@ pfs::FilePtr make_direct_backend(const std::string& name) {
          pfs::MemFile::create()},
         640, layout);
   }
-  if (name == "psrv") return iotest::make_backend(iotest::Backend::PsrvList);
   if (name == "faulty")  // armed with nothing: a pass-through decorator
     return pfs::FaultyFile::wrap(pfs::MemFile::create(), pfs::FaultPlan{});
-  return pfs::MemFile::create();
+  return iotest::make_backend(name);
 }
 
 TEST_P(ZerocopyFuzz, DirectWindowsByteIdenticalEverywhere) {
@@ -485,7 +484,7 @@ TEST_P(ZerocopyFuzz, DirectWindowsByteIdenticalEverywhere) {
     const unsigned seed = GetParam() * 100 + static_cast<unsigned>(iter);
     for (Method m : {Method::ListBased, Method::Listless}) {
       for (const int depth : {0, 2}) {
-        for (const char* b : kDirectBackends) {
+        for (const std::string& b : direct_stacks()) {
           ZcStats wr_on, wr_off;
           ByteVec on = run_fuzz(m, Zerocopy::Auto, make_direct_backend(b),
                                 nprocs, ft_of, disp, nbytes, offset, fbs,
