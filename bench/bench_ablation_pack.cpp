@@ -1,17 +1,18 @@
-// Ablation: parallel flattening-on-the-fly pack/unpack.
+// Ablation: the serial flattening-on-the-fly pack/unpack paths.
 //
-// Sweeps threads x block-size x plan on/off over a dense strided window
-// (hvector of S_block-byte segments at stride 2*S_block — the shape every
-// collective window reduces to) and measures fotf::pack_range /
-// fotf::unpack_range throughput directly, without any file or exchange:
-// this isolates the pack stage the parallel-slicing work targets.
+// Sweeps block-size x plan on/off over a dense strided window (hvector of
+// S_block-byte segments at stride 2*S_block — the shape every collective
+// window reduces to) and measures pack/unpack throughput directly,
+// without any file or exchange: this isolates the pack stage.
 //
-//   threads=1, plan=off   the pre-parallel cursor path (baseline)
-//   threads=1, plan=on    PackPlan replay (flat run table, no tree walk)
-//   threads=N             navigation-sliced parallel pack on the shared
-//                         worker pool
+//   plan=off   the cursor walk (fotf::ff_pack / ff_unpack), the path a
+//              type takes when PackPlan::compile declines
+//   plan=on    PackPlan replay (flat run table, no tree walk), the path
+//              of every cached fileview
 //
-// A dense memcpy row bounds what any pack path could reach.
+// Every row packs on one thread (`threads` is always 1 in the json rows,
+// which keeps them comparable with older baselines).  A dense memcpy row
+// bounds what any pack path could reach.
 //
 // Output: aligned table + csv: lines (bench_common convention) + json:
 // lines, one object per data point, schema announced in a json-schema:
@@ -27,7 +28,7 @@
 
 #include "bench_common.hpp"
 #include "common/timer.hpp"
-#include "fotf/parallel.hpp"
+#include "fotf/pack.hpp"
 #include "fotf/plan.hpp"
 
 using namespace llio;
@@ -71,14 +72,12 @@ int main(int argc, char** argv) {
   const std::vector<Off> sblocks =
       quick ? std::vector<Off>{512, 4096, 65536}
             : std::vector<Off>{64, 512, 4096, 65536};
-  const std::vector<int> threads = {1, 2, 4};
 
-  bench::Table table({"sblock", "threads", "plan", "pack MB/s", "unpack MB/s",
-                      "speedup vs 1t"});
+  bench::Table table({"sblock", "plan", "pack MB/s", "unpack MB/s"});
   std::printf(
       "json-schema:{\"bench\":\"string\",\"sblock\":\"int\","
       "\"threads\":\"int\",\"plan\":\"string\",\"pack_mbps\":\"number\","
-      "\"unpack_mbps\":\"number\",\"pack_speedup_vs_1t\":\"number\"}\n");
+      "\"unpack_mbps\":\"number\"}\n");
   std::string json;
 
   // Dense memcpy bound (same bytes, no gather).
@@ -88,11 +87,10 @@ int main(int argc, char** argv) {
     const double mbps = measure_mbps(
         [&] { std::memcpy(dst.data(), src.data(), src.size()); }, payload,
         min_seconds);
-    table.add_row({"-", "-", "memcpy", fmt_mbps(mbps), fmt_mbps(mbps), "-"});
+    table.add_row({"-", "memcpy", fmt_mbps(mbps), fmt_mbps(mbps)});
     json += strprintf(
         "json:{\"bench\":\"ablation_pack\",\"sblock\":0,\"threads\":0,"
-        "\"plan\":\"memcpy\",\"pack_mbps\":%.3f,\"unpack_mbps\":%.3f,"
-        "\"pack_speedup_vs_1t\":1.0}\n",
+        "\"plan\":\"memcpy\",\"pack_mbps\":%.3f,\"unpack_mbps\":%.3f}\n",
         mbps, mbps);
   }
 
@@ -103,43 +101,36 @@ int main(int argc, char** argv) {
     ByteVec stream(to_size(payload));
     const auto plan_compiled = fotf::PackPlan::compile(t);
 
-    for (const bool use_plan : {false, true}) {
-      double mbps_1t = 0;
-      for (const int nt : threads) {
-        fotf::PackConfig cfg;
-        cfg.threads = nt;
-        cfg.parallel_min = Off{256} << 10;
-        cfg.use_plan = use_plan;
-        const fotf::PackPlan* plan = use_plan ? plan_compiled.get() : nullptr;
-        const double pack_mbps = measure_mbps(
-            [&] {
-              fotf::pack_range(t, 1, typed.data(), 0, 0, stream.data(),
-                               payload, cfg, plan);
-            },
-            payload, min_seconds);
-        const double unpack_mbps = measure_mbps(
-            [&] {
-              fotf::unpack_range(t, 1, typed.data(), 0, 0, stream.data(),
-                                 payload, cfg, plan);
-            },
-            payload, min_seconds);
-        if (nt == 1) mbps_1t = pack_mbps;
-        const double speedup = mbps_1t > 0 ? pack_mbps / mbps_1t : 0.0;
-        table.add_row({strprintf("%lld", (long long)sblock),
-                       strprintf("%d", nt), use_plan ? "on" : "off",
-                       fmt_mbps(pack_mbps), fmt_mbps(unpack_mbps),
-                       strprintf("%.2f", speedup)});
-        json += strprintf(
-            "json:{\"bench\":\"ablation_pack\",\"sblock\":%lld,"
-            "\"threads\":%d,\"plan\":\"%s\",\"pack_mbps\":%.3f,"
-            "\"unpack_mbps\":%.3f,\"pack_speedup_vs_1t\":%.3f}\n",
-            (long long)sblock, nt, use_plan ? "on" : "off", pack_mbps,
-            unpack_mbps, speedup);
-      }
+    for (const bool replay : {false, true}) {
+      const fotf::PackPlan* plan = replay ? plan_compiled.get() : nullptr;
+      const double pack_mbps = measure_mbps(
+          [&] {
+            if (plan != nullptr)
+              plan->pack(typed.data(), 0, 1, 0, stream.data(), payload);
+            else
+              fotf::ff_pack(typed.data(), 1, t, 0, stream.data(), payload);
+          },
+          payload, min_seconds);
+      const double unpack_mbps = measure_mbps(
+          [&] {
+            if (plan != nullptr)
+              plan->unpack(typed.data(), 0, 1, 0, stream.data(), payload);
+            else
+              fotf::ff_unpack(stream.data(), payload, typed.data(), 1, t, 0);
+          },
+          payload, min_seconds);
+      table.add_row({strprintf("%lld", (long long)sblock),
+                     replay ? "on" : "off", fmt_mbps(pack_mbps),
+                     fmt_mbps(unpack_mbps)});
+      json += strprintf(
+          "json:{\"bench\":\"ablation_pack\",\"sblock\":%lld,"
+          "\"threads\":1,\"plan\":\"%s\",\"pack_mbps\":%.3f,"
+          "\"unpack_mbps\":%.3f}\n",
+          (long long)sblock, replay ? "on" : "off", pack_mbps, unpack_mbps);
     }
   }
 
-  table.print(strprintf("ablation: parallel fotf pack (payload %lld KiB%s)",
+  table.print(strprintf("ablation: serial fotf pack (payload %lld KiB%s)",
                         (long long)(payload / 1024), quick ? ", quick" : ""));
   std::printf("%s", json.c_str());
   return 0;

@@ -20,8 +20,15 @@
 //                            both built from the backend spec
 //                            posix:<dir>,qd=N, i.e. an AsyncQdFile of
 //                            depth N over the file when N > 1.
-//               The qd=1 row runs the identical per-group decomposition
-//               serially, so the sweep varies concurrency only.
+//               Every row runs the identical per-group decomposition,
+//               but qd=1 is not serial: the P=2 ranks write
+//               concurrently.  On the throttled target both share one
+//               AsyncQdFile, which at depth 1 runs each op inline on its
+//               submitting rank with no in-flight cap, so 2 ops are
+//               already in flight (async_inflight_peak 2).  Depth N caps
+//               the shared engine at N ops and hands each to a pool
+//               worker, so qd=2 adds the hand-off but no concurrency and
+//               runs below qd=1, and qd=N gains about N/P over qd=1.
 //   B (direct)  O_DIRECT off/on under an AsyncQdFile of depth 4 on the
 //               `dir` target with an unaligned block size (Sblock=10000),
 //               exercising the alignment-aware read-modify-write at

@@ -1,13 +1,13 @@
 // Process-wide persistent worker pool, shared by every subsystem that
-// needs short-lived CPU or I/O jobs: the collective pipeline's pread/
-// pwrite workers and the parallel FOTF pack slices both run here, so one
-// set of threads serves the whole process instead of each pipeline run
-// spawning (and joining) its own.
+// needs short-lived I/O jobs: the collective pipeline's pread/pwrite
+// workers, the pfs::AsyncIo queue-depth engines and File's nonblocking
+// requests all run here, so one set of threads serves the whole process
+// instead of each pipeline run spawning (and joining) its own.
 //
 // Sizing: the pool starts empty and grows to the peak *concurrent*
 // demand, expressed through RAII reservations — a pipeline run holding
-// `reserve(depth)` and a pack call holding `reserve(threads - 1)` at the
-// same time guarantee depth + threads - 1 workers exist.  Threads are
+// `reserve(depth)` and an AsyncIo engine holding `reserve(qd)` at the
+// same time guarantee depth + qd workers exist.  Threads are
 // never torn down (the pool outlives every user, like obs::Tracer), so
 // steady-state collective loops pay zero thread churn.
 //

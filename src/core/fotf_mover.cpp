@@ -1,55 +1,31 @@
 #include "core/fotf_mover.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "fotf/pack.hpp"
 
 namespace llio::core {
 
-FotfMover::FotfMover(const void* buf, Off count, dt::Type memtype,
-                     fotf::PackConfig cfg, mpiio::IoOpStats* stats)
+FotfMover::FotfMover(const void* buf, Off count, dt::Type memtype)
     : buf_(const_cast<Byte*>(as_bytes(buf))), memtype_(std::move(memtype)),
-      count_(count), cfg_(cfg), stats_(stats), cur_(memtype_, count_) {}
+      count_(count), cur_(memtype_, count_) {}
 
 fotf::SegmentCursor& FotfMover::at(Off s) {
   if (next_stream_ != s) cur_.seek(s);
   return cur_;
 }
 
-void FotfMover::fold(const fotf::RangeStats& rs) {
-  if (stats_ == nullptr) return;
-  stats_->pack_threads_used =
-      std::max<std::uint64_t>(stats_->pack_threads_used,
-                              static_cast<std::uint64_t>(rs.threads_used));
-  stats_->pack_slices += rs.slices;
-  stats_->pack_slice_max_s =
-      std::max(stats_->pack_slice_max_s, rs.slice_max_s);
-  stats_->pack_slice_total_s += rs.slice_total_s;
-}
-
 void FotfMover::to_stream(Byte* dst, Off s, Off n) {
   if (n <= 0) return;
-  fotf::SegmentCursor* reuse =
-      fotf::will_parallelize(cfg_, n) ? nullptr : &at(s);
-  fotf::RangeStats rs;
-  const Off copied = fotf::pack_range(memtype_, count_, buf_, 0, s, dst, n,
-                                      cfg_, nullptr, &rs, reuse);
+  const Off copied = fotf::transfer_pack(at(s), buf_, 0, dst, n);
   LLIO_ASSERT(copied == n, "FotfMover::to_stream: short transfer");
-  if (rs.used_cursor) next_stream_ = s + n;
-  fold(rs);
+  next_stream_ = s + n;
 }
 
 void FotfMover::from_stream(const Byte* src, Off s, Off n) {
   if (n <= 0) return;
-  fotf::SegmentCursor* reuse =
-      fotf::will_parallelize(cfg_, n) ? nullptr : &at(s);
-  fotf::RangeStats rs;
-  const Off copied = fotf::unpack_range(memtype_, count_, buf_, 0, s, src, n,
-                                        cfg_, nullptr, &rs, reuse);
+  const Off copied = fotf::transfer_unpack(at(s), buf_, 0, src, n);
   LLIO_ASSERT(copied == n, "FotfMover::from_stream: short transfer");
-  if (rs.used_cursor) next_stream_ = s + n;
-  fold(rs);
+  next_stream_ = s + n;
 }
 
 bool FotfMover::mem_runs(Off s, Off n, const mpiio::RunBudget& budget,
@@ -57,7 +33,7 @@ bool FotfMover::mem_runs(Off s, Off n, const mpiio::RunBudget& budget,
   if (n <= 0) return false;
   if (!plan_tried_) {
     plan_tried_ = true;
-    if (cfg_.use_plan) plan_ = fotf::PackPlan::compile(memtype_);
+    plan_ = fotf::PackPlan::compile(memtype_);
   }
   if (plan_ == nullptr) return false;  // declined to compile: stage instead
   // Tiny runs traverse faster through the strided pack kernels than as

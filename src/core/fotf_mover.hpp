@@ -1,18 +1,17 @@
 // Listless StreamMover: moves data between a non-contiguous user buffer
-// and its dense stream with flattening-on-the-fly pack/unpack.  Large
-// moves are sliced across the shared worker pool (fotf::pack_range);
-// pack/unpack never compile a memtype PackPlan — movers live for one
-// operation, plans are a per-fileview amortization.  mem_runs() does
-// compile one lazily: the zero-copy descriptor needs the run table, and
-// a single-instance walk is far cheaper than the staging copy it avoids.
+// and its dense stream with flattening-on-the-fly pack/unpack, streaming
+// through one SegmentCursor that sequential calls reuse without
+// re-seeking.  pack/unpack never compile a memtype PackPlan — movers
+// live for one operation, plans are a per-fileview amortization.
+// mem_runs() does compile one lazily: the zero-copy descriptor needs the
+// run table, and a single-instance walk is far cheaper than the staging
+// copy it avoids.
 #pragma once
 
 #include <memory>
 
 #include "fotf/cursor.hpp"
-#include "fotf/parallel.hpp"
 #include "fotf/plan.hpp"
-#include "mpiio/io_stats.hpp"
 #include "mpiio/navigator.hpp"
 
 namespace llio::core {
@@ -21,10 +20,7 @@ class FotfMover final : public mpiio::StreamMover {
  public:
   /// `buf` holds `count` instances of `memtype`.  The const_cast is safe:
   /// from_stream is only invoked on buffers the caller owns mutably.
-  /// `stats`, when bound, receives slice counters and must outlive the
-  /// mover.
-  FotfMover(const void* buf, Off count, dt::Type memtype,
-            fotf::PackConfig cfg = {}, mpiio::IoOpStats* stats = nullptr);
+  FotfMover(const void* buf, Off count, dt::Type memtype);
 
   void to_stream(Byte* dst, Off s, Off n) override;
   void from_stream(const Byte* src, Off s, Off n) override;
@@ -33,13 +29,10 @@ class FotfMover final : public mpiio::StreamMover {
 
  private:
   fotf::SegmentCursor& at(Off s);
-  void fold(const fotf::RangeStats& rs);
 
   Byte* buf_;
   dt::Type memtype_;
   Off count_;
-  fotf::PackConfig cfg_;
-  mpiio::IoOpStats* stats_ = nullptr;
   fotf::SegmentCursor cur_;
   Off next_stream_ = 0;  ///< cursor's current stream position
   std::shared_ptr<const fotf::PackPlan> plan_;  ///< lazy, mem_runs only

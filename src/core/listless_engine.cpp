@@ -11,26 +11,13 @@ namespace llio::core {
 
 using mpiio::View;
 
-namespace {
-
-fotf::PackConfig pack_config(const mpiio::Options& o) {
-  fotf::PackConfig c;
-  c.threads = std::max(1, o.pack_threads);
-  c.parallel_min = std::max<Off>(1, o.pack_parallel_min);
-  c.use_plan = o.pack_plan;
-  return c;
-}
-
-}  // namespace
-
 void CachedViewCodec::set_view(sim::Comm& comm, const View& v,
-                               const fotf::PackConfig& pc,
                                mpiio::IoOpStats* stats) {
   // Normalize once: the cursor then sees the largest regular strata, and
   // the cached wire form shrinks.  The typemap is provably unchanged.
   const dt::Type ft = dt::normalize(v.filetype);
   disp_ = v.disp;
-  nav_ = std::make_unique<ListlessNav>(ft, pc);
+  nav_ = std::make_unique<ListlessNav>(ft);
   nav_->bind_stats(stats);
 
   // Fileview caching (§3.2.3): exchange the compact representation once.
@@ -47,7 +34,7 @@ void CachedViewCodec::set_view(sim::Comm& comm, const View& v,
     cv.disp = mpiio::get_off(raw, 0);
     cv.filetype = dt::deserialize(
         ConstByteSpan(raw.data() + sizeof(Off), raw.size() - sizeof(Off)));
-    cv.nav = std::make_unique<ListlessNav>(cv.filetype, pc);
+    cv.nav = std::make_unique<ListlessNav>(cv.filetype);
     cv.nav->bind_stats(stats);
     cached_.push_back(std::move(cv));
   }
@@ -156,13 +143,12 @@ void ListlessEngine::set_view(const View& v) {
   validate_view(v);
   view_ = v;
   ++view_epoch_;  // invalidates cached mergeview verdicts
-  codec_.set_view(*comm_, v, pack_config(opts_), &stats_);
+  codec_.set_view(*comm_, v, &stats_);
 }
 
 std::unique_ptr<mpiio::StreamMover> ListlessEngine::make_nc_mover(
     const void* buf, Off count, const dt::Type& mt) {
-  return std::make_unique<FotfMover>(buf, count, mt, pack_config(opts_),
-                                     &stats_);
+  return std::make_unique<FotfMover>(buf, count, mt);
 }
 
 }  // namespace llio::core

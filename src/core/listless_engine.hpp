@@ -24,7 +24,7 @@ class CachedViewCodec final : public mpiio::AccessCodec {
   /// Collective: normalize my fileview and cache every rank's.  Navigator
   /// counters land in `stats`, which must outlive the codec.
   void set_view(sim::Comm& comm, const mpiio::View& v,
-                const fotf::PackConfig& pc, mpiio::IoOpStats* stats);
+                mpiio::IoOpStats* stats);
 
   /// Navigator over my own view (valid after set_view).
   ListlessNav& own_nav() { return *nav_; }

@@ -9,8 +9,8 @@
 
 namespace llio::core {
 
-ListlessNav::ListlessNav(dt::Type filetype, fotf::PackConfig cfg)
-    : ft_(std::move(filetype)), cfg_(cfg) {
+ListlessNav::ListlessNav(dt::Type filetype, std::size_t max_runs)
+    : ft_(std::move(filetype)), max_runs_(max_runs) {
   LLIO_REQUIRE(ft_ != nullptr && ft_->size() > 0, Errc::InvalidDatatype,
                "ListlessNav: bad filetype");
 }
@@ -34,10 +34,9 @@ fotf::SegmentCursor& ListlessNav::at(Off s, Off hi) {
 }
 
 const fotf::PackPlan* ListlessNav::compiled() {
-  if (!cfg_.use_plan) return nullptr;
   if (!plan_tried_) {
     plan_tried_ = true;
-    plan_ = fotf::PackPlan::compile(ft_);
+    plan_ = fotf::PackPlan::compile(ft_, max_runs_);
     if (stats_ != nullptr) ++stats_->plan_misses;  // the compile itself
   }
   return plan_.get();
@@ -69,33 +68,17 @@ bool ListlessNav::layout_runs(Off s, Off n, std::size_t max_runs,
   return pl->materialize(0, instances_below(s + n), s, n, max_runs, out);
 }
 
-void ListlessNav::fold(const fotf::RangeStats& rs) {
-  if (stats_ == nullptr) return;
-  stats_->pack_threads_used =
-      std::max<std::uint64_t>(stats_->pack_threads_used,
-                              static_cast<std::uint64_t>(rs.threads_used));
-  stats_->pack_slices += rs.slices;
-  stats_->pack_slice_max_s =
-      std::max(stats_->pack_slice_max_s, rs.slice_max_s);
-  stats_->pack_slice_total_s += rs.slice_total_s;
-}
-
 void ListlessNav::scatter(Byte* win, Off bias, Off s, const Byte* src,
                           Off n) {
   if (n <= 0) return;
-  const fotf::PackPlan* pl = plan();
-  fotf::SegmentCursor* reuse = nullptr;
-  if (pl == nullptr && !fotf::will_parallelize(cfg_, n))
-    reuse = &at(s, s + n);
-  const Off count =
-      reuse != nullptr ? cur_instances_ : instances_below(s + n);
-  fotf::RangeStats rs;
-  const Off copied =
-      fotf::unpack_range(ft_, count, win, bias, s, src, n, cfg_, pl, &rs,
-                         reuse);
+  Off copied = 0;
+  if (const fotf::PackPlan* pl = plan()) {
+    copied = pl->unpack(win, bias, instances_below(s + n), s, src, n);
+  } else {
+    copied = fotf::transfer_unpack(at(s, s + n), win, bias, src, n);
+    next_stream_ = s + n;
+  }
   LLIO_ASSERT(copied == n, "ListlessNav::scatter: short transfer");
-  if (rs.used_cursor) next_stream_ = s + n;
-  fold(rs);
 }
 
 void ListlessNav::for_each_segment(
@@ -105,19 +88,14 @@ void ListlessNav::for_each_segment(
 
 void ListlessNav::gather(Byte* dst, const Byte* win, Off bias, Off s, Off n) {
   if (n <= 0) return;
-  const fotf::PackPlan* pl = plan();
-  fotf::SegmentCursor* reuse = nullptr;
-  if (pl == nullptr && !fotf::will_parallelize(cfg_, n))
-    reuse = &at(s, s + n);
-  const Off count =
-      reuse != nullptr ? cur_instances_ : instances_below(s + n);
-  fotf::RangeStats rs;
-  const Off copied =
-      fotf::pack_range(ft_, count, win, bias, s, dst, n, cfg_, pl, &rs,
-                       reuse);
+  Off copied = 0;
+  if (const fotf::PackPlan* pl = plan()) {
+    copied = pl->pack(win, bias, instances_below(s + n), s, dst, n);
+  } else {
+    copied = fotf::transfer_pack(at(s, s + n), win, bias, dst, n);
+    next_stream_ = s + n;
+  }
   LLIO_ASSERT(copied == n, "ListlessNav::gather: short transfer");
-  if (rs.used_cursor) next_stream_ = s + n;
-  fold(rs);
 }
 
 }  // namespace llio::core

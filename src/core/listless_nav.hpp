@@ -2,18 +2,18 @@
 // flattening-on-the-fly (paper §3).  All positioning is O(depth) and all
 // copying is proportional to the bytes moved — no ol-lists anywhere.
 //
-// Data movement goes through fotf::pack_range/unpack_range: serial small
-// jobs reuse the streaming cursor exactly as before; jobs past the
-// configured threshold are sliced across the shared worker pool, and a
-// per-view PackPlan (compiled lazily on first use, owned by this nav and
-// therefore recreated — i.e. invalidated — whenever set_view rebuilds
-// the navs) replays the flat run table instead of walking the type tree.
+// Data movement replays a per-view PackPlan (compiled lazily on first
+// use, owned by this nav and therefore recreated — i.e. invalidated —
+// whenever set_view rebuilds the navs): the flat run table instead of a
+// type-tree walk.  Only when PackPlan::compile declines does it stream
+// through the nav's SegmentCursor, which sequential calls reuse without
+// re-seeking.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 #include "fotf/cursor.hpp"
-#include "fotf/parallel.hpp"
 #include "fotf/plan.hpp"
 #include "mpiio/io_stats.hpp"
 #include "mpiio/navigator.hpp"
@@ -22,9 +22,12 @@ namespace llio::core {
 
 class ListlessNav final : public mpiio::ViewNav {
  public:
-  explicit ListlessNav(dt::Type filetype, fotf::PackConfig cfg = {});
+  /// `max_runs` caps the per-instance run table PackPlan::compile may
+  /// build; a view with more runs walks the cursor instead.
+  explicit ListlessNav(dt::Type filetype,
+                       std::size_t max_runs = fotf::PackPlan::kDefaultMaxRuns);
 
-  /// Where plan/slice counters land; unbound = not counted.  The pointee
+  /// Where plan counters land; unbound = not counted.  The pointee
   /// must outlive the nav (the engine binds its own stats_ member, whose
   /// identity survives the per-op reset).
   void bind_stats(mpiio::IoOpStats* stats) { stats_ = stats; }
@@ -40,7 +43,7 @@ class ListlessNav final : public mpiio::ViewNav {
   /// The run walk: visit stream bytes [s, s+n) in stream order as
   /// fn(layout offset, stream offset, length), adjacent runs coalesced.
   /// Replays the compiled plan's runs; walks the cursor only when the
-  /// view has no plan (plans disabled, or PackPlan::compile declined).
+  /// view has no plan (PackPlan::compile declined).
   template <class Fn>
   void for_each_run(Off s, Off n, Fn&& fn);
 
@@ -63,16 +66,14 @@ class ListlessNav final : public mpiio::ViewNav {
   Off instances_below(Off hi) const { return ceil_div(hi, ft_->size()) + 1; }
 
   /// The compiled plan (lazy, one compile attempt per view) or nullptr
-  /// when disabled / declined; counts the compile as a miss.
+  /// when declined; counts the compile as a miss.
   const fotf::PackPlan* compiled();
 
   /// compiled(), counting every later call as a plan hit (a replay).
   const fotf::PackPlan* plan();
 
-  void fold(const fotf::RangeStats& rs);
-
   dt::Type ft_;
-  const fotf::PackConfig cfg_;  ///< fixed by the engine's open-time Options
+  const std::size_t max_runs_;  ///< PackPlan::compile's run cap
   std::shared_ptr<const fotf::PackPlan> plan_;
   bool plan_tried_ = false;
   mpiio::IoOpStats* stats_ = nullptr;

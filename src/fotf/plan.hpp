@@ -21,8 +21,7 @@
 // segments, the same kernel the cursor's vec_run fast path uses but with
 // zero per-window re-derivation.
 //
-// Plans are immutable after compile and safe to share across threads;
-// the parallel slicer hands the same plan to every slice.
+// Plans are immutable after compile and safe to share across threads.
 #pragma once
 
 #include <algorithm>

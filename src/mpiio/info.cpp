@@ -81,11 +81,9 @@ Options apply_info(const Info& info, Options base) {
         base.merge_contig = MergeContig::Auto;
       else if (value == "off")
         base.merge_contig = MergeContig::Off;
-      else if (value == "force")
-        base.merge_contig = MergeContig::Force;
       else
         throw_error(Errc::InvalidArgument,
-                    "hint llio_merge_contig: expected auto/off/force");
+                    "hint llio_merge_contig: expected auto/off");
     } else if (key == "llio_pipeline_depth") {
       base.pipeline_depth = parse_int(key, value);
     } else if (key == "llio_iov_batch_max") {
@@ -105,21 +103,6 @@ Options apply_info(const Info& info, Options base) {
       base.zerocopy_min_run = parse_bytes(key, value);
     } else if (key == "llio_zerocopy_max_runs") {
       base.zerocopy_max_runs = parse_bytes(key, value);
-    } else if (key == "llio_pack_threads") {
-      const int n = parse_int(key, value);
-      LLIO_REQUIRE(n >= 1, Errc::InvalidArgument,
-                   "hint llio_pack_threads: expected a count >= 1");
-      base.pack_threads = n;
-    } else if (key == "llio_pack_parallel_min") {
-      base.pack_parallel_min = parse_bytes(key, value);
-    } else if (key == "llio_pack_plan") {
-      if (value == "on")
-        base.pack_plan = true;
-      else if (value == "off")
-        base.pack_plan = false;
-      else
-        throw_error(Errc::InvalidArgument,
-                    "hint llio_pack_plan: expected on/off");
     } else if (key == "llio_backend") {
       pfs::parse_backend_spec(value);  // validate now, build in the harness
       base.backend = value;
@@ -200,10 +183,6 @@ Info options_to_info(const Options& o) {
            strprintf("%lld", (long long)o.zerocopy_min_run));
   info.set("llio_zerocopy_max_runs",
            strprintf("%lld", (long long)o.zerocopy_max_runs));
-  info.set("llio_pack_threads", strprintf("%d", o.pack_threads));
-  info.set("llio_pack_parallel_min",
-           strprintf("%lld", (long long)o.pack_parallel_min));
-  info.set("llio_pack_plan", o.pack_plan ? "on" : "off");
   if (!o.backend.empty()) info.set("llio_backend", o.backend);
   // Observability hints appear only when explicitly set: unset means
   // "leave the process-global tracer/registry alone".

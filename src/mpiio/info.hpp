@@ -16,8 +16,7 @@
 //   llio_merge_contig    "auto" (exact mergeview analysis: skip the
 //                        collective-write pre-read on hole-free windows,
 //                        bypass the exchange for dense disjoint ranges) |
-//                        "off" (always pre-read dirty windows) |
-//                        "force" (never pre-read; unsafe on holey views)
+//                        "off" (always pre-read dirty windows)
 //   llio_pipeline_depth  collective windows in flight on the IOP side
 //                        (0 = serial two-phase, >= 2 overlaps file I/O
 //                        with gather/scatter)

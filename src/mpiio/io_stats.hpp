@@ -74,17 +74,10 @@ namespace llio::mpiio {
   X(std::uint64_t, staged_fallback_windows, Sum, nullptr)                 \
   X(std::uint64_t, iov_runs, Sum, nullptr)                                \
   X(Off, staging_bytes_saved, Sum, nullptr)                               \
-  /* Parallel FOTF pack/unpack (navigation slicing + plan cache): max    \
-     slices any one job ran with, pack-plan replays of a cached plan,    \
-     plan compiles (or declined compiles), parallel slices executed, the \
-     slowest single slice and the summed slice time (imbalance =         \
-     max / (total / slices)) */                                           \
-  X(std::uint64_t, pack_threads_used, Max, nullptr)                       \
+  /* FOTF pack-plan cache: replays of a cached fileview plan, and plan    \
+     compiles (or declined compiles) */                                   \
   X(std::uint64_t, plan_hits, Sum, nullptr)                               \
   X(std::uint64_t, plan_misses, Sum, nullptr)                             \
-  X(std::uint64_t, pack_slices, Sum, nullptr)                             \
-  X(double, pack_slice_max_s, Max, nullptr)                               \
-  X(double, pack_slice_total_s, Sum, nullptr)                             \
   /* Async queue-depth backend (an AsyncQdFile in the stack, e.g. spec    \
      posix:<dir>,qd=N): operations submitted to its AsyncIo engine        \
      during this op, and the engine's peak concurrent ops */              \

@@ -30,8 +30,6 @@ enum class MergeContig {
   Off,    ///< never elide the pre-read (every dirty window does RMW)
   Auto,   ///< exact per-window analysis; skip the pre-read when provably
           ///< hole-free, bypass pack+alltoall for dense disjoint accesses
-  Force,  ///< assert density: never pre-read (unsafe on holey patterns —
-          ///< gap bytes are clobbered with stale buffer contents)
 };
 
 /// Zero-copy descriptor I/O (paper-adjacent: Ching et al.'s list I/O
@@ -104,23 +102,6 @@ struct Options {
   /// llio_zerocopy_min_run): tiny runs move faster through the strided
   /// pack kernels than as per-segment iovec entries.
   Off zerocopy_min_run = 512;
-
-  /// FOTF pack/unpack parallelism (hint llio_pack_threads): pack jobs of
-  /// at least pack_parallel_min stream bytes are split into equal
-  /// stream-byte slices on the process-wide worker pool (shared with the
-  /// pipeline's I/O workers).  1 = serial, bit-identical to the
-  /// pre-parallel path.
-  int pack_threads = 1;
-
-  /// Minimum job size (stream bytes) worth slicing (hint
-  /// llio_pack_parallel_min).
-  Off pack_parallel_min = 1 << 20;
-
-  /// Compile each cached fileview's segment table into a PackPlan once
-  /// and replay it on every window, instead of re-walking the type tree
-  /// (hint llio_pack_plan = on/off).  Plans are recreated with the navs
-  /// at every set_view, so they can never outlive their view epoch.
-  bool pack_plan = true;
 
   /// Backend spec for harness-built storage (hint llio_backend, env
   /// LLIO_BENCH_BACKEND as a bench-wide default), e.g. "mem",

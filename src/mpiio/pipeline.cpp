@@ -147,8 +147,8 @@ void run_pipelined(SieveContext& ctx, int depth, Off buffer_bytes,
     std::future<FileJobStats> io;  // pending pre-read or write-back
   };
 
-  // I/O jobs run on the process-wide worker pool (shared with parallel
-  // pack slices); the reservation guarantees `depth` concurrent workers
+  // I/O jobs run on the process-wide worker pool (shared with the AsyncIo
+  // engines); the reservation guarantees `depth` concurrent workers
   // exist for the duration of this run.  Tracing is per-job: the track
   // guard routes the job's spans onto the owning rank's worker tracks
   // (tid 1.., below the compute row) and its destructor flushes the

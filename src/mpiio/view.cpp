@@ -14,7 +14,6 @@ const char* merge_contig_name(MergeContig m) noexcept {
   switch (m) {
     case MergeContig::Off: return "off";
     case MergeContig::Auto: return "auto";
-    case MergeContig::Force: return "force";
   }
   return "auto";
 }

@@ -29,12 +29,11 @@ PipelineReport explain_pipeline(const std::vector<TraceEvent>& events) {
     const bool is_window = ev.name == "window";
     const bool is_wait = ev.name == "io_wait";
     const bool is_pack = ev.name == "pack";
-    const bool is_slice = ev.name == "pack_slice";
     const bool is_preread = ev.name == "preread";
     const bool is_pwrite = ev.name == "pwrite";
     const bool is_aio = ev.name == "aio_op";
-    if (!is_window && !is_wait && !is_pack && !is_slice && !is_preread &&
-        !is_pwrite && !is_aio)
+    if (!is_window && !is_wait && !is_pack && !is_preread && !is_pwrite &&
+        !is_aio)
       continue;
 
     RankPipelineSummary& rank = ranks[ev.pid];
@@ -46,12 +45,6 @@ PipelineReport explain_pipeline(const std::vector<TraceEvent>& events) {
       rank.io_wait_us += ev.dur_us;
     } else if (is_pack) {
       rank.pack_us += ev.dur_us;
-    } else if (is_slice) {
-      // Slices run on both the compute thread (slice 0) and worker
-      // tracks; they count toward pack parallelism, never worker I/O.
-      ++rank.pack_slices;
-      rank.pack_slice_us += ev.dur_us;
-      rank.pack_slice_max_us = std::max(rank.pack_slice_max_us, ev.dur_us);
     } else if (is_aio) {
       // AsyncIo ops are the storage-engine view of the same file time the
       // preread/pwrite spans cover — reported, but kept out of worker_io
@@ -92,16 +85,15 @@ std::string format_pipeline_report(const PipelineReport& report,
                                    bool per_window) {
   std::string out;
   out += "pipeline timeline breakdown (all times in ms)\n";
-  out += strprintf("%-6s %8s %10s %10s %10s %10s %10s %7s %9s %7s %10s\n",
-                   "rank", "windows", "window", "io_wait", "pack", "worker_io",
-                   "overlap", "slices", "slice_imb", "aio", "aio_ms");
+  out += strprintf("%-6s %8s %10s %10s %10s %10s %10s %7s %10s\n", "rank",
+                   "windows", "window", "io_wait", "pack", "worker_io",
+                   "overlap", "aio", "aio_ms");
   for (const RankPipelineSummary& r : report.ranks) {
     out += strprintf(
-        "%-6d %8lld %10.3f %10.3f %10.3f %10.3f %10.3f %7lld %9.2f %7lld "
-        "%10.3f\n",
+        "%-6d %8lld %10.3f %10.3f %10.3f %10.3f %10.3f %7lld %10.3f\n",
         r.pid, r.windows, r.window_us / 1e3, r.io_wait_us / 1e3,
         r.pack_us / 1e3, r.worker_io_us / 1e3, r.overlap_us / 1e3,
-        r.pack_slices, r.slice_imbalance(), r.aio_ops, r.aio_us / 1e3);
+        r.aio_ops, r.aio_us / 1e3);
   }
   out += strprintf(
       "total: io_wait %.3f ms, worker_io %.3f ms, overlap %.3f ms "

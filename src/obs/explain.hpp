@@ -19,9 +19,6 @@
 //   "pack"       compute thread, scatter/gather inside the fill callback
 //   "preread"    I/O worker, the window's read-modify-write load
 //   "pwrite"     I/O worker, the window's write-back
-//   "pack_slice" one slice of a parallel FOTF pack (slice 0 on the
-//                compute thread, the rest on worker tracks); the
-//                max/mean ratio of slice durations is the load imbalance
 //   "aio_op"     one operation through a pfs::AsyncIo engine — on an aio
 //                worker track (tid >= 16) at queue depth > 1, inline on
 //                the submitting track at depth 1.  Reported as its own
@@ -60,16 +57,6 @@ struct RankPipelineSummary {
   double overlap_us = 0;    ///< max(0, worker_io - io_wait)
   long long aio_ops = 0;    ///< AsyncIo operations (any track)
   double aio_us = 0;        ///< summed AsyncIo op time
-  long long pack_slices = 0;      ///< parallel pack slices
-  double pack_slice_us = 0;       ///< summed slice time
-  double pack_slice_max_us = 0;   ///< slowest single slice
-  /// max/mean slice duration (1.0 = perfectly balanced, 0 = no slices).
-  double slice_imbalance() const {
-    return pack_slices > 0 && pack_slice_us > 0
-               ? pack_slice_max_us /
-                     (pack_slice_us / static_cast<double>(pack_slices))
-               : 0.0;
-  }
 };
 
 struct PipelineReport {

@@ -161,15 +161,20 @@ struct NcBuffer {
   ByteVec storage;
 };
 
-inline NcBuffer make_nc_buffer(ConstByteSpan stream) {
+inline NcBuffer make_nc_buffer(ConstByteSpan stream,
+                               Off blocks_per_instance = 1) {
   const Off nbytes = to_off(stream.size());
-  // 8-byte blocks, 24-byte stride; count instances of an 8-byte vector.
-  LLIO_REQUIRE(nbytes % 8 == 0, Errc::InvalidArgument,
-               "nc buffer needs a multiple of 8 bytes");
+  // 8-byte blocks, 24-byte stride; count instances of a vector of
+  // blocks_per_instance 8-byte blocks.  The storage layout is the same
+  // for any blocks_per_instance.
+  LLIO_REQUIRE(nbytes % (8 * blocks_per_instance) == 0,
+               Errc::InvalidArgument,
+               "nc buffer needs a multiple of 8 * blocks_per_instance bytes");
   const Off blocks = nbytes / 8;
+  const Off per = blocks_per_instance;
   NcBuffer b;
-  b.memtype = dt::resized(dt::hvector(1, 8, 24, dt::byte()), 0, 24);
-  b.count = blocks;
+  b.memtype = dt::resized(dt::hvector(per, 8, 24, dt::byte()), 0, 24 * per);
+  b.count = blocks / per;
   b.storage.assign(to_size(blocks * 24), Byte{0xCC});
   for (Off i = 0; i < blocks; ++i)
     std::memcpy(b.storage.data() + i * 24, stream.data() + i * 8, 8);
@@ -178,8 +183,9 @@ inline NcBuffer make_nc_buffer(ConstByteSpan stream) {
 
 /// Extract the dense stream from an NcBuffer (for read verification).
 inline ByteVec nc_buffer_stream(const NcBuffer& b) {
-  ByteVec out(to_size(b.count * 8));
-  for (Off i = 0; i < b.count; ++i)
+  const Off blocks = to_off(b.storage.size()) / 24;
+  ByteVec out(to_size(blocks * 8));
+  for (Off i = 0; i < blocks; ++i)
     std::memcpy(out.data() + i * 8, b.storage.data() + i * 24, 8);
   return out;
 }

@@ -74,9 +74,16 @@ TEST(ApplyInfo, MergeContigModes) {
             MergeContig::Off);
   EXPECT_EQ(apply_info(Info{{"llio_merge_contig", "auto"}}, {}).merge_contig,
             MergeContig::Auto);
-  EXPECT_EQ(apply_info(Info{{"llio_merge_contig", "force"}}, {}).merge_contig,
-            MergeContig::Force);
-  EXPECT_THROW(apply_info(Info{{"llio_merge_contig", "on"}}, {}), Error);
+  // "force" (never pre-read, which clobbers the gap bytes of holey views)
+  // is not a mode: rejected like any malformed value.
+  for (const char* bad : {"force", "on"}) {
+    try {
+      apply_info(Info{{"llio_merge_contig", bad}}, {});
+      ADD_FAILURE() << "llio_merge_contig=" << bad << " accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::InvalidArgument) << bad;
+    }
+  }
 }
 
 TEST(ApplyInfo, UnknownKeysIgnored) {
@@ -90,8 +97,11 @@ TEST(ApplyInfo, UnknownKeysIgnored) {
                                {});
   const Info rendered = options_to_info(o);
   EXPECT_EQ(rendered.entries(), options_to_info(Options{}).entries());
-  for (const auto& [key, value] : rendered.entries())
+  // No llio_pack_* hint is rendered either: there is one pack path.
+  for (const auto& [key, value] : rendered.entries()) {
     EXPECT_NE(key.rfind("llio_adaptive", 0), 0u) << key;
+    EXPECT_NE(key.rfind("llio_pack_", 0), 0u) << key;
+  }
 }
 
 TEST(ApplyInfo, RoundTripThroughOptionsToInfo) {
@@ -101,7 +111,7 @@ TEST(ApplyInfo, RoundTripThroughOptionsToInfo) {
   o.io_procs = 3;
   o.cb_write = false;
   o.ds_read = Sieving::Automatic;
-  o.merge_contig = MergeContig::Force;
+  o.merge_contig = MergeContig::Off;
   const Options back = apply_info(options_to_info(o), Options{});
   EXPECT_EQ(back.method, o.method);
   EXPECT_EQ(back.file_buffer_size, o.file_buffer_size);

@@ -41,9 +41,11 @@ TEST(ListlessNavUnit, ScatterGatherThroughWindow) {
 }
 
 TEST(ListlessNavUnit, SequentialCallsAvoidReseek) {
-  // Functional check that split sequential transfers equal one transfer.
+  // Functional check that split sequential transfers through the reused
+  // cursor (no plan: the run cap makes compile decline) equal one plan
+  // replay, both ways.
   const dt::Type ft = iotest::noncontig_filetype(16, 8, 2, 0);
-  ListlessNav nav(ft);
+  ListlessNav nav(ft, /*max_runs=*/0);
   const Off total = ft->size();
   ByteVec window(to_size(ft->extent()), Byte{0});
   ByteVec payload(to_size(total));
@@ -59,6 +61,13 @@ TEST(ListlessNavUnit, SequentialCallsAvoidReseek) {
   ByteVec window2(window.size(), Byte{0});
   nav2.scatter(window2.data(), 0, 0, payload.data(), total);
   EXPECT_EQ(window, window2);
+  ByteVec got(payload.size(), Byte{0});
+  for (done = 0; done < total;) {
+    const Off n = std::min<Off>(13, total - done);
+    nav.gather(got.data() + done, window.data(), 0, done, n);
+    done += n;
+  }
+  EXPECT_EQ(got, payload);
 }
 
 TEST(ListlessNavUnit, SegmentIterationCoversStream) {
@@ -92,14 +101,12 @@ TEST(ListlessNavUnit, PlanWalkMatchesCursorWalk) {
     return runs;
   };
   testutil::Rng rng(19);
-  fotf::PackConfig no_plan;
-  no_plan.use_plan = false;
   int planned = 0;
   for (int i = 0; i < 200; ++i) {
     const dt::Type ft = testutil::random_navigable_type(rng, 3);
     if (ft->size() == 0) continue;
     ListlessNav with_plan(ft);
-    ListlessNav cursor_only(ft, no_plan);
+    ListlessNav cursor_only(ft, /*max_runs=*/0);  // compile always declines
     if (with_plan.avg_run() > 0) ++planned;
     for (int k = 0; k < 8; ++k) {
       const Off s = testutil::rnd(rng, 0, 3 * ft->size());

@@ -1,16 +1,17 @@
-// Tests for the parallel flattening-on-the-fly work: widened / collapsed
+// Tests for the flattening-on-the-fly pack kernels: widened / collapsed
 // strided kernels, the non-temporal-store path, PackPlan compile+replay,
-// navigation edge cases the slicer depends on (zero-extent and LB/UB
-// resized types, segment-boundary skipbytes), and the randomized
-// "slice-and-concat == whole pack" fuzz across threads x plan settings.
+// navigation edge cases (zero-extent and LB/UB resized types,
+// segment-boundary skipbytes), and the randomized "slice-and-concat ==
+// whole pack" fuzz over both serial pack paths, plan replay and cursor
+// walk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 
+#include "fotf/cursor.hpp"
 #include "fotf/navigate.hpp"
 #include "fotf/pack.hpp"
-#include "fotf/parallel.hpp"
 #include "fotf/plan.hpp"
 #include "test_util.hpp"
 
@@ -191,7 +192,7 @@ TEST(PackPlan, RandomTypesMatchReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Navigation edge cases the slicer depends on.
+// Navigation edge cases.
 
 TEST(NavEdgeCases, ZeroExtentResizedType) {
   // All instances of a zero-extent type alias the same memory; navigation
@@ -211,8 +212,7 @@ TEST(NavEdgeCases, ZeroExtentResizedType) {
   testutil::fill_typed_data(buf, t, count, 7);
   const ByteVec want = testutil::reference_pack(buf.base(), count, t);
   ByteVec got(to_size(count * t->size()), Byte{0});
-  EXPECT_EQ(pack_range(t, count, buf.base(), 0, 0, got.data(),
-                       count * t->size()),
+  EXPECT_EQ(ff_pack(buf.base(), count, t, 0, got.data(), count * t->size()),
             count * t->size());
   EXPECT_EQ(got, want);
 }
@@ -235,7 +235,7 @@ TEST(NavEdgeCases, LbUbResizedType) {
   for (Off skip = 0; skip <= total; ++skip) {
     const Off n = std::min<Off>(total - skip, 5);
     ByteVec part(to_size(n), Byte{0});
-    EXPECT_EQ(pack_range(t, count, buf.base(), 0, skip, part.data(), n), n);
+    EXPECT_EQ(ff_pack(buf.base(), count, t, skip, part.data(), n), n);
     EXPECT_TRUE(std::equal(part.begin(), part.end(), want.begin() + skip))
         << "skip=" << skip;
   }
@@ -243,7 +243,7 @@ TEST(NavEdgeCases, LbUbResizedType) {
 
 TEST(NavEdgeCases, SegmentBoundarySkips) {
   // skipbytes landing exactly on segment boundaries must resume at the
-  // next segment's first byte (the slice handoff convention).
+  // next segment's first byte (the chunk handoff convention).
   const Type t = dt::hvector(8, 4, 12, dt::byte());
   const Off count = 3;
   auto buf = testutil::make_typed_buffer(t, count);
@@ -256,7 +256,7 @@ TEST(NavEdgeCases, SegmentBoundarySkips) {
     for (const Off n : {Off{1}, Off{4}, Off{9}, total - skip}) {
       if (n > total - skip) continue;
       ByteVec a(to_size(n), Byte{0}), b(to_size(n), Byte{0});
-      EXPECT_EQ(pack_range(t, count, buf.base(), 0, skip, a.data(), n), n);
+      EXPECT_EQ(ff_pack(buf.base(), count, t, skip, a.data(), n), n);
       EXPECT_EQ(plan->pack(buf.base(), 0, count, skip, b.data(), n), n);
       EXPECT_EQ(std::memcmp(a.data(), want.data() + skip, to_size(n)), 0)
           << "skip=" << skip << " n=" << n;
@@ -266,58 +266,63 @@ TEST(NavEdgeCases, SegmentBoundarySkips) {
 }
 
 // ---------------------------------------------------------------------------
-// pack_range / unpack_range: slice-and-concat == whole pack, all configs.
-
-PackConfig fuzz_config(int threads, bool use_plan) {
-  PackConfig cfg;
-  cfg.threads = threads;
-  cfg.parallel_min = 1;  // engage slicing as soon as the floor allows
-  cfg.use_plan = use_plan;
-  return cfg;
-}
+// The serial pack path — PackPlan replay, or the cursor walk when compile
+// declines: slice-and-concat == whole pack on both.
 
 void expect_range_matches(const Type& t, Off count, const ByteVec& want,
                           const Byte* base, Rng& rng) {
   const Off total = count * t->size();
   const auto compiled = PackPlan::compile(t);
-  for (const int threads : {1, 2, 4}) {
-    for (const bool use_plan : {false, true}) {
-      const PackConfig cfg = fuzz_config(threads, use_plan);
-      const PackPlan* plan = use_plan ? compiled.get() : nullptr;
-      // Whole pack in one call.
-      ByteVec whole(to_size(total), Byte{0});
-      RangeStats rs;
-      EXPECT_EQ(pack_range(t, count, base, 0, 0, whole.data(), total, cfg,
-                           plan, &rs),
-                total);
-      EXPECT_EQ(whole, want)
-          << dt::to_string(t) << " threads=" << threads
-          << " plan=" << use_plan;
-      if (threads > 1 && will_parallelize(cfg, total)) {
-        EXPECT_GT(rs.threads_used, 1);
-        EXPECT_GT(rs.slices, 0u);
-      }
-      // Random slice-and-concat of the same stream.
-      ByteVec cat(to_size(total), Byte{0});
-      Off done = 0;
-      while (done < total) {
-        const Off n = std::min(total - done,
-                               testutil::rnd(rng, 1, total / 3 + 1));
-        EXPECT_EQ(pack_range(t, count, base, 0, done, cat.data() + done, n,
-                             cfg, plan),
-                  n);
-        done += n;
-      }
-      EXPECT_EQ(cat, want)
-          << dt::to_string(t) << " threads=" << threads
-          << " plan=" << use_plan;
+  for (const bool replay : {false, true}) {
+    const PackPlan* plan = replay ? compiled.get() : nullptr;
+    // Whole pack in one call.
+    ByteVec whole(to_size(total), Byte{0});
+    EXPECT_EQ(plan != nullptr
+                  ? plan->pack(base, 0, count, 0, whole.data(), total)
+                  : ff_pack(base, count, t, 0, whole.data(), total),
+              total);
+    EXPECT_EQ(whole, want) << dt::to_string(t) << " plan=" << replay;
+    // Random slice-and-concat of the same stream; the cursor path
+    // streams one cursor across the chunks, as the engines do.
+    SegmentCursor cur(t, count);
+    ByteVec cat(to_size(total), Byte{0});
+    Off done = 0;
+    while (done < total) {
+      const Off n = std::min(total - done,
+                             testutil::rnd(rng, 1, total / 3 + 1));
+      Byte* dst = cat.data() + done;
+      EXPECT_EQ(plan != nullptr ? plan->pack(base, 0, count, done, dst, n)
+                                : transfer_pack(cur, base, 0, dst, n),
+                n);
+      done += n;
     }
+    EXPECT_EQ(cat, want) << dt::to_string(t) << " plan=" << replay;
   }
 }
 
+/// Unpack `stream` into a fresh buffer of `count` instances of `t` in
+/// random chunks, through `plan` or (null) one streaming cursor, and
+/// return the buffer's reference re-pack.
+ByteVec chunked_unpack_repack(const Type& t, Off count, const ByteVec& stream,
+                              const PackPlan* plan, Rng& rng) {
+  const Off total = count * t->size();
+  auto back = testutil::make_typed_buffer(t, count, Byte{0x44});
+  SegmentCursor cur(t, count);
+  Off at = 0;
+  while (at < total) {
+    const Off n = std::min(total - at, testutil::rnd(rng, 1, total / 2 + 1));
+    const Byte* src = stream.data() + at;
+    EXPECT_EQ(plan != nullptr ? plan->unpack(back.base(), 0, count, at, src, n)
+                              : transfer_unpack(cur, back.base(), 0, src, n),
+              n);
+    at += n;
+  }
+  return testutil::reference_pack(back.base(), count, t);
+}
+
 TEST(ParallelPack, DenseWindowAllConfigs) {
-  // The collective-window shape: large payload so threads>1 really slices
-  // (will_parallelize needs >= 2 x 64 KiB).
+  // The collective-window shape: 512 KiB of data in a dense strided
+  // window.
   Rng rng(1);
   const Off sblock = 4096;
   const Off nblock = 128;  // 512 KiB of data
@@ -328,22 +333,17 @@ TEST(ParallelPack, DenseWindowAllConfigs) {
   const ByteVec want = testutil::reference_pack(buf.base(), count, t);
   expect_range_matches(t, count, want, buf.base(), rng);
 
-  // Parallel unpack (monotone, non-overlapping type): round-trip.
-  for (const int threads : {1, 2, 4}) {
-    const PackConfig cfg = fuzz_config(threads, true);
-    auto back = testutil::make_typed_buffer(t, count, Byte{0x33});
-    EXPECT_EQ(unpack_range(t, count, back.base(), 0, 0, want.data(),
-                           count * t->size(), cfg,
-                           PackPlan::compile(t).get()),
-              count * t->size());
-    EXPECT_EQ(testutil::reference_pack(back.base(), count, t), want)
-        << "threads=" << threads;
-  }
+  // Unpack round-trip on both paths.
+  const auto plan = PackPlan::compile(t);
+  ASSERT_NE(plan, nullptr);
+  for (const PackPlan* p : {static_cast<const PackPlan*>(nullptr), plan.get()})
+    EXPECT_EQ(chunked_unpack_repack(t, count, want, p, rng), want)
+        << "plan=" << (p != nullptr);
 }
 
 TEST(ParallelPack, FuzzRandomTypes) {
-  // Pack is a gather — race-free even for overlapping/non-monotone
-  // typemaps — so the pack fuzz draws from the unrestricted generator.
+  // Pack is a gather, defined for overlapping/non-monotone typemaps too,
+  // so the pack fuzz draws from the unrestricted generator.
   Rng rng(987654);
   int done = 0;
   while (done < 8) {
@@ -360,8 +360,8 @@ TEST(ParallelPack, FuzzRandomTypes) {
 }
 
 TEST(ParallelPack, FuzzUnpackNavigableTypes) {
-  // Unpack is a scatter: parallel slices are only race-free when the
-  // typemap never writes a byte twice, which MPI guarantees for fileviews
+  // Unpack is a scatter: the round trip is only defined when the typemap
+  // never writes a byte twice, which MPI guarantees for fileviews
   // (monotone).  The unpack fuzz therefore draws navigable types.
   Rng rng(555);
   int done = 0;
@@ -374,38 +374,24 @@ TEST(ParallelPack, FuzzUnpackNavigableTypes) {
     testutil::fill_typed_data(src, t, count,
                               static_cast<unsigned>(done) * 17 + 3);
     const ByteVec stream = testutil::reference_pack(src.base(), count, t);
-    const Off total = count * t->size();
     const auto compiled = PackPlan::compile(t);
-    for (const int threads : {1, 2, 4}) {
-      for (const bool use_plan : {false, true}) {
-        const PackConfig cfg = fuzz_config(threads, use_plan);
-        const PackPlan* plan = use_plan ? compiled.get() : nullptr;
-        auto back = testutil::make_typed_buffer(t, count, Byte{0x44});
-        // Unpack in random chunks, then compare via a reference re-pack.
-        Off at = 0;
-        while (at < total) {
-          const Off n =
-              std::min(total - at, testutil::rnd(rng, 1, total / 2 + 1));
-          EXPECT_EQ(unpack_range(t, count, back.base(), 0, at,
-                                 stream.data() + at, n, cfg, plan),
-                    n);
-          at += n;
-        }
-        EXPECT_EQ(testutil::reference_pack(back.base(), count, t), stream)
-            << dt::to_string(t) << " threads=" << threads
-            << " plan=" << use_plan;
-      }
+    for (const bool replay : {false, true}) {
+      const PackPlan* plan = replay ? compiled.get() : nullptr;
+      EXPECT_EQ(chunked_unpack_repack(t, count, stream, plan, rng), stream)
+          << dt::to_string(t) << " plan=" << replay;
     }
   }
 }
 
 TEST(ParallelPack, SerialIsByteIdenticalToFfPack) {
-  // threads=1 + plan off must be *the same computation* as ff_pack_window:
-  // identical bytes for every (skip, n) on a type with holes and padding.
+  // Plan replay must produce exactly ff_pack's bytes for every (skip, n)
+  // on a type with holes and padding.
   Rng rng(2026);
   for (int i = 0; i < 12; ++i) {
     const Type t = testutil::random_type(rng, 3);
     if (t->size() <= 0) continue;
+    const auto plan = PackPlan::compile(t);
+    ASSERT_NE(plan, nullptr) << dt::to_string(t);
     const Off count = testutil::rnd(rng, 1, 5);
     auto buf = testutil::make_typed_buffer(t, count);
     testutil::fill_typed_data(buf, t, count, static_cast<unsigned>(i + 1));
@@ -414,24 +400,9 @@ TEST(ParallelPack, SerialIsByteIdenticalToFfPack) {
     const Off n = testutil::rnd(rng, 0, total - skip);
     ByteVec a(to_size(n) + 1, Byte{0x7E}), b(to_size(n) + 1, Byte{0x7E});
     EXPECT_EQ(ff_pack(buf.base(), count, t, skip, a.data(), n), n);
-    PackConfig cfg;  // defaults: threads=1, plan on (no plan passed)
-    EXPECT_EQ(pack_range(t, count, buf.base(), 0, skip, b.data(), n, cfg),
-              n);
+    EXPECT_EQ(plan->pack(buf.base(), 0, count, skip, b.data(), n), n);
     EXPECT_EQ(a, b) << dt::to_string(t) << " skip=" << skip << " n=" << n;
   }
-}
-
-TEST(ParallelPack, WillParallelizeThresholds) {
-  PackConfig cfg;
-  cfg.threads = 4;
-  cfg.parallel_min = 1 << 20;
-  EXPECT_FALSE(will_parallelize(cfg, (1 << 20) - 1));  // under parallel_min
-  EXPECT_TRUE(will_parallelize(cfg, 1 << 20));
-  cfg.parallel_min = 1;
-  EXPECT_FALSE(will_parallelize(cfg, (Off{128} << 10) - 1));  // < 2 slices
-  EXPECT_TRUE(will_parallelize(cfg, Off{128} << 10));
-  cfg.threads = 1;
-  EXPECT_FALSE(will_parallelize(cfg, Off{1} << 30));  // serial config
 }
 
 }  // namespace

@@ -168,26 +168,31 @@ struct ZcStats {
   }
 };
 
-/// Dense-disjoint collective workload through a noncontig memtype: rank r
-/// owns file extent [r*nbytes, (r+1)*nbytes).  Returns the image; fills
-/// per-op counter sums.
-ByteVec run_dense_nc(Method method, Zerocopy zc, bool plan_on, int nprocs,
-                     Off nbytes, ZcStats& wr, ZcStats& rd) {
+Options zc_options(Method method, Zerocopy zc) {
+  Options o;
+  o.method = method;
+  o.zerocopy = zc;
+  return o;
+}
+
+/// Dense-disjoint collective workload through a noncontig memtype of
+/// `blocks_per_instance` 8-byte blocks: rank r owns file extent
+/// [r*nbytes, (r+1)*nbytes).  Returns the image; fills per-op counter
+/// sums.
+ByteVec run_dense_nc(Options o, int nprocs, Off nbytes, ZcStats& wr,
+                     ZcStats& rd, Off blocks_per_instance = 1) {
   auto fs = pfs::MemFile::create();
+  o.file_buffer_size = 256;
   sim::Runtime::run(nprocs, [&](sim::Comm& comm) {
-    Options o;
-    o.method = method;
-    o.zerocopy = zc;
-    o.pack_plan = plan_on;
-    o.file_buffer_size = 256;
     File f = File::open(comm, fs, o);
     f.set_view(0, dt::byte(), dt::byte());
     const ByteVec stream = iotest::payload_stream(comm.rank(), nbytes);
-    auto buf = iotest::make_nc_buffer(stream);
+    auto buf = iotest::make_nc_buffer(stream, blocks_per_instance);
     f.write_at_all(comm.rank() * nbytes, buf.storage.data(), buf.count,
                    buf.memtype);
     wr.add(f.last_stats());
-    auto back = iotest::make_nc_buffer(ByteVec(to_size(nbytes), Byte{0}));
+    auto back = iotest::make_nc_buffer(ByteVec(to_size(nbytes), Byte{0}),
+                                       blocks_per_instance);
     f.read_at_all(comm.rank() * nbytes, back.storage.data(), back.count,
                   back.memtype);
     rd.add(f.last_stats());
@@ -202,8 +207,8 @@ TEST_P(ZerocopyEngine, DenseCollectiveSkipsStagingOnMemFile) {
   const int nprocs = 3;
   const Off nbytes = 384;  // 48 noncontig 8-byte runs per rank
   ZcStats wr, rd;
-  const ByteVec img = run_dense_nc(GetParam(), Zerocopy::Auto, true, nprocs,
-                                   nbytes, wr, rd);
+  const ByteVec img = run_dense_nc(zc_options(GetParam(), Zerocopy::Auto),
+                                   nprocs, nbytes, wr, rd);
   // Every rank's window went through the descriptor path: one zero-copy
   // window per op per rank, the full payload never staged, one iovec run
   // per 8-byte memory block.
@@ -227,10 +232,10 @@ TEST_P(ZerocopyEngine, OffIsByteIdenticalAndCountsNothing) {
   const int nprocs = 3;
   const Off nbytes = 384;
   ZcStats wr_on, rd_on, wr_off, rd_off;
-  const ByteVec on = run_dense_nc(GetParam(), Zerocopy::Auto, true, nprocs,
-                                  nbytes, wr_on, rd_on);
-  const ByteVec off = run_dense_nc(GetParam(), Zerocopy::Off, true, nprocs,
-                                   nbytes, wr_off, rd_off);
+  const ByteVec on = run_dense_nc(zc_options(GetParam(), Zerocopy::Auto),
+                                  nprocs, nbytes, wr_on, rd_on);
+  const ByteVec off = run_dense_nc(zc_options(GetParam(), Zerocopy::Off),
+                                   nprocs, nbytes, wr_off, rd_off);
   EXPECT_EQ(on, off);
   EXPECT_EQ(wr_off.windows, 0u);
   EXPECT_EQ(rd_off.windows, 0u);
@@ -241,21 +246,36 @@ TEST_P(ZerocopyEngine, OffIsByteIdenticalAndCountsNothing) {
 }
 
 TEST(ZerocopyPlanDecline, FallsBackStagedIdentically) {
-  // pack_plan=off kills the listless engine's run-table source, so
-  // mem_runs declines and every window must take the counted staged
-  // fallback — same bytes.  (The list engine's ol-list descriptors do not
-  // depend on the plan, so this is listless-specific.)
+  // A memtype with more runs per instance than PackPlan::compile accepts
+  // leaves the listless mover without a run table, so mem_runs declines
+  // and every window must take the counted staged fallback — same bytes.
+  // One run fewer compiles and goes zero-copy, so the cap is the cause.
+  // The run budget admits the 8-byte runs; only the plan decides.  (The
+  // list engine's ol-list descriptors do not depend on the plan, so this
+  // is listless-specific.)
   const int nprocs = 2;
-  const Off nbytes = 192;
-  ZcStats wr_a, rd_a, wr_b, rd_b;
-  const ByteVec a = run_dense_nc(Method::Listless, Zerocopy::Auto, true,
-                                 nprocs, nbytes, wr_a, rd_a);
-  const ByteVec b = run_dense_nc(Method::Listless, Zerocopy::Auto, false,
-                                 nprocs, nbytes, wr_b, rd_b);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(wr_b.windows, 0u);
-  EXPECT_EQ(wr_b.saved, 0);
-  EXPECT_GE(wr_b.fallback, static_cast<std::uint64_t>(nprocs));
+  const Off cap = static_cast<Off>(fotf::PackPlan::kDefaultMaxRuns);
+  Options o = zc_options(Method::Listless, Zerocopy::Auto);
+  o.zerocopy_min_run = 8;
+  for (const Off blocks : {cap, cap + 1}) {
+    const Off nbytes = 8 * blocks;  // one memtype instance per rank
+    ZcStats wr_off, rd_off, wr, rd;
+    const ByteVec staged =
+        run_dense_nc(zc_options(Method::Listless, Zerocopy::Off), nprocs,
+                     nbytes, wr_off, rd_off, blocks);
+    const ByteVec img = run_dense_nc(o, nprocs, nbytes, wr, rd, blocks);
+    EXPECT_EQ(img, staged) << blocks;
+    if (blocks <= cap) {
+      EXPECT_GT(wr.windows, 0u);
+      EXPECT_EQ(wr.fallback, 0u);
+      continue;
+    }
+    EXPECT_EQ(wr.windows, 0u);
+    EXPECT_EQ(rd.windows, 0u);
+    EXPECT_EQ(wr.saved, 0);
+    EXPECT_GE(wr.fallback, static_cast<std::uint64_t>(nprocs));
+    EXPECT_GE(rd.fallback, static_cast<std::uint64_t>(nprocs));
+  }
 }
 
 /// Holey collective write + read-back with the default zero-copy budget:
