@@ -13,7 +13,6 @@
 // lines, one object per data point, schema announced in a json-schema:
 // line.
 #include "bench_common.hpp"
-#include "obs/snapshot.hpp"
 #include "pfs/throttled_file.hpp"
 
 using namespace llio;
@@ -55,36 +54,6 @@ double measure_probe_ns() {
   }
   const double ns = t.seconds() * 1e9 / kIters;
   if (sink != 0) std::abort();  // Off means no span may ever be active.
-  return ns;
-}
-
-// With sampling *on* (its default) and tracing off, recording one
-// OpSample must stay in the hundreds-of-nanoseconds range: a fetch_add,
-// a CAS, and ~10 relaxed stores, never a lock or an allocation.  The
-// sampler records once per MPI-IO operation (not per window), and the
-// cheapest op above is hundreds of microseconds, so a 1000 ns budget
-// bounds the always-on overhead under 1% with two orders of margin.
-double measure_sample_ns() {
-  obs::Tracer::instance().set_level(obs::TraceLevel::Off);
-  obs::Sampler& sampler = obs::Sampler::instance();
-  sampler.set_enabled(true);
-  sampler.reset();
-  const std::uint32_t op = sampler.intern("sample_overhead");
-  constexpr int kIters = 2'000'000;
-  WallTimer t;
-  for (int i = 0; i < kIters; ++i) {
-    obs::OpSample s;
-    s.rank = 0;
-    s.op = op;
-    s.bytes = i;
-    s.dur_ns = i;
-    sampler.record(s);
-  }
-  const double ns = t.seconds() * 1e9 / kIters;
-  // Every record must be accounted produced (drops only happen with
-  // concurrent writers); a miscount means the ring protocol broke.
-  if (sampler.snapshot().produced != std::uint64_t{kIters}) std::abort();
-  sampler.reset();
   return ns;
 }
 
@@ -207,24 +176,11 @@ int main() {
               probe_ns);
   json += strprintf(
       "json:{\"bench\":\"ablation_pipeline\",\"probe_ns\":%.2f}\n", probe_ns);
-  // Always-on sampling guard (see measure_sample_ns).
-  const double sample_ns = measure_sample_ns();
-  std::printf("sampling-on record cost: %.1f ns/op (budget 1000 ns)\n",
-              sample_ns);
-  json += strprintf(
-      "json:{\"bench\":\"ablation_pipeline\",\"sample_ns\":%.2f}\n",
-      sample_ns);
   std::printf("%s", json.c_str());
   if (probe_ns > 250.0) {
     std::fprintf(stderr,
                  "FAIL: disabled trace probe costs %.1f ns/span (> 250)\n",
                  probe_ns);
-    return 1;
-  }
-  if (sample_ns > 1000.0) {
-    std::fprintf(stderr,
-                 "FAIL: sampling-on record costs %.1f ns/op (> 1000)\n",
-                 sample_ns);
     return 1;
   }
   return 0;

@@ -221,8 +221,8 @@ inline BenchPoint run_noncontig(const NoncontigConfig& cfg) {
     comm.barrier();
     if (comm.rank() == 0) {
       // Scope the trace and the metrics histograms to the measured loop:
-      // warm-up and calibration ops would otherwise pollute both, and
-      // obs::explain_pipeline() would stop reconciling with last_stats().
+      // warm-up and calibration ops would otherwise pollute both, and the
+      // trace would stop reconciling with last_stats().
       // Every rank is parked at the barrier above, so nothing races this.
       if (obs::trace_enabled()) obs::Tracer::instance().clear();
       if (obs::metrics_enabled()) obs::Registry::instance().reset_values();

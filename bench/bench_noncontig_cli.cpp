@@ -14,16 +14,13 @@
 //     --hint K=V      MPI_Info hint applied to the open (repeatable),
 //                     e.g. --hint romio_ds_write=disable
 //     --stats         print the per-op stats breakdown (format_stats)
-//     --explain       trace the run (llio_trace=spans, llio_metrics=on,
-//                     repeats pinned to 1 so the trace covers exactly the
-//                     measured op) and print the pipeline timeline
-//                     breakdown (obs::explain_pipeline) plus a
-//                     reconciliation against the op stats and the
-//                     critical-path attribution over the same trace
-//     --report [P]    job-level observability report: enables spans +
-//                     metrics like --explain and sets llio_report so
-//                     File::close() writes the cross-rank JSON (schema
-//                     llio_report/v1) to P (default report.json)
+//     --report [P]    job-level observability report: traces the run
+//                     (llio_trace=spans, llio_metrics=on, repeats pinned
+//                     to 1 so the trace covers exactly the measured op)
+//                     and sets llio_report so File::close() writes the
+//                     cross-rank JSON (schema llio_report/v1, with the
+//                     critical path over that trace) to P (default
+//                     report.json)
 //
 // Prints B_pp plus the overhead decomposition (ol-list bytes shipped,
 // copy/exchange/file time shares).
@@ -31,8 +28,6 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "obs/agg.hpp"
-#include "obs/explain.hpp"
 
 using namespace llio;
 using namespace llio::bench;
@@ -50,7 +45,6 @@ struct CliArgs {
   bool do_write = true;
   bool do_read = true;
   bool stats = false;
-  bool explain = false;
   std::string report_path;  ///< --report: write llio_report JSON here
   mpiio::Info hints;
 };
@@ -60,7 +54,7 @@ struct CliArgs {
                "usage: bench_noncontig_cli [--method list|listless|both] "
                "[--nblock N] [--sblock N] [--procs N] [--target-kb N] "
                "[--collective] [--combo nc-nc|nc-c|c-nc|c-c] "
-               "[--read] [--write] [--hint K=V] [--stats] [--explain] "
+               "[--read] [--write] [--hint K=V] [--stats] "
                "[--report [path]]\n");
   std::exit(2);
 }
@@ -88,7 +82,6 @@ CliArgs parse(int argc, char** argv) {
       a.hints.set(kv.substr(0, eq), kv.substr(eq + 1));
     }
     else if (arg == "--stats") a.stats = true;
-    else if (arg == "--explain") a.explain = true;
     else if (arg == "--report") {
       // Optional path operand; a following option keeps the default.
       a.report_path = "report.json";
@@ -121,10 +114,11 @@ void run_one(const CliArgs& a, mpiio::Method m, bool write) {
   cfg.target_bytes_pp = a.target_kb * 1024;
   cfg.min_seconds = env_double("LLIO_BENCH_MIN_SECONDS", 0.2);
   cfg.hints = a.hints;
-  if (a.explain || !a.report_path.empty()) {
-    // One measured op, traced: the trace then reconciles with the folded
-    // last_stats() the bench reports (run_noncontig clears the tracer and
-    // the metrics registry right before the measured loop).
+  if (!a.report_path.empty()) {
+    // One measured op, traced: the report's critical path then covers
+    // exactly the op whose last_stats() the bench prints (run_noncontig
+    // clears the tracer and the metrics registry right before the
+    // measured loop).
     cfg.min_seconds = 0;
     // Default-enable; never downgrade a level already set via a --hint or
     // the LLIO_TRACE / LLIO_METRICS environment.
@@ -132,9 +126,9 @@ void run_one(const CliArgs& a, mpiio::Method m, bool write) {
       cfg.hints.set("llio_trace", "spans");
     if (!cfg.hints.get("llio_metrics") && !obs::metrics_enabled())
       cfg.hints.set("llio_metrics", "on");
+    if (!cfg.hints.get("llio_report"))
+      cfg.hints.set("llio_report", a.report_path);
   }
-  if (!a.report_path.empty() && !cfg.hints.get("llio_report"))
-    cfg.hints.set("llio_report", a.report_path);
   const BenchPoint p = run_noncontig(cfg);
   std::printf("%-10s %-5s  Bpp %10s   payload/proc %s  repeats %d  "
               "ol-list bytes/op %lld\n",
@@ -149,37 +143,6 @@ void run_one(const CliArgs& a, mpiio::Method m, bool write) {
       p.repeats, p.latency_json().c_str());
   if (a.stats)
     std::printf("%s", mpiio::format_stats(p.op_stats).c_str());
-  if (a.explain) {
-    const auto events = obs::Tracer::instance().snapshot();
-    const auto report = obs::explain_pipeline(events);
-    std::printf("%s", obs::format_pipeline_report(report).c_str());
-    // Reconcile the trace-derived totals with the engine's own stats.
-    const double trace_wait_s = report.io_wait_us / 1e6;
-    const double trace_overlap_s = report.overlap_us / 1e6;
-    std::printf("reconcile: io_wait %.4fs (stats %.4fs)  overlap %.4fs "
-                "(stats %.4fs)\n",
-                trace_wait_s, p.op_stats.io_wait_s, trace_overlap_s,
-                p.op_stats.overlap_s);
-    long long aio_ops = 0;
-    double aio_us = 0;
-    for (const auto& r : report.ranks) {
-      aio_ops += r.aio_ops;
-      aio_us += r.aio_us;
-    }
-    std::printf("reconcile: aio ops %lld, %.4fs (stats async ops %llu)\n",
-                aio_ops, aio_us / 1e6,
-                (unsigned long long)p.op_stats.async_file_ops);
-    const obs::CriticalPathReport cp = obs::critical_path(events);
-    if (cp.windows > 0) {
-      std::printf(
-          "critical path: %lld windows, %.1f%% io / %.1f%% pack / %.1f%% "
-          "other (limiter %s; %.1f%% attributed; exchange %.4fs outside)\n",
-          cp.windows, 100.0 * cp.io_us / cp.window_us,
-          100.0 * cp.pack_us / cp.window_us,
-          100.0 * cp.other_us / cp.window_us, cp.limiter(),
-          100.0 * cp.attributed_frac, cp.exchange_us / 1e6);
-    }
-  }
   if (!a.report_path.empty())
     std::printf("report: %s\n", a.report_path.c_str());
 }

@@ -25,10 +25,11 @@
 //               concurrently.  On the throttled target both share one
 //               AsyncQdFile, which at depth 1 runs each op inline on its
 //               submitting rank with no in-flight cap, so 2 ops are
-//               already in flight (async_inflight_peak 2).  Depth N caps
-//               the shared engine at N ops and hands each to a pool
-//               worker, so qd=2 adds the hand-off but no concurrency and
-//               runs below qd=1, and qd=N gains about N/P over qd=1.
+//               already in flight (AsyncInfo::stats.inflight_peak is 2).
+//               Depth N caps the shared engine at N ops and hands each
+//               to a pool worker, so qd=2 adds the hand-off but no
+//               concurrency and runs below qd=1, and qd=N gains about
+//               N/P over qd=1.
 //   B (direct)  O_DIRECT off/on under an AsyncQdFile of depth 4 on the
 //               `dir` target with an unaligned block size (Sblock=10000),
 //               exercising the alignment-aware read-modify-write at

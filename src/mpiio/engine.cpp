@@ -6,8 +6,6 @@
 #include "common/error.hpp"
 #include "mpiio/sieve.hpp"
 #include "obs/phase.hpp"
-#include "obs/snapshot.hpp"
-#include "pfs/backend_spec.hpp"
 #include "pfs/view_io.hpp"
 
 namespace llio::mpiio {
@@ -20,8 +18,6 @@ IoEngine::IoEngine(sim::Comm* comm, pfs::FilePtr file,
   LLIO_REQUIRE(file_ != nullptr, Errc::InvalidArgument, "engine: null file");
   LLIO_REQUIRE(opts_.file_buffer_size > 0 && opts_.pack_buffer_size > 0,
                Errc::InvalidArgument, "engine: non-positive buffer size");
-  // Validate here: observe_op re-parses it where it must not throw.
-  if (!opts_.backend.empty()) pfs::parse_backend_spec(opts_.backend);
 }
 
 Off IoEngine::check_access(Off offset_etypes, const void* buf, Off count,
@@ -138,76 +134,32 @@ std::unique_ptr<StreamMover> IoEngine::make_mover(const void* buf, Off count,
 
 namespace {
 /// Brackets one operation: clears the per-op record on entry and, on
-/// exit, folds it into the cumulative counters and hands it to
-/// IoEngine::observe_op (per-rank histograms + sampling ring).  Also
-/// snapshots the backend's async submission counters around the op so
-/// the delta lands in async_file_ops / async_inflight_peak.  The op's
-/// wall time is an obs::Phase opened after this guard (closed before it).
+/// exit, folds it into the cumulative counters and — while metrics are
+/// on — into the per-rank op.<phase>_us histograms.  The op's wall time
+/// is an obs::Phase opened after this guard (closed before it).
 class OpRecord {
  public:
-  OpRecord(std::uint32_t op_id, IoEngine& engine, IoOpStats& stats,
-           IoOpStats& cumulative, const pfs::FileBackend* backend)
-      : op_id_(op_id), engine_(engine), stats_(stats),
-        cumulative_(cumulative), backend_(backend) {
+  OpRecord(IoOpStats& stats, IoOpStats& cumulative,
+           obs::LocalRegistry& metrics)
+      : stats_(stats), cumulative_(cumulative), metrics_(metrics) {
     stats_ = IoOpStats{};
-    if (backend_ != nullptr)
-      if (const auto info = backend_->async_info())
-        start_submitted_ = info->stats.submitted;
   }
   ~OpRecord() {
-    int qd = 1;
-    if (backend_ != nullptr)
-      if (const auto info = backend_->async_info()) {
-        stats_.async_file_ops = info->stats.submitted - start_submitted_;
-        stats_.async_inflight_peak = info->stats.inflight_peak;
-        qd = info->queue_depth;
-      }
     cumulative_ += stats_;
-    engine_.observe_op(op_id_, stats_, qd);
+    if (obs::metrics_enabled())
+      for (const auto& [name, seconds] : report_phases(stats_))
+        metrics_.histogram("op." + name + "_us")
+            .record(static_cast<long long>(seconds * 1e6));
   }
   OpRecord(const OpRecord&) = delete;
   OpRecord& operator=(const OpRecord&) = delete;
 
  private:
-  std::uint32_t op_id_;
-  IoEngine& engine_;
   IoOpStats& stats_;
   IoOpStats& cumulative_;
-  const pfs::FileBackend* backend_;
-  std::uint64_t start_submitted_ = 0;
+  obs::LocalRegistry& metrics_;
 };
 }  // namespace
-
-void IoEngine::observe_op(std::uint32_t op_id, const IoOpStats& s,
-                          int queue_depth) {
-  if (obs::metrics_enabled())
-    for (const auto& [name, seconds] : report_phases(s))
-      local_metrics_.histogram("op." + name + "_us")
-          .record(static_cast<long long>(seconds * 1e6));
-  obs::Sampler& sampler = obs::Sampler::instance();
-  if (!sampler.enabled()) return;
-  if (!sample_dims_.resolved) {  // one-time per handle; op_mu_ is held
-    sample_dims_.engine = sampler.intern(method_name(opts_.method));
-    const std::string net =
-        opts_.backend.empty() ? "" : pfs::parse_backend_spec(opts_.backend).net;
-    sample_dims_.backend =
-        sampler.intern(opts_.backend.empty() ? "default" : opts_.backend);
-    sample_dims_.net = sampler.intern(net.empty() ? "default" : net);
-    sample_dims_.resolved = true;
-  }
-  obs::OpSample sample;
-  sample.rank = comm_->rank();
-  sample.op = op_id;
-  sample.engine = sample_dims_.engine;
-  sample.backend = sample_dims_.backend;
-  sample.net = sample_dims_.net;
-  sample.qd = queue_depth;
-  sample.bytes = s.bytes_moved;
-  sample.runs =
-      static_cast<long long>(s.file_read_ops + s.file_write_ops);
-  sample.dur_ns = static_cast<long long>(s.total_s * 1e9);
-  sampler.record(sample);
-}
 
 Off IoEngine::read_at(Off offset_etypes, void* buf, Off count,
                       const dt::Type& mt) {
@@ -233,15 +185,10 @@ Off IoEngine::run_op(bool collective, bool write, Off offset_etypes,
                      const void* buf, Off count, const dt::Type& mt) {
   static const char* const kNames[] = {"read_at", "write_at", "read_at_all",
                                        "write_at_all"};
-  static const std::uint32_t kIds[] = {
-      obs::Sampler::instance().intern(kNames[0]),
-      obs::Sampler::instance().intern(kNames[1]),
-      obs::Sampler::instance().intern(kNames[2]),
-      obs::Sampler::instance().intern(kNames[3])};
   const int k = 2 * static_cast<int>(collective) + static_cast<int>(write);
   const Off stream_lo = check_access(offset_etypes, buf, count, mt);
   std::lock_guard op_lock(op_mu_);
-  OpRecord record(kIds[k], *this, stats_, cumulative_, file_.get());
+  OpRecord record(stats_, cumulative_, local_metrics_);
   obs::Phase op(stats_.total_s, kNames[k]);
   if (collective) return TwoPhase(*this, write).run(stream_lo, buf, count, mt);
   return indep(write, stream_lo, buf, count, mt);

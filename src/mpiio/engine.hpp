@@ -70,11 +70,6 @@ class IoEngine {
   /// rank-threads of the simulated job share that one.
   const obs::LocalRegistry& local_metrics() const { return local_metrics_; }
 
-  /// Internal: fold one finished operation into the per-rank histograms
-  /// and the always-on sampling ring.  Called by the per-op timer with
-  /// op_mu_ held; `op_id` is the Sampler-interned operation name.
-  void observe_op(std::uint32_t op_id, const IoOpStats& s, int queue_depth);
-
   /// Atomic mode (MPI_File_set_atomicity): when enabled, every
   /// independent access holds a byte-range lock over its whole file span,
   /// making concurrent overlapping accesses sequentially consistent.
@@ -134,16 +129,6 @@ class IoEngine {
              Off count, const dt::Type& mt);
 
   obs::LocalRegistry local_metrics_;
-
-  /// Sampling dimensions interned once per handle (interning takes a
-  /// mutex; observe_op runs under op_mu_, so plain fields suffice).
-  struct SampleDims {
-    bool resolved = false;
-    std::uint32_t engine = 0;
-    std::uint32_t backend = 0;
-    std::uint32_t net = 0;
-  };
-  SampleDims sample_dims_;
 };
 
 }  // namespace llio::mpiio

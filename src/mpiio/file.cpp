@@ -8,7 +8,6 @@
 #include "core/listless_engine.hpp"
 #include "listio/list_engine.hpp"
 #include "obs/metrics.hpp"
-#include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "pfs/traced_file.hpp"
 #include "psrv/server_file.hpp"
@@ -106,17 +105,6 @@ File File::open(sim::Comm& comm, pfs::FilePtr backend, const Options& opts) {
   if (opts.trace_file)
     obs::Tracer::instance().set_output_path(*opts.trace_file);
   if (opts.metrics) obs::set_metrics_enabled(*opts.metrics);
-  if (opts.obs_sample) obs::Sampler::instance().set_enabled(*opts.obs_sample);
-  // Resizing replaces the ring (dropping retained samples), so only act
-  // when the capacity actually changes: a re-open with the same hint is
-  // a no-op, and racing ranks of one collective open at worst install a
-  // few empty rings of the same size (old rings leak by design).
-  if (opts.obs_ring > 0 &&
-      static_cast<std::size_t>(opts.obs_ring) !=
-          obs::Sampler::instance().capacity()) {
-    obs::Sampler::instance().set_capacity(
-        static_cast<std::size_t>(opts.obs_ring));
-  }
   // Per-file-op observation needs the TracedFile decorator in the path.
   // Wrapping is per-handle and forwards to the shared inner backend, so
   // peers opening the same backend unwrapped stay coherent.
@@ -400,7 +388,7 @@ obs::JobReport File::close() {
 
   obs::JobReport report = obs::aggregate(comm, mine);
 
-  // Process-global sections: the registry, sampler, and tracer are
+  // Process-global sections: the registry and tracer are
   // shared by all rank-threads of the simulated job, so every rank
   // attaches the same view and the reports stay rank-identical (the
   // allgather above synchronized the ranks, so no op is mid-flight).
@@ -426,9 +414,6 @@ obs::JobReport File::close() {
       };
     }
   }
-  const obs::MetricsSnapshot ms = obs::Sampler::instance().snapshot();
-  report.samples_produced = ms.produced;
-  report.samples_dropped = ms.dropped;
   if (obs::trace_enabled())
     report.critical = obs::critical_path(obs::Tracer::instance().snapshot());
 

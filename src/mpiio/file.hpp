@@ -163,10 +163,9 @@ class File {
   /// contributes its cumulative phase decomposition (pack / exchange /
   /// preread / io / wait), counters, and per-rank phase histograms;
   /// every rank returns the same obs::JobReport — cross-rank
-  /// min/median/max per phase, merged histograms, straggler rank,
-  /// critical path over the trace (when tracing is on), and the sampling
-  /// ring totals.  Rank 0 writes the report JSON to Options::report_path
-  /// when set.  The handle stays usable afterwards: close() finalizes
+  /// min/median/max per phase, merged histograms, straggler rank and
+  /// critical path over the trace (when tracing is on).  Rank 0 writes
+  /// the report JSON to Options::report_path when set.  The handle stays usable afterwards: close() finalizes
   /// observability, not the backend (simulated backends have no OS
   /// handle to release).
   obs::JobReport close();

@@ -132,19 +132,6 @@ Options apply_info(const Info& info, Options base) {
       LLIO_REQUIRE(!value.empty(), Errc::InvalidArgument,
                    "hint llio_report: empty path");
       base.report_path = value;
-    } else if (key == "llio_obs_sample") {
-      if (value == "on")
-        base.obs_sample = true;
-      else if (value == "off")
-        base.obs_sample = false;
-      else
-        throw_error(Errc::InvalidArgument,
-                    "hint llio_obs_sample: expected on/off");
-    } else if (key == "llio_obs_ring") {
-      const int n = parse_int(key, value);
-      LLIO_REQUIRE(n >= 1, Errc::InvalidArgument,
-                   "hint llio_obs_ring: expected a capacity >= 1");
-      base.obs_ring = n;
     }
     // Unknown keys are ignored, as MPI_Info requires.
   }
@@ -190,8 +177,6 @@ Info options_to_info(const Options& o) {
   if (o.trace_file) info.set("llio_trace_file", *o.trace_file);
   if (o.metrics) info.set("llio_metrics", *o.metrics ? "on" : "off");
   if (!o.report_path.empty()) info.set("llio_report", o.report_path);
-  if (o.obs_sample) info.set("llio_obs_sample", *o.obs_sample ? "on" : "off");
-  if (o.obs_ring > 0) info.set("llio_obs_ring", strprintf("%d", o.obs_ring));
   return info;
 }
 

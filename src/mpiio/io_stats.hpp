@@ -19,8 +19,9 @@ namespace llio::mpiio {
 ///           `op.<report>_us`; an integer field as a RankSnapshot counter
 ///           (summed across ranks, so never a Max field).
 /// struct IoOpStats, operator+=, format_stats, report_phases /
-/// report_counters (the JobReport snapshot and IoEngine::observe_op's
-/// histograms) are all generated from it.  To add a field, add a row.
+/// report_counters (the JobReport snapshot and the engine's per-rank
+/// op.<phase>_us histograms) are all generated from it.  To add a field,
+/// add a row.
 #define LLIO_IO_OP_STATS_FIELDS(X)                                          \
   /* wall time of the whole operation */                                  \
   X(double, total_s, Sum, "total")                                        \
@@ -77,12 +78,7 @@ namespace llio::mpiio {
   /* FOTF pack-plan cache: replays of a cached fileview plan, and plan    \
      compiles (or declined compiles) */                                   \
   X(std::uint64_t, plan_hits, Sum, nullptr)                               \
-  X(std::uint64_t, plan_misses, Sum, nullptr)                             \
-  /* Async queue-depth backend (an AsyncQdFile in the stack, e.g. spec    \
-     posix:<dir>,qd=N): operations submitted to its AsyncIo engine        \
-     during this op, and the engine's peak concurrent ops */              \
-  X(std::uint64_t, async_file_ops, Sum, "async_file_ops")                 \
-  X(std::uint64_t, async_inflight_peak, Max, nullptr)
+  X(std::uint64_t, plan_misses, Sum, nullptr)
 
 /// The merge rules the table names.
 namespace stats_merge {

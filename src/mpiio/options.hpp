@@ -107,9 +107,9 @@ struct Options {
   /// LLIO_BENCH_BACKEND as a bench-wide default), e.g. "mem",
   /// "posix:/tmp,qd=4" or "psrv:servers=2,request=view,net=mid"; see
   /// pfs/backend_spec.hpp for the grammar and psrv::make_backend for the
-  /// factory.  The engines see only the resulting pfs::FileBackend; this
-  /// string (and its net value) only labels the sampling ring.  Empty =
-  /// the harness's own default.
+  /// factory.  The engines see only the resulting pfs::FileBackend;
+  /// apply_info validates the string and options_to_info renders it back.
+  /// Empty = the harness's own default.
   std::string backend = {};
 
   /// Observability (hints llio_trace / llio_trace_file / llio_metrics).
@@ -129,13 +129,6 @@ struct Options {
   /// (schema llio_report/v1) to this path.  Empty = close() still
   /// aggregates and returns the report, but writes nothing.
   std::string report_path = {};
-
-  /// Always-on sampling ring (hints llio_obs_sample / llio_obs_ring).
-  /// Process-global like the tracer knobs; File::open applies any value
-  /// set here on top of the environment-seeded defaults (LLIO_OBS_SAMPLE
-  /// / LLIO_OBS_RING).  Unset / 0 = leave the global setting alone.
-  std::optional<bool> obs_sample = std::nullopt;
-  int obs_ring = 0;
 };
 
 const char* method_name(Method m) noexcept;

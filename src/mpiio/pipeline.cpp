@@ -122,8 +122,8 @@ void run_serial(SieveContext& ctx, Off buffer_bytes, const WindowSource& next,
     }
     if (buf.empty()) buf.resize(to_size(buffer_bytes));
     // Same span vocabulary as the pipelined jobs, here on the compute
-    // thread (tid 0): the explainer excludes these from worker overlap,
-    // the critical-path pass counts them as the window's I/O exposure.
+    // thread (tid 0): the critical-path pass counts them as the window's
+    // I/O exposure.
     if (plan.preread) {
       const double s = timed_pread_zero_fill(
           ctx, plan.lo, ByteSpan(buf.data(), to_size(win)), "preread",

@@ -46,8 +46,8 @@ struct WindowPlan {
 
   /// Sequential window number, assigned by run_window_pipeline (the
   /// engine's `next` need not set it).  Trace spans carry it as the
-  /// "win" argument so obs::explain_pipeline can correlate compute- and
-  /// worker-side slices of the same window.
+  /// "win" argument so obs::critical_path can attribute each window's
+  /// compute-thread slices to the same window.
   Off index = -1;
 };
 

@@ -251,7 +251,7 @@ CriticalPathReport critical_path(const std::vector<TraceEvent>& events) {
     double io_us = 0;    // io_wait + inline preread/pwrite (serial loop)
     double pack_us = 0;
   };
-  // The numeric "win" argument, matched exactly as explain_pipeline does.
+  // The numeric "win" argument the pipeline stamps on its window spans.
   auto win_arg = [](const TraceEvent& ev) -> long long {
     for (const TraceArg& a : ev.args)
       if (!a.is_text && a.key == "win") return a.value;
@@ -412,11 +412,7 @@ std::string JobReport::to_json() const {
     out += strprintf(i == 0 ? "\"%s\":%llu" : ",\"%s\":%llu",
                      global_counters[i].first.c_str(),
                      static_cast<unsigned long long>(global_counters[i].second));
-  out += strprintf(
-      "},\"sampling\":{\"produced\":%llu,\"dropped\":%llu}",
-      static_cast<unsigned long long>(samples_produced),
-      static_cast<unsigned long long>(samples_dropped));
-  out += "}";
+  out += "}}";
   return out;
 }
 

@@ -21,7 +21,7 @@
 //   * critical_path(events) — a pass over the Chrome-trace spans
 //     attributing each pipeline window's wall time to its limiting
 //     component (I/O wait vs pack vs everything else), the "what do I fix
-//     first" summary surfaced by --explain and the llio_report JSON.
+//     first" summary the llio_report JSON carries.
 //
 // The JobReport JSON (schema "llio_report/v1") is the machine-readable
 // interface; tools/check_report.py validates it in CI.
@@ -104,7 +104,7 @@ struct CriticalPathReport {
 
 /// Walk a trace snapshot and attribute window time (see
 /// CriticalPathReport).  Matches spans by name + the numeric "win"
-/// argument on compute-thread tracks, exactly like explain_pipeline.
+/// argument on compute-thread tracks.
 CriticalPathReport critical_path(const std::vector<TraceEvent>& events);
 
 struct JobReport {
@@ -137,10 +137,6 @@ struct JobReport {
   /// summed ServerStats: psrv.requests, psrv.max_queue_depth, ...).  Kept
   /// apart from `counters`, which are per-rank sums.
   std::vector<std::pair<std::string, std::uint64_t>> global_counters;
-
-  /// Always-on sampling ring state (obs/snapshot.hpp).
-  std::uint64_t samples_produced = 0;
-  std::uint64_t samples_dropped = 0;
 
   const PhaseStats* phase(const std::string& name) const;
 

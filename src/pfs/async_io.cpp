@@ -100,8 +100,7 @@ void AsyncIo::submit(Batch& batch, std::function<void()> op, Off bytes) {
     double seconds = 0;
     {
       // Span on the *caller's* track: at qd 1 the op runs inline, and the
-      // timeline should show that I/O time where it was actually spent
-      // (the explainer reconciles aio_op spans on any track).
+      // timeline should show that I/O time where it was actually spent.
       obs::Phase t(seconds, "aio_op", obs::TraceLevel::Spans,
                  obs::metrics_enabled()
                      ? lat_hist_.load(std::memory_order_acquire)

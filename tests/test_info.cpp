@@ -88,12 +88,15 @@ TEST(ApplyInfo, MergeContigModes) {
 
 TEST(ApplyInfo, UnknownKeysIgnored) {
   EXPECT_NO_THROW(apply_info(Info{{"some_vendor_hint", "whatever"}}, {}));
-  // The adaptive layer's former hints are unknown keys: whatever their
-  // value, every option keeps its default and none is rendered back.
+  // Former hints of deleted layers (the adaptive policy, the per-op
+  // sampling ring) are unknown keys: whatever their value, every option
+  // keeps its default and none is rendered back.
   const Options o = apply_info(Info{{"llio_adaptive", "auto"},
                                     {"llio_adaptive_policy", "greedy"},
                                     {"llio_adaptive_epsilon", "2"},
-                                    {"llio_adaptive_window", "0"}},
+                                    {"llio_adaptive_window", "0"},
+                                    {"llio_obs_sample", "on"},
+                                    {"llio_obs_ring", "8"}},
                                {});
   const Info rendered = options_to_info(o);
   EXPECT_EQ(rendered.entries(), options_to_info(Options{}).entries());
@@ -101,6 +104,7 @@ TEST(ApplyInfo, UnknownKeysIgnored) {
   for (const auto& [key, value] : rendered.entries()) {
     EXPECT_NE(key.rfind("llio_adaptive", 0), 0u) << key;
     EXPECT_NE(key.rfind("llio_pack_", 0), 0u) << key;
+    EXPECT_NE(key.rfind("llio_obs_", 0), 0u) << key;
   }
 }
 

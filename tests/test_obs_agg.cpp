@@ -1,25 +1,21 @@
 // Job-level observability tests: mergeable histogram data (unit + fuzz),
 // RankSnapshot wire roundtrip, Collector phase statistics and straggler
 // identification, the collective aggregate() over a multi-rank world with
-// an injected slow rank, the always-on sampling ring (wrap-around and
-// reader-during-writes coherence), and the critical-path attribution.
+// an injected slow rank, and the critical-path attribution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <random>
-#include <thread>
 #include <vector>
 
 #include "io_test_util.hpp"
 #include "mpiio/file.hpp"
 #include "obs/agg.hpp"
 #include "obs/metrics.hpp"
-#include "obs/snapshot.hpp"
 #include "pfs/mem_file.hpp"
 #include "pfs/throttled_file.hpp"
 #include "simmpi/comm.hpp"
@@ -27,20 +23,16 @@
 namespace llio {
 namespace {
 
-/// The registry/tracer/sampler are process-global; every test here scopes
+/// The registry and tracer are process-global; every test here scopes
 /// its configuration and restores the quiet defaults on the way out.
 struct ObsSandbox {
   explicit ObsSandbox(bool metrics) {
     obs::set_metrics_enabled(metrics);
     obs::Registry::instance().reset_values();
-    obs::Sampler::instance().set_enabled(true);
-    obs::Sampler::instance().reset();
   }
   ~ObsSandbox() {
     obs::set_metrics_enabled(false);
     obs::Registry::instance().reset_values();
-    obs::Sampler::instance().set_enabled(true);
-    obs::Sampler::instance().reset();
   }
 };
 
@@ -347,7 +339,6 @@ TEST(Aggregate, MultiRankReportNamesInjectedStraggler) {
       }
     }
     EXPECT_TRUE(saw_total);
-    EXPECT_GT(r.samples_produced, 0u);
   }
 
   // Rank 0 wrote the JSON report.
@@ -460,88 +451,6 @@ TEST(Aggregate, ReportCarriesSkewPhase) {
     ASSERT_NE(sk, nullptr);
     EXPECT_GT(sk->max_s, 0.01);
   }
-}
-
-// ---- sampling ring ------------------------------------------------------
-
-TEST(Sampler, RingWrapKeepsNewestAndCounts) {
-  ObsSandbox sandbox(/*metrics=*/false);
-  obs::Sampler& s = obs::Sampler::instance();
-  s.set_capacity(8);
-  for (int i = 0; i < 100; ++i) {
-    obs::OpSample smp;
-    smp.rank = 0;
-    smp.bytes = i;
-    s.record(smp);
-  }
-  const obs::MetricsSnapshot snap = s.snapshot();
-  EXPECT_EQ(snap.capacity, 8u);
-  EXPECT_EQ(snap.produced, 100u);
-  EXPECT_EQ(snap.dropped, 0u);  // single-threaded: no slot collisions
-  ASSERT_EQ(snap.samples.size(), 8u);
-  for (std::size_t i = 0; i < snap.samples.size(); ++i) {
-    // The newest 8 survive, oldest-first.
-    EXPECT_EQ(snap.samples[i].seq, 92 + i);
-    EXPECT_EQ(snap.samples[i].bytes, static_cast<long long>(92 + i));
-  }
-  s.set_capacity(1024);
-}
-
-TEST(Sampler, InternIsStableAndResolvable) {
-  obs::Sampler& s = obs::Sampler::instance();
-  const std::uint32_t a = s.intern("listless");
-  EXPECT_EQ(s.intern("listless"), a);
-  EXPECT_EQ(s.name(a), "listless");
-  EXPECT_EQ(s.name(0), "");  // id 0 is the empty dimension
-  EXPECT_EQ(s.name(1u << 30), "?");
-}
-
-TEST(Sampler, SnapshotStaysCoherentDuringConcurrentWrites) {
-  ObsSandbox sandbox(/*metrics=*/false);
-  obs::Sampler& s = obs::Sampler::instance();
-  s.set_capacity(64);
-  constexpr int kWriters = 4;
-  constexpr int kPerWriter = 10000;
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> incoherent{0};
-  std::thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      const obs::MetricsSnapshot snap = s.snapshot();
-      EXPECT_LE(snap.samples.size(), snap.capacity);
-      std::uint64_t prev_seq = 0;
-      bool first = true;
-      for (const obs::OpSample& smp : snap.samples) {
-        if (!first && smp.seq <= prev_seq) ++incoherent;
-        prev_seq = smp.seq;
-        first = false;
-        // Every writer stamps bytes = rank * 1000 + counter; a torn read
-        // that mixed two writers' fields would break the pairing.
-        if (smp.bytes / 1000 != static_cast<long long>(smp.rank))
-          ++incoherent;
-      }
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&s, w] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        obs::OpSample smp;
-        smp.rank = w;
-        smp.bytes = static_cast<long long>(w) * 1000 + (i % 1000);
-        smp.dur_ns = i;
-        s.record(smp);
-      }
-    });
-  }
-  for (std::thread& t : writers) t.join();
-  done.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(incoherent.load(), 0u);
-  const obs::MetricsSnapshot fin = s.snapshot();
-  EXPECT_EQ(fin.produced, static_cast<std::uint64_t>(kWriters * kPerWriter));
-  // Drops are possible (a writer lapped the ring mid-write) but counted.
-  EXPECT_LE(fin.dropped, fin.produced);
-  s.set_capacity(1024);
 }
 
 // ---- critical path ------------------------------------------------------

@@ -9,8 +9,7 @@ Checks, in order:
 
   * schema: the document is one JSON object tagged "llio_report/v1" with
     the required sections (ranks, phases, counters, counters_per_rank,
-    histograms, straggler, sampling; critical_path when the run was
-    traced).
+    histograms, straggler; critical_path when the run was traced).
   * internal consistency: every phase's per_rank_s has nranks entries
     and its min/max/sum agree with them; counters are non-negative, and
     counters_per_rank holds nranks values for every counter that sum to
@@ -168,8 +167,7 @@ def main():
     for section, typ in (("nranks", int), ("ranks", list), ("phases", list),
                          ("counters", dict), ("counters_per_rank", dict),
                          ("histograms", list),
-                         ("straggler", dict), ("global_histograms", dict),
-                         ("sampling", dict)):
+                         ("straggler", dict), ("global_histograms", dict)):
         if not isinstance(report.get(section), typ):
             ok = fail(f"missing or mistyped section {section!r}")
     if not ok:
@@ -189,12 +187,6 @@ def main():
     for k, v in report["counters"].items():
         if not isinstance(v, int) or v < 0:
             ok = fail(f"counter {k} is {v!r}, want a non-negative integer")
-
-    sampling = report["sampling"]
-    if sampling.get("produced", -1) < 0 or sampling.get("dropped", -1) < 0:
-        ok = fail(f"sampling section malformed: {sampling}")
-    if sampling.get("dropped", 0) > sampling.get("produced", 0):
-        ok = fail("sampling dropped more records than it produced")
 
     straggler = report["straggler"]
     if args.expect_straggler is not None:
