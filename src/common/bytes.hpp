@@ -3,8 +3,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,7 +18,46 @@ namespace llio {
 using Byte = std::byte;
 using ByteSpan = std::span<Byte>;
 using ConstByteSpan = std::span<const Byte>;
-using ByteVec = std::vector<Byte>;
+
+/// std::allocator, except that value-initialising construction (what
+/// `vector(n)` and `resize(n)` use) default-initialises: the new bytes of
+/// a staging or wire buffer are left unwritten, since the next step
+/// overwrites them end to end.  Builds without NDEBUG write 0xA5 there
+/// instead, so a reader that relies on implicit zeros fails every run.
+template <class T>
+struct DefaultInitAlloc {
+  using value_type = T;
+
+  DefaultInitAlloc() = default;
+  template <class U>
+  constexpr DefaultInitAlloc(const DefaultInitAlloc<U>&) noexcept {}
+
+  T* allocate(std::size_t n) { return std::allocator<T>{}.allocate(n); }
+  void deallocate(T* p, std::size_t n) noexcept {
+    std::allocator<T>{}.deallocate(p, n);
+  }
+
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+#ifndef NDEBUG
+    std::memset(static_cast<void*>(p), 0xA5, sizeof(U));
+#endif
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  friend bool operator==(const DefaultInitAlloc&,
+                         const DefaultInitAlloc&) noexcept {
+    return true;
+  }
+};
+
+/// A byte buffer whose growth leaves the new bytes unspecified.  Ask for
+/// zeros explicitly where file semantics need them: `ByteVec(n, Byte{0})`.
+using ByteVec = std::vector<Byte, DefaultInitAlloc<Byte>>;
 
 /// Signed 64-bit offset/length used throughout (mirrors MPI_Offset/MPI_Aint).
 using Off = std::int64_t;

@@ -78,20 +78,20 @@ Off viewio_access(bool write, pfs::ViewIo& vio, const View& view,
   if (direct != nullptr) {
     view_call(stream_lo, direct, nbytes);
   } else {
-    // Not zero-filled: to_stream (write) or view_read (read) fills every
-    // staged byte before it is read.
+    // to_stream (write) or view_read (read) fills every staged byte
+    // before it is read.
     const Off cap = std::min(nbytes, opts.pack_buffer_size);
-    const auto buf = std::make_unique_for_overwrite<Byte[]>(to_size(cap));
+    ByteVec buf(to_size(cap));
     for (Off done = 0; done < nbytes;) {
       const Off n = std::min(nbytes - done, cap);
       if (write) {
         obs::Phase t(stats.copy_s, nullptr);
-        m.to_stream(buf.get(), done, n);
+        m.to_stream(buf.data(), done, n);
       }
-      view_call(stream_lo + done, buf.get(), n);
+      view_call(stream_lo + done, buf.data(), n);
       if (!write) {
         obs::Phase t(stats.copy_s, nullptr);
-        m.from_stream(buf.get(), done, n);
+        m.from_stream(buf.data(), done, n);
       }
       done += n;
     }

@@ -96,10 +96,11 @@ FileJobStats direct_job(pfs::FileBackend& file,
 
 void run_serial(SieveContext& ctx, Off buffer_bytes, const WindowSource& next,
                 const WindowFill& fill) {
-  // Reserved up front, but its pages are touched only when a staged
-  // window comes up.  Reserving it lazily changed the allocator's order
-  // and raised llbench coll-fine's peak RSS from about 29 to 33 MiB
-  // (4-CPU x86 host).
+  // Reserved up front.  The first staged window sizes it, which writes
+  // no byte (ByteVec growth is unwritten), so a page is first touched by
+  // the pre-read or fill that covers it.  Reserving it lazily changed the
+  // allocator's order and raised llbench coll-fine's peak RSS from about
+  // 29 to 33 MiB (4-CPU x86 host).
   ByteVec buf;
   buf.reserve(to_size(buffer_bytes));
   WindowPlan plan;
@@ -167,7 +168,8 @@ void run_pipelined(SieveContext& ctx, int depth, Off buffer_bytes,
     });
   };
   // One slot per window in flight; a slot's buffer is reserved here and
-  // touched when a staged window first takes it (as in run_serial).
+  // sized, unwritten, when a staged window first takes it (as in
+  // run_serial).
   std::vector<ByteVec> bufs(to_size(depth));
   for (ByteVec& b : bufs) b.reserve(to_size(buffer_bytes));
   auto window_buf = [&](const Flight& fl) {

@@ -12,8 +12,8 @@
 // A direct window carries its file runs instead: one preadv/pwritev moves
 // the bytes straight between storage and the peers' buffers, with no
 // window buffer, pre-read or fill.  Both kinds share the one loop, its
-// range locks, spans and in-flight limit; buffers are allocated only when
-// a staged window comes up.
+// range locks, spans and in-flight limit; a window buffer is sized (its
+// bytes left unwritten) only when a staged window comes up.
 //
 // Thread discipline: `next` and `fill` always run on the calling (compute)
 // thread, in window order — engine navigators and recv-list cursors are

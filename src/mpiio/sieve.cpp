@@ -238,14 +238,16 @@ Off direct_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
                  Off nbytes, StreamMover& src) {
   // One *vectored* file access per iov_batch_max contiguous runs instead
   // of one syscall per run.  Segments whose user memory is contiguous are
-  // referenced in place; others are packed into a stage buffer.  Staged
-  // segments record stage *offsets* (not pointers) so the stage buffer
-  // may grow while a batch accumulates.
+  // referenced in place; others are packed into a stage buffer, all of a
+  // batch's at once (one timed copy per flush, not one per segment).
+  // Staged segments record stage *offsets* (not pointers) so the stage
+  // buffer may grow while a batch accumulates.
   if (nbytes <= 0) return 0;
   struct Seg {
     Off off;          ///< absolute file offset
     const Byte* ptr;  ///< direct user memory, or nullptr if staged
     Off stage_off;
+    Off rel;  ///< stream-relative offset, for to_stream at the flush
     Off len;
   };
   const std::size_t batch_max =
@@ -256,6 +258,11 @@ Off direct_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
 
   auto flush = [&] {
     if (segs.empty()) return;
+    if (!stage.empty()) {
+      obs::Phase copy(ctx.stats.copy_s, nullptr);
+      for (const Seg& s : segs)
+        if (!s.ptr) src.to_stream(stage.data() + s.stage_off, s.rel, s.len);
+    }
     iov.clear();
     for (const Seg& s : segs)
       iov.push_back({s.off,
@@ -270,7 +277,7 @@ Off direct_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
       stream_lo, nbytes, [&](Off mem, Off stream, Off len) {
         const Off rel = stream - stream_lo;
         if (const Byte* direct = src.direct(rel, len)) {
-          segs.push_back({disp + mem, direct, 0, len});
+          segs.push_back({disp + mem, direct, 0, 0, len});
           if (segs.size() >= batch_max) flush();
           return;
         }
@@ -284,11 +291,7 @@ Off direct_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
           const Off n = std::min(len - sub, room);
           const Off at = to_off(stage.size());
           stage.resize(to_size(at + n));
-          {
-            obs::Phase copy(ctx.stats.copy_s, nullptr);
-            src.to_stream(stage.data() + at, rel + sub, n);
-          }
-          segs.push_back({disp + mem + sub, nullptr, at, n});
+          segs.push_back({disp + mem + sub, nullptr, at, rel + sub, n});
           sub += n;
           if (segs.size() >= batch_max) flush();
         }

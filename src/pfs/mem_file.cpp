@@ -49,7 +49,7 @@ void MemFile::resize(Off new_size) {
 
 ByteVec MemFile::contents() const {
   std::unique_lock lock(mu_);  // excludes every in-place writer
-  return data_;
+  return ByteVec(data_.begin(), data_.end());
 }
 
 Off MemFile::do_pread(Off offset, ByteSpan out) {

@@ -37,6 +37,7 @@ class MemFile final : public FileBackend {
 
   mutable std::shared_mutex mu_;  ///< shared: in place; exclusive: resize
   RangeLock ranges_;              ///< byte ranges of in-place accesses
+  /// Zero-initialising, unlike ByteVec: holes and growth read as zero.
   std::vector<Byte> data_;
 };
 

@@ -107,7 +107,9 @@ TEST_P(ListCodecReuse, BackToBackCollectivesMatchListless) {
             listless.write_at_all(op.offset, stream.data(), n, dt::byte()),
             n);
       } else {
-        ByteVec a(to_size(n + 1)), b(to_size(n + 1));
+        // Both start with the same sentinel, so the compare also checks
+        // that neither engine writes past the n requested bytes.
+        ByteVec a(to_size(n + 1), Byte{0xEE}), b(to_size(n + 1), Byte{0xEE});
         EXPECT_EQ(list.read_at_all(op.offset, a.data(), n, dt::byte()), n);
         EXPECT_EQ(listless.read_at_all(op.offset, b.data(), n, dt::byte()),
                   n);

@@ -119,8 +119,13 @@ TEST(PsrvBackend, ResizeShrinksAndGrowsLikeMemFile) {
       f->resize(size);
       ref->resize(size);
       ASSERT_EQ(f->size(), ref->size()) << request_class_name(cls);
+      // pread says nothing of the bytes past a short read: compare the
+      // bytes it returned.
       ByteVec a(200), b(200);
-      ASSERT_EQ(f->pread(0, a), ref->pread(0, b)) << request_class_name(cls);
+      const Off got = f->pread(0, a);
+      ASSERT_EQ(got, ref->pread(0, b)) << request_class_name(cls);
+      a.resize(to_size(got));
+      b.resize(to_size(got));
       ASSERT_EQ(a, b) << request_class_name(cls) << " after resize " << size;
     }
     f->sync();  // must not throw
