@@ -1,6 +1,7 @@
 // Byte-buffer aliases and checked integer helpers shared across llio.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -58,6 +59,25 @@ struct DefaultInitAlloc {
 /// A byte buffer whose growth leaves the new bytes unspecified.  Ask for
 /// zeros explicitly where file semantics need them: `ByteVec(n, Byte{0})`.
 using ByteVec = std::vector<Byte, DefaultInitAlloc<Byte>>;
+
+/// Append `src` to `out`: grow, then one memcpy.  Use it, not insert,
+/// to append to a ByteVec: with DefaultInitAlloc libstdc++ copies element
+/// by element, in insert and in the relocation when resize or reserve
+/// grows the buffer, so a growth here moves the old bytes by memcpy too.
+inline void append_bytes(ByteVec& out, ConstByteSpan src) {
+  const std::size_t at = out.size();
+  const std::size_t need = at + src.size();
+  if (need > out.capacity()) {
+    ByteVec grown;
+    grown.reserve(std::max(need, 2 * out.capacity()));
+    grown.resize(need);
+    if (at != 0) std::memcpy(grown.data(), out.data(), at);
+    out.swap(grown);
+  } else {
+    out.resize(need);
+  }
+  if (!src.empty()) std::memcpy(out.data() + at, src.data(), src.size());
+}
 
 /// Signed 64-bit offset/length used throughout (mirrors MPI_Offset/MPI_Aint).
 using Off = std::int64_t;

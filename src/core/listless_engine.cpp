@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/fotf_mover.hpp"
 #include "dtype/normalize.hpp"
 #include "dtype/serialize.hpp"
 #include "mpiio/mergeview.hpp"
@@ -23,8 +22,7 @@ void CachedViewCodec::set_view(sim::Comm& comm, const View& v,
   // Fileview caching (§3.2.3): exchange the compact representation once.
   ByteVec blob;
   mpiio::put_off(blob, v.disp);
-  const ByteVec enc = dt::serialize(ft);
-  blob.insert(blob.end(), enc.begin(), enc.end());
+  append_bytes(blob, dt::serialize(ft));
   auto all = comm.allgather(blob, sim::MsgClass::Meta);
 
   cached_.clear();
@@ -94,12 +92,12 @@ bool CachedViewCodec::plan_window(Off lo, Off hi) {
 bool CachedViewCodec::window_runs(Off, Off, const mpiio::RunBudget& budget,
                                   std::vector<pfs::IoVec>& runs) {
   // Each touching peer's view must have long runs on average (O(1) from
-  // its plan, so fine-grained views never materialize anything); then
+  // its filetype, so fine-grained views never materialize anything); then
   // its slice's runs merge into file order.
   runs.clear();
   const std::vector<Slice>& slices = queued_.back();
   for (const Slice& sl : slices)
-    if (cached_[to_size(Off{sl.peer->src})].nav->avg_run() <
+    if (fotf::avg_run(cached_[to_size(Off{sl.peer->src})].filetype) <
         budget.min_avg_run)
       return false;
   for (const Slice& sl : slices) {
@@ -148,7 +146,7 @@ void ListlessEngine::set_view(const View& v) {
 
 std::unique_ptr<mpiio::StreamMover> ListlessEngine::make_nc_mover(
     const void* buf, Off count, const dt::Type& mt) {
-  return std::make_unique<FotfMover>(buf, count, mt);
+  return std::make_unique<FotfMover>(buf, count, mt, mem_plans_);
 }
 
 }  // namespace llio::core

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/fotf_mover.hpp"
 #include "core/listless_nav.hpp"
 #include "mpiio/engine.hpp"
 
@@ -78,6 +79,7 @@ class ListlessEngine final : public mpiio::IoEngine {
 
  private:
   CachedViewCodec codec_;
+  MemtypePlans mem_plans_{&stats_};  ///< the ops' memtype run table
 };
 
 }  // namespace llio::core

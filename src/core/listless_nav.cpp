@@ -1,7 +1,6 @@
 #include "core/listless_nav.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.hpp"
 #include "fotf/navigate.hpp"
@@ -47,15 +46,6 @@ const fotf::PackPlan* ListlessNav::plan() {
   const fotf::PackPlan* pl = compiled();
   if (replay && pl != nullptr && stats_ != nullptr) ++stats_->plan_hits;
   return pl;
-}
-
-Off ListlessNav::avg_run() {
-  const fotf::PackPlan* pl = compiled();
-  if (pl == nullptr) return 0;
-  // One run that fills its instance abuts the next instance's.
-  if (pl->run_count() == 1 && pl->instance_extent() == pl->instance_size())
-    return std::numeric_limits<Off>::max();
-  return pl->instance_size() / pl->run_count();
 }
 
 bool ListlessNav::layout_runs(Off s, Off n, std::size_t max_runs,

@@ -47,11 +47,6 @@ class ListlessNav final : public mpiio::ViewNav {
   template <class Fn>
   void for_each_run(Off s, Off n, Fn&& fn);
 
-  /// Average bytes per contiguous run of one filetype instance, in O(1)
-  /// from the compiled plan (unbounded for a dense view); 0 without a
-  /// plan.  The direct-window test of the listless codec.
-  Off avg_run();
-
   /// Describe stream bytes [s, s+n) as layout runs into `out` (stream,
   /// hence layout, order; adjacent runs coalesced).  False, `out`
   /// cleared, without a plan or past `max_runs` runs.

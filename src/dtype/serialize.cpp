@@ -11,9 +11,7 @@ namespace {
 void put_u8(ByteVec& out, std::uint8_t v) { out.push_back(Byte{v}); }
 
 void put_i64(ByteVec& out, Off v) {
-  Byte raw[sizeof(Off)];
-  std::memcpy(raw, &v, sizeof(Off));
-  out.insert(out.end(), raw, raw + sizeof(Off));
+  append_bytes(out, ConstByteSpan(as_bytes(&v), sizeof(Off)));
 }
 
 class Reader {

@@ -1,6 +1,7 @@
 #include "fotf/plan.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
 #include "fotf/cursor.hpp"
@@ -11,6 +12,7 @@ namespace llio::fotf {
 std::shared_ptr<const PackPlan> PackPlan::compile(const Type& t,
                                                   std::size_t max_runs) {
   if (t == nullptr || t->size() <= 0) return nullptr;
+  if (t->block_count() > to_off(max_runs)) return nullptr;
   auto plan = std::make_shared<PackPlan>();
   plan->size_ = t->size();
   plan->extent_ = t->extent();
@@ -54,6 +56,12 @@ std::shared_ptr<const PackPlan> PackPlan::compile(const Type& t,
     }
   }
   return plan;
+}
+
+Off avg_run(const Type& t) {
+  if (t == nullptr || t->block_count() <= 0) return 0;
+  if (t->is_contiguous()) return std::numeric_limits<Off>::max();
+  return t->size() / t->block_count();
 }
 
 template <bool ToPack>

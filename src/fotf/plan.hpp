@@ -66,7 +66,8 @@ class PackPlan {
 
   /// Compile the segment table of one instance of `t`.  Returns nullptr
   /// for null/zero-size types and for types with more than `max_runs`
-  /// contiguous segments per instance.
+  /// contiguous segments per instance; that decline is O(1), from the
+  /// node's cached block count, so it walks nothing.
   static std::shared_ptr<const PackPlan> compile(
       const Type& t, std::size_t max_runs = kDefaultMaxRuns);
 
@@ -113,6 +114,12 @@ class PackPlan {
   Off useg_ = 0;             ///< uniform: bytes per segment
   Off ustride_ = 0;          ///< uniform: distance between segment starts
 };
+
+/// Average bytes per contiguous run of one instance of `t`, in O(1) from
+/// the node's cached size and block count (no walk, no plan).  A single
+/// run that fills its extent abuts the next instance's, so a contiguous
+/// type is unbounded (the maximum Off); a null or empty type is 0.
+Off avg_run(const Type& t);
 
 template <class Fn>
 bool PackPlan::for_each_run(Off mem_bias, Off count, Off skip, Off n,

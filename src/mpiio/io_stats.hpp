@@ -75,8 +75,8 @@ namespace llio::mpiio {
   X(std::uint64_t, staged_fallback_windows, Sum, nullptr)                 \
   X(std::uint64_t, iov_runs, Sum, nullptr)                                \
   X(Off, staging_bytes_saved, Sum, nullptr)                               \
-  /* FOTF pack-plan cache: replays of a cached fileview plan, and plan    \
-     compiles (or declined compiles) */                                   \
+  /* FOTF pack-plan cache: replays of a cached fileview or memtype plan,  \
+     and plan compiles (or declined compiles) */                          \
   X(std::uint64_t, plan_hits, Sum, nullptr)                               \
   X(std::uint64_t, plan_misses, Sum, nullptr)
 

@@ -290,6 +290,8 @@ Off direct_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
           }
           const Off n = std::min(len - sub, room);
           const Off at = to_off(stage.size());
+          // Sized once to its bound on first use, so growth never moves it.
+          stage.reserve(to_size(std::min(ctx.opts.pack_buffer_size, nbytes)));
           stage.resize(to_size(at + n));
           segs.push_back({disp + mem + sub, nullptr, at, rel + sub, n});
           sub += n;
@@ -350,6 +352,8 @@ Off direct_read(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
           }
           const Off n = std::min(len - sub, room);
           const Off at = to_off(stage.size());
+          // Sized once to its bound on first use, so growth never moves it.
+          stage.reserve(to_size(std::min(ctx.opts.pack_buffer_size, nbytes)));
           stage.resize(to_size(at + n));
           segs.push_back({disp + mem + sub, nullptr, at, rel + sub, n});
           sub += n;

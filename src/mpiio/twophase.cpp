@@ -13,9 +13,7 @@
 namespace llio::mpiio {
 
 void put_off(ByteVec& out, Off v) {
-  Byte raw[sizeof(Off)];
-  std::memcpy(raw, &v, sizeof(Off));
-  out.insert(out.end(), raw, raw + sizeof(Off));
+  append_bytes(out, ConstByteSpan(as_bytes(&v), sizeof(Off)));
 }
 
 Off get_off(ConstByteSpan data, std::size_t at) {

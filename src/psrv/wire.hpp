@@ -63,14 +63,10 @@ inline void put_u8(ByteVec& b, std::uint8_t v) {
 }
 
 inline void put_i64(ByteVec& b, std::int64_t v) {
-  const std::size_t at = b.size();
-  b.resize(at + sizeof(v));
-  std::memcpy(b.data() + at, &v, sizeof(v));
+  append_bytes(b, ConstByteSpan(as_bytes(&v), sizeof(v)));
 }
 
-inline void put_bytes(ByteVec& b, ConstByteSpan s) {
-  b.insert(b.end(), s.begin(), s.end());
-}
+inline void put_bytes(ByteVec& b, ConstByteSpan s) { append_bytes(b, s); }
 
 /// Start a request: its op byte.
 inline ByteVec request_header(Op op) {

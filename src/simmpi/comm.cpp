@@ -207,15 +207,12 @@ constexpr int kTagReduce = -104;
 ByteVec materialize_gather(ByteVec&& header,
                            std::span<const ConstByteSpan> runs) {
   if (runs.empty()) return std::move(header);
-  std::size_t at = header.size();
-  std::size_t total = at;
+  std::size_t total = header.size();
   for (const ConstByteSpan& r : runs) total += r.size();
-  ByteVec out = std::move(header);
-  out.resize(total);
-  for (const ConstByteSpan& r : runs) {
-    if (!r.empty()) std::memcpy(out.data() + at, r.data(), r.size());
-    at += r.size();
-  }
+  ByteVec out;
+  out.reserve(total);
+  append_bytes(out, header);
+  for (const ConstByteSpan& r : runs) append_bytes(out, r);
   return out;
 }
 

@@ -107,7 +107,7 @@ TEST(ListlessNavUnit, PlanWalkMatchesCursorWalk) {
     if (ft->size() == 0) continue;
     ListlessNav with_plan(ft);
     ListlessNav cursor_only(ft, /*max_runs=*/0);  // compile always declines
-    if (with_plan.avg_run() > 0) ++planned;
+    if (fotf::PackPlan::compile(ft) != nullptr) ++planned;
     for (int k = 0; k < 8; ++k) {
       const Off s = testutil::rnd(rng, 0, 3 * ft->size());
       const Off n = testutil::rnd(rng, 0, 4 * ft->size());
@@ -141,7 +141,8 @@ TEST(FotfMoverUnit, RoundTripsAgainstReference) {
     auto buf = testutil::make_typed_buffer(mt, count);
     testutil::fill_typed_data(buf, mt, count);
     const ByteVec want = testutil::reference_pack(buf.base(), count, mt);
-    FotfMover mover(buf.base(), count, mt);
+    MemtypePlans plans;
+    FotfMover mover(buf.base(), count, mt, plans);
     ByteVec got(want.size(), Byte{0});
     // Random-size sequential chunks (the sieve access pattern).
     Off done = 0;
@@ -155,7 +156,7 @@ TEST(FotfMoverUnit, RoundTripsAgainstReference) {
 
     // And back.
     auto dst = testutil::make_typed_buffer(mt, count, Byte{0x11});
-    FotfMover unmover(dst.base(), count, mt);
+    FotfMover unmover(dst.base(), count, mt, plans);
     done = 0;
     while (done < to_off(want.size())) {
       const Off n =
@@ -172,7 +173,8 @@ TEST(FotfMoverUnit, NonSequentialAccessReseeks) {
   auto buf = testutil::make_typed_buffer(mt, 1);
   testutil::fill_typed_data(buf, mt, 1);
   const ByteVec want = testutil::reference_pack(buf.base(), 1, mt);
-  FotfMover mover(buf.base(), 1, mt);
+  MemtypePlans plans;
+  FotfMover mover(buf.base(), 1, mt, plans);
   // Jump around the stream.
   for (Off s : {Off{16}, Off{0}, Off{24}, Off{8}}) {
     ByteVec got(8);

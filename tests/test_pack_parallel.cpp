@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "fotf/cursor.hpp"
 #include "fotf/navigate.hpp"
@@ -189,6 +191,59 @@ TEST(PackPlan, RandomTypesMatchReference) {
     if (t->size() <= 0) continue;
     expect_plan_matches_reference(t, testutil::rnd(rng, 1, 4), rng);
   }
+}
+
+TEST(PackPlan, RunCountIsCachedBlockCount) {
+  // compile()'s run cap and the zero-copy average-run test read the
+  // node's cached block count in O(1) in place of a walk, so the count
+  // must equal the walk's merged run count, for unordered hindexed and
+  // struct blocks too.
+  const std::vector<Off> bl2{2, 1}, unordered{8, 0}, touching{4, 0};
+  const std::vector<Off> sbl{1, 2}, sds{16, 0};
+  const std::vector<Type> skids{dt::double_(), dt::int_()};
+  const std::vector<Off> sizes{6, 8}, sub{3, 4}, starts{1, 2};
+  const std::vector<Type> fixed{
+      dt::byte(),
+      dt::contiguous(16, dt::int_()),
+      dt::resized(dt::hvector(1, 8, 24, dt::byte()), 0, 24),
+      dt::hvector(4, 2, 8, dt::int_()),  // touching blocks: one run
+      dt::hvector(4096, 8, 16, dt::byte()),
+      dt::hindexed(bl2, unordered, dt::byte()),
+      dt::hindexed(bl2, touching, dt::int_()),
+      dt::struct_(sbl, sds, skids),
+      dt::subarray(sizes, sub, starts, dt::Order::C, dt::double_()),
+  };
+  for (const Type& t : fixed) {
+    const auto plan = PackPlan::compile(t);
+    ASSERT_NE(plan, nullptr) << dt::to_string(t);
+    EXPECT_EQ(plan->run_count(), t->block_count()) << dt::to_string(t);
+  }
+  Rng rng(20261019);
+  int compiled = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const Type t = testutil::random_type(rng, 1 + i % 4);
+    const auto plan = PackPlan::compile(t);
+    if (plan == nullptr) continue;  // zero-size type
+    ++compiled;
+    ASSERT_EQ(plan->run_count(), t->block_count()) << dt::to_string(t);
+  }
+  EXPECT_GT(compiled, 1000);
+}
+
+TEST(PackPlan, AvgRunFromNodeFields) {
+  // One run that fills its extent is contiguous across instances.
+  EXPECT_EQ(avg_run(dt::contiguous(8, dt::double_())),
+            std::numeric_limits<Off>::max());
+  EXPECT_EQ(avg_run(dt::resized(dt::contiguous(8, dt::byte()), 4, 8)),
+            std::numeric_limits<Off>::max());
+  // One run per instance that does not fill it: the run, not unbounded.
+  EXPECT_EQ(avg_run(dt::resized(dt::hvector(1, 8, 24, dt::byte()), 0, 24)),
+            8);
+  EXPECT_EQ(avg_run(dt::hvector(4, 512, 1024, dt::byte())), 512);
+  EXPECT_EQ(avg_run(dt::hvector(3, 1, 8, dt::contiguous(10, dt::byte()))),
+            10);
+  EXPECT_EQ(avg_run(nullptr), 0);
+  EXPECT_EQ(avg_run(dt::contiguous(0, dt::byte())), 0);
 }
 
 // ---------------------------------------------------------------------------

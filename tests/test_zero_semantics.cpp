@@ -47,9 +47,11 @@ ByteVec view_stream(const ByteVec& img, const dt::Type& ft, Off nbytes) {
 }
 
 /// Read `nbytes` stream bytes at offset 0 into a 0xEE-filled buffer,
-/// contiguous or strided (8-byte blocks, two per memtype instance, which
-/// is too fine for zerocopy), and return the stream it holds.
-ByteVec read_stream(File& f, bool collective, bool nc_mem, Off nbytes) {
+/// contiguous or strided (8-byte blocks, `per_instance` per memtype
+/// instance, which is too fine for zerocopy), and return the stream it
+/// holds.
+ByteVec read_stream(File& f, bool collective, bool nc_mem, Off nbytes,
+                    Off per_instance = 2) {
   const auto read = [&](void* buf, Off count, const dt::Type& mt) {
     return collective ? f.read_at_all(0, buf, count, mt)
                       : f.read_at(0, buf, count, mt);
@@ -60,7 +62,7 @@ ByteVec read_stream(File& f, bool collective, bool nc_mem, Off nbytes) {
     return buf;
   }
   iotest::NcBuffer buf =
-      make_nc_buffer(ByteVec(to_size(nbytes), kUnread), /*per instance=*/2);
+      make_nc_buffer(ByteVec(to_size(nbytes), kUnread), per_instance);
   EXPECT_EQ(read(buf.storage.data(), buf.count, buf.memtype), nbytes);
   return nc_buffer_stream(buf);
 }
@@ -101,6 +103,36 @@ TEST(ZeroSemantics, CollectiveReadsZeroHolesAndPastEof) {
             EXPECT_EQ(direct.load() > 0, sblock == 512);
           }
         }
+}
+
+TEST(ZeroSemantics, CollectiveReadOfOneRunInstancesStages) {
+  // A strided buffer of one 8-byte block per memtype instance
+  // (resized(hvector(1, 8, 24))): its one run does not fill the 24-byte
+  // extent, so its average run is 8 B, below llio_zerocopy_min_run, and
+  // the listless AP side stages it just like two blocks per instance —
+  // no zerocopy window anywhere, the same bytes read.
+  const int P = 3;
+  const Off nblock = 64, sblock = 8;
+  const Off nbytes = 2 * nblock * sblock;
+  auto fs = pfs::MemFile::create();
+  const ByteVec img = seed_holey_file(*fs, Off{P} * nbytes);
+  std::atomic<std::uint64_t> zerocopy{0}, staged{0};
+  sim::Runtime::run(P, [&](sim::Comm& comm) {
+    Options o;
+    o.method = Method::Listless;
+    o.file_buffer_size = 1024;
+    o.pack_buffer_size = 96;
+    File f = File::open(comm, fs, o);
+    const dt::Type ft = noncontig_filetype(nblock, sblock, P, comm.rank());
+    f.set_view(0, dt::byte(), ft);
+    EXPECT_EQ(read_stream(f, true, true, nbytes, /*per_instance=*/1),
+              view_stream(img, ft, nbytes))
+        << "rank " << comm.rank();
+    zerocopy += f.last_stats().zerocopy_windows;
+    staged += f.last_stats().staged_fallback_windows;
+  });
+  EXPECT_EQ(zerocopy.load(), 0u);
+  EXPECT_GT(staged.load(), 0u);
 }
 
 TEST(ZeroSemantics, IndependentReadsZeroHolesAndPastEof) {
