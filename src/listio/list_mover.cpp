@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "fotf/plan.hpp"
 #include "obs/phase.hpp"
 
 namespace llio::listio {
@@ -24,7 +25,8 @@ ListMover::ListMover(const void* buf, Off count, const dt::Type& memtype,
                      mpiio::IoOpStats* stats)
     : buf_(const_cast<Byte*>(as_bytes(buf))),
       list_(timed_flatten(memtype, stats)),
-      walker_(&list_, memtype->extent()) {
+      walker_(&list_, memtype->extent()),
+      avg_run_(fotf::avg_run(memtype)) {
   LLIO_REQUIRE(count >= 0, Errc::InvalidArgument, "ListMover: count < 0");
 }
 
@@ -48,9 +50,10 @@ void ListMover::to_stream(Byte* dst, Off s, Off n) {
 bool ListMover::mem_runs(Off s, Off n, const mpiio::RunBudget& budget,
                          std::vector<ByteSpan>& out) {
   if (n <= 0 || list_.empty()) return false;
-  if (list_.block_count() > 1 &&
-      walker_.unit_size() / to_off(list_.block_count()) < budget.min_avg_run)
-    return false;
+  // O(1), before any walk, the same test as FotfMover: a memtype whose
+  // average run is tiny (one 8-byte run in a 24-byte extent counts as 8)
+  // stages through to_stream/from_stream instead.
+  if (avg_run_ < budget.min_avg_run) return false;
   const std::size_t start = out.size();
   copy_position(s);
   Off done = 0;

@@ -33,6 +33,7 @@ class ListMover final : public mpiio::StreamMover {
   Byte* buf_;
   dt::OlList list_;
   OlWalker walker_;
+  Off avg_run_;  ///< fotf::avg_run of the memtype
   Off next_stream_ = -1;
 };
 

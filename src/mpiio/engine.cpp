@@ -1,6 +1,5 @@
 #include "mpiio/engine.hpp"
 
-#include <algorithm>
 #include <memory>
 
 #include "common/error.hpp"
@@ -52,50 +51,35 @@ class WholeRangeLock {
 };
 
 // When the backend performs noncontiguous accesses itself (pfs::ViewIo —
-// e.g. psrv view-class servers), ship it the filetype and a dense stream
-// chunk instead of decomposing the access client-side: the user buffer
-// itself when the stream is contiguous in memory, else pack-buffer-sized
-// staged chunks.  The one view call per chunk replaces the whole
+// e.g. psrv view-class servers), ship it the filetype and the op's dense
+// stream range instead of decomposing the access client-side.  The
+// stream forms pack the user buffer straight into the backend's requests
+// and unpack its replies straight into the user buffer, piece by piece,
+// so no staging buffer exists.  The one view call replaces the whole
 // sieve/direct strategy; it is counted as a file op of payload size (no
-// sieving amplification to report).
+// sieving amplification to report).  The pack/unpack time inside it is
+// copy time, not file time.
 Off viewio_access(bool write, pfs::ViewIo& vio, const View& view,
-                  const Options& opts, IoOpStats& stats, Off stream_lo,
-                  Off nbytes, StreamMover& m) {
-  auto view_call = [&](Off s, Byte* p, Off n) {
-    {
-      obs::Phase t(stats.file_s, nullptr);
-      if (write)
-        vio.view_write(view.filetype, view.disp, s,
-                       ConstByteSpan(p, to_size(n)));
-      else
-        vio.view_read(view.filetype, view.disp, s, ByteSpan(p, to_size(n)));
-    }
-    (write ? stats.file_write_ops : stats.file_read_ops) += 1;
-    (write ? stats.file_write_bytes : stats.file_read_bytes) += n;
-  };
-  Byte* direct = write ? const_cast<Byte*>(m.direct(0, nbytes))
-                       : m.direct_mut(0, nbytes);
-  if (direct != nullptr) {
-    view_call(stream_lo, direct, nbytes);
-  } else {
-    // to_stream (write) or view_read (read) fills every staged byte
-    // before it is read.
-    const Off cap = std::min(nbytes, opts.pack_buffer_size);
-    ByteVec buf(to_size(cap));
-    for (Off done = 0; done < nbytes;) {
-      const Off n = std::min(nbytes - done, cap);
-      if (write) {
-        obs::Phase t(stats.copy_s, nullptr);
-        m.to_stream(buf.data(), done, n);
-      }
-      view_call(stream_lo + done, buf.data(), n);
-      if (!write) {
-        obs::Phase t(stats.copy_s, nullptr);
-        m.from_stream(buf.data(), done, n);
-      }
-      done += n;
-    }
+                  IoOpStats& stats, Off stream_lo, Off nbytes, StreamMover& m) {
+  const double copy0 = stats.copy_s;
+  {
+    obs::Phase t(stats.file_s, nullptr);
+    if (write)
+      vio.view_write_stream(view.filetype, view.disp, stream_lo, nbytes,
+                            [&](Byte* p, Off s, Off n) {
+                              obs::Phase c(stats.copy_s, nullptr);
+                              m.to_stream(p, s - stream_lo, n);
+                            });
+    else
+      vio.view_read_stream(view.filetype, view.disp, stream_lo, nbytes,
+                           [&](const Byte* p, Off s, Off n) {
+                             obs::Phase c(stats.copy_s, nullptr);
+                             m.from_stream(p, s - stream_lo, n);
+                           });
   }
+  stats.file_s -= stats.copy_s - copy0;
+  (write ? stats.file_write_ops : stats.file_read_ops) += 1;
+  (write ? stats.file_write_bytes : stats.file_read_bytes) += nbytes;
   stats.bytes_moved += nbytes;
   return nbytes;
 }
@@ -116,7 +100,7 @@ Off IoEngine::indep(bool write, Off stream_lo, const void* buf, Off count,
   const Off abs_hi = view_.disp + nv.stream_to_file_end(stream_lo + nbytes);
   WholeRangeLock lock(atomic_, *locks_, abs_lo, abs_hi);
   if (pfs::ViewIo* vio = file_->view_io())
-    return viewio_access(write, *vio, view_, opts_, stats_, stream_lo, nbytes,
+    return viewio_access(write, *vio, view_, stats_, stream_lo, nbytes,
                          *mover);
   if (choose_sieving(opts_, write, nbytes, abs_lo, abs_hi))
     return (write ? sieve_write : sieve_read)(ctx, nv, view_.disp, stream_lo,

@@ -69,13 +69,20 @@ void TracedFile::do_pwritev(std::span<const ConstIoVec> iov) {
   op.done("segments", to_off(iov.size()), total);
 }
 
-Off TracedFile::view_write(const dt::Type& filetype, Off disp, Off stream_lo,
-                           ConstByteSpan data) {
-  ViewIo* vio = inner_->view_io();
+namespace {
+ViewIo& inner_view_io(const FilePtr& inner) {
+  ViewIo* vio = inner->view_io();
   LLIO_REQUIRE(vio != nullptr, Errc::Unsupported,
                "TracedFile: inner backend lost its view-io capability");
+  return *vio;
+}
+}  // namespace
+
+Off TracedFile::view_write(const dt::Type& filetype, Off disp, Off stream_lo,
+                           ConstByteSpan data) {
+  ViewIo& vio = inner_view_io(inner_);
   FileOp op("file_view_write", "file.pwrite_us", "file.write_bytes");
-  const Off n = vio->view_write(filetype, disp, stream_lo, data);
+  const Off n = vio.view_write(filetype, disp, stream_lo, data);
   op.done("stream_lo", stream_lo, n);
   note_write(n);
   return n;
@@ -83,14 +90,32 @@ Off TracedFile::view_write(const dt::Type& filetype, Off disp, Off stream_lo,
 
 Off TracedFile::view_read(const dt::Type& filetype, Off disp, Off stream_lo,
                           ByteSpan out) {
-  ViewIo* vio = inner_->view_io();
-  LLIO_REQUIRE(vio != nullptr, Errc::Unsupported,
-               "TracedFile: inner backend lost its view-io capability");
+  ViewIo& vio = inner_view_io(inner_);
   FileOp op("file_view_read", "file.pread_us", "file.read_bytes");
-  const Off n = vio->view_read(filetype, disp, stream_lo, out);
+  const Off n = vio.view_read(filetype, disp, stream_lo, out);
   op.done("stream_lo", stream_lo, n);
   note_read(n);
   return n;
+}
+
+Off TracedFile::view_write_stream(const dt::Type& filetype, Off disp,
+                                  Off stream_lo, Off n, const Fill& fill) {
+  ViewIo& vio = inner_view_io(inner_);
+  FileOp op("file_view_write", "file.pwrite_us", "file.write_bytes");
+  const Off got = vio.view_write_stream(filetype, disp, stream_lo, n, fill);
+  op.done("stream_lo", stream_lo, got);
+  note_write(got);
+  return got;
+}
+
+Off TracedFile::view_read_stream(const dt::Type& filetype, Off disp,
+                                 Off stream_lo, Off n, const Drain& drain) {
+  ViewIo& vio = inner_view_io(inner_);
+  FileOp op("file_view_read", "file.pread_us", "file.read_bytes");
+  const Off got = vio.view_read_stream(filetype, disp, stream_lo, n, drain);
+  op.done("stream_lo", stream_lo, got);
+  note_read(got);
+  return got;
 }
 
 }  // namespace llio::pfs

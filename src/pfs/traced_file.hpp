@@ -32,7 +32,8 @@ class TracedFile final : public FileBackend, public ViewIo {
 
   /// Purely observational wrapper, so — unlike the cost/fault decorators —
   /// the view-I/O capability is forwarded, interposed so the spans and
-  /// histograms still see those accesses.
+  /// histograms still see those accesses.  Both forms forward as they
+  /// are: the stream form stays unstaged under tracing.
   ViewIo* view_io() override {
     return inner_->view_io() != nullptr ? this : nullptr;
   }
@@ -40,6 +41,10 @@ class TracedFile final : public FileBackend, public ViewIo {
                  ConstByteSpan data) override;
   Off view_read(const dt::Type& filetype, Off disp, Off stream_lo,
                 ByteSpan out) override;
+  Off view_write_stream(const dt::Type& filetype, Off disp, Off stream_lo,
+                        Off n, const Fill& fill) override;
+  Off view_read_stream(const dt::Type& filetype, Off disp, Off stream_lo,
+                       Off n, const Drain& drain) override;
 
   const FilePtr& inner() const { return inner_; }
 

@@ -9,10 +9,20 @@
 // datatype tree itself travels to the file servers (psrv), which navigate
 // it locally exactly like the listless engine does in-process.
 //
+// Each access comes in two forms.  The span forms take the dense stream
+// as one buffer.  The stream forms take a callback instead and hand it
+// the backend's own buffers piece by piece, so the caller packs straight
+// into (or unpacks straight out of) the backend's messages with no
+// client staging buffer: that is the form the engines use.  A backend
+// that only implements the span forms gets stream forms that stage the
+// whole range through them.
+//
 // The engines probe FileBackend::view_io() on the independent access path
 // and use this interface when it is non-null; semantics must match what
 // the same access would produce through pread/pwrite on the same backend.
 #pragma once
+
+#include <functional>
 
 #include "common/bytes.hpp"
 #include "dtype/datatype.hpp"
@@ -21,6 +31,13 @@ namespace llio::pfs {
 
 class ViewIo {
  public:
+  /// Stream-form callbacks: `fill` writes, and `drain` consumes, the
+  /// dense stream bytes [s, s + n) at `p`.  Calls cover the op's range
+  /// exactly, in any order, and each byte at most once except on a
+  /// backend retry, which calls `fill` again for the same range.
+  using Fill = std::function<void(Byte* p, Off s, Off n)>;
+  using Drain = std::function<void(const Byte* p, Off s, Off n)>;
+
   virtual ~ViewIo() = default;
 
   /// Write the dense stream bytes [stream_lo, stream_lo + data.size()) of
@@ -36,6 +53,25 @@ class ViewIo {
   /// zero-filling bytes past end of file.  Returns out.size().
   virtual Off view_read(const dt::Type& filetype, Off disp, Off stream_lo,
                         ByteSpan out) = 0;
+
+  /// view_write of the `n` stream bytes from `stream_lo` that `fill`
+  /// produces.  Returns n.
+  virtual Off view_write_stream(const dt::Type& filetype, Off disp,
+                                Off stream_lo, Off n, const Fill& fill) {
+    ByteVec buf(to_size(n));
+    fill(buf.data(), stream_lo, n);
+    return view_write(filetype, disp, stream_lo, buf);
+  }
+
+  /// view_read of `n` stream bytes from `stream_lo`, handed to `drain`.
+  /// Returns n.
+  virtual Off view_read_stream(const dt::Type& filetype, Off disp,
+                               Off stream_lo, Off n, const Drain& drain) {
+    ByteVec buf(to_size(n));
+    const Off got = view_read(filetype, disp, stream_lo, buf);
+    drain(buf.data(), stream_lo, n);
+    return got;
+  }
 };
 
 }  // namespace llio::pfs

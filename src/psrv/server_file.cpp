@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -56,18 +56,22 @@ struct ServerFile::SubReq {
   sim::MsgClass cls = sim::MsgClass::Meta;
   ByteVec msg;
 
-  /// Write payloads, gathered onto the wire straight from user memory
-  /// (send_gather) instead of being staged into `msg`.  The spans must
-  /// stay valid until transact() returns — they are re-sent verbatim on
-  /// an UnknownView retry.
+  /// Contig/list write payloads, gathered onto the wire straight from
+  /// user memory (send_gather) instead of being staged into `msg`.  The
+  /// spans must stay valid until transact() returns.
   std::vector<ConstByteSpan> payload_runs;
 
-  /// Ok-response payload destinations, filled sequentially (reads).
+  /// Contig/list Ok-response payload destinations, filled sequentially
+  /// (reads).
   std::vector<ByteSpan> dests;
 
-  /// UnknownView retry support (view requests only).
-  std::shared_ptr<ClientView> view;
-  std::function<ByteVec()> rebuild_with_tree;
+  /// View requests (non-null `view`): the stream range [slo, slo + slen)
+  /// of the view displaced by `disp`.  The message is built at send time,
+  /// its write payload packed by the op's fill straight into it, and
+  /// built again with the tree attached on an UnknownView retry.
+  ClientView* view = nullptr;
+  Off disp = 0, slo = 0, slen = 0;
+  bool retried = false;
 };
 
 ServerFile::ServerFile(std::shared_ptr<ServerPool> pool, RequestClass cls)
@@ -80,36 +84,102 @@ std::shared_ptr<ServerFile> ServerFile::create(std::shared_ptr<ServerPool> pool,
   return std::shared_ptr<ServerFile>(new ServerFile(std::move(pool), cls));
 }
 
-void ServerFile::transact(std::vector<SubReq>& reqs) {
+namespace {
+
+/// A view request's message: header, the tree when `with_tree`, and on a
+/// write the payload that `fill` packs in place.
+ByteVec view_request(const ServerFile::SubReq& r, bool with_tree,
+                     const pfs::ViewIo::Fill* fill) {
+  const bool writing = fill != nullptr;
+  const ByteVec& tree = r.view->tree;
+  const Off tree_len = with_tree ? to_off(tree.size()) : 0;
+  ByteVec m;
+  m.reserve(to_size(1 + 5 * to_off(sizeof(std::int64_t)) + tree_len +
+                    (writing ? r.slen : 0)));
+  wire::put_u8(m, static_cast<std::uint8_t>(writing ? wire::Op::WriteView
+                                                    : wire::Op::ReadView));
+  wire::put_i64(m, r.view->id);
+  wire::put_i64(m, r.disp);
+  wire::put_i64(m, r.slo);
+  if (!writing) wire::put_i64(m, r.slen);
+  wire::put_i64(m, tree_len);
+  if (with_tree) wire::put_bytes(m, tree);
+  if (writing) {
+    const std::size_t at = m.size();
+    m.resize(at + to_size(r.slen));
+    (*fill)(m.data() + at, r.slo, r.slen);
+  }
+  return m;
+}
+
+}  // namespace
+
+void ServerFile::transact(std::vector<SubReq>& reqs,
+                          const pfs::ViewIo::Fill* fill,
+                          const pfs::ViewIo::Drain* drain) {
   if (reqs.empty()) return;
   ServerPool::Endpoint ep = pool_->checkout();
   std::vector<std::optional<ServerPool::Credit>> credits(reqs.size());
   std::optional<Errc> err;
   std::string err_what;
+  // A fill or drain that throws stops further sends; the responses
+  // already owed are still drained, so the endpoint goes back clean.
+  std::exception_ptr callback_err;
 
+  // Send request `r`; false when its fill threw (nothing was sent).
+  const auto send = [&](SubReq& r, bool with_tree) {
+    if (r.view == nullptr) {
+      ep.comm().send_gather(r.server, wire::kTagRequest, ConstByteSpan(r.msg),
+                            r.payload_runs, r.cls);
+      return true;
+    }
+    ByteVec m;
+    try {
+      m = view_request(r, with_tree, fill);
+    } catch (...) {
+      if (!callback_err) callback_err = std::current_exception();
+      return false;
+    }
+    ep.comm().send(r.server, wire::kTagRequest, std::move(m), r.cls);
+    return true;
+  };
+
+  // Consume request `r`'s response; true when it was re-sent instead
+  // (an UnknownView retry, whose response is owed later).
   const auto process_response = [&](SubReq& r) {
-    ByteVec resp = ep.comm().recv(r.server, wire::kTagResponse);
+    const ByteVec resp = ep.comm().recv(r.server, wire::kTagResponse);
     wire::Reader rd(resp);
-    auto status = static_cast<wire::Status>(rd.u8());
-    if (status == wire::Status::UnknownView && r.view != nullptr) {
+    const auto status = static_cast<wire::Status>(rd.u8());
+    if (status == wire::Status::UnknownView && r.view != nullptr &&
+        !r.retried) {
       // Server-side cache eviction: retry once with the tree attached,
-      // reusing the credit this request already holds.
-      r.view->installed[to_size(r.server)].store(false, std::memory_order_relaxed);
-      ep.comm().send_gather(r.server, wire::kTagRequest,
-                            r.rebuild_with_tree(), r.payload_runs, r.cls);
-      resp = ep.comm().recv(r.server, wire::kTagResponse);
-      rd = wire::Reader(resp);
-      status = static_cast<wire::Status>(rd.u8());
+      // reusing the credit this request already holds.  The retry goes
+      // behind this endpoint's other requests on that server, so its
+      // response is matched after theirs.
+      r.view->installed[to_size(r.server)].store(false,
+                                                 std::memory_order_relaxed);
+      r.retried = true;
+      return send(r, /*with_tree=*/true);
     }
     switch (status) {
       case wire::Status::Ok: {
         rd.i64();  // op result count (informational)
+        if (r.view != nullptr) {
+          if (drain != nullptr && !callback_err) {
+            const ConstByteSpan chunk = rd.bytes(r.slen);
+            try {
+              (*drain)(chunk.data(), r.slo, r.slen);
+            } catch (...) {
+              callback_err = std::current_exception();
+            }
+          }
+          r.view->installed[to_size(r.server)].store(
+              true, std::memory_order_relaxed);
+        }
         for (const ByteSpan& dst : r.dests) {
           const ConstByteSpan chunk = rd.bytes(to_off(dst.size()));
           std::memcpy(dst.data(), chunk.data(), chunk.size());
         }
-        if (r.view != nullptr)
-          r.view->installed[to_size(r.server)].store(true, std::memory_order_relaxed);
         break;
       }
       case wire::Status::Fail: {
@@ -128,33 +198,44 @@ void ServerFile::transact(std::vector<SubReq>& reqs) {
         }
         break;
     }
+    return false;
   };
 
-  // Sliding window: send when a credit is free, otherwise drain an
-  // outstanding response (which frees one).  Blocking on a credit is only
-  // safe with nothing of ours outstanding — with fewer credits than
-  // sub-requests on one server, send-all-then-drain would deadlock.  The
-  // credits are shared by every handle on the pool, but a blocked call
-  // holds none, so every credit it waits for is held by a call that is
-  // making progress.
-  std::size_t sent = 0, done = 0;
-  while (done < reqs.size()) {
-    if (sent < reqs.size()) {
-      SubReq& r = reqs[sent];
+  // Sliding window: send when a credit is free, otherwise drain the
+  // oldest outstanding response (which frees one).  Blocking on a credit
+  // is only safe with nothing of ours outstanding — with fewer credits
+  // than sub-requests on one server, send-all-then-drain would deadlock.
+  // The credits are shared by every handle on the pool, but a blocked
+  // call holds none, so every credit it waits for is held by a call that
+  // is making progress.  `order` lists requests in send order: one server
+  // answers one endpoint in that order, so its front's response is the
+  // next one that server sends here.
+  std::vector<std::size_t> order;
+  order.reserve(reqs.size());
+  std::size_t head = 0, next = 0;
+  while (head < order.size() || (next < reqs.size() && !callback_err)) {
+    if (next < reqs.size() && !callback_err) {
+      SubReq& r = reqs[next];
       std::optional<ServerPool::Credit> credit =
-          pool_->acquire_credit(r.server, /*wait=*/done == sent);
+          pool_->acquire_credit(r.server, /*wait=*/head == order.size());
       if (credit) {
-        credits[sent] = std::move(credit);
-        ep.comm().send_gather(r.server, wire::kTagRequest,
-                              ConstByteSpan(r.msg), r.payload_runs, r.cls);
-        ++sent;
+        if (send(r, r.view != nullptr &&
+                        !r.view->installed[to_size(r.server)].load(
+                            std::memory_order_relaxed))) {
+          credits[next] = std::move(credit);
+          order.push_back(next);
+        }
+        ++next;
         continue;
       }
     }
-    process_response(reqs[done]);
-    credits[done].reset();  // response consumed: free the queue slot
-    ++done;
+    const std::size_t i = order[head++];
+    if (process_response(reqs[i]))
+      order.push_back(i);
+    else
+      credits[i].reset();  // response consumed: free the queue slot
   }
+  if (callback_err) std::rethrow_exception(callback_err);
   if (err) throw_error(*err, err_what);
 }
 
@@ -351,12 +432,11 @@ std::shared_ptr<ServerFile::ClientView> ServerFile::intern_view(
 }
 
 Off ServerFile::view_access(const dt::Type& filetype, Off disp, Off stream_lo,
-                            ConstByteSpan wdata, ByteSpan rdata) {
-  const bool writing = rdata.empty();
-  const Off n = writing ? to_off(wdata.size()) : to_off(rdata.size());
+                            Off n, const Fill* fill, const Drain* drain) {
   if (n <= 0) return 0;
   LLIO_REQUIRE(stream_lo >= 0 && disp >= 0, Errc::InvalidArgument,
                "psrv view access: negative position");
+  const bool writing = fill != nullptr;
   std::shared_ptr<ClientView> cv = intern_view(filetype);
 
   // Split the stream range at shard boundaries: navigable monotone
@@ -393,64 +473,65 @@ Off ServerFile::view_access(const dt::Type& filetype, Off disp, Off stream_lo,
     if (writing) abs_hi = disp + nav.stream_to_file_end(s_hi);
   }
 
+  // Each server's slice travels as requests of at most one stripe of
+  // stream bytes, dealt round-robin over the servers: every server starts
+  // on its first request while the client still packs the next ones, and
+  // a read's replies are unpacked as they arrive.
+  const Off chunk = pool_->config().stripe;
+  std::size_t nreqs = 0;
+  for (const VSeg& seg : segs)
+    nreqs += to_size((seg.shi - seg.slo + chunk - 1) / chunk);
   std::vector<SubReq> reqs;
-  reqs.reserve(segs.size());
-  for (const VSeg& seg : segs) {
-    const Off slen = seg.shi - seg.slo;
-    const ConstByteSpan payload =
-        writing ? wdata.subspan(to_size(seg.slo - stream_lo), to_size(slen))
-                : ConstByteSpan{};
-    // The write payload is NOT staged into the message: it travels as a
-    // gather run straight out of the caller's buffer (transact uses
-    // send_gather), so a view write costs one header allocation, not a
-    // header-plus-payload copy.
-    const auto build = [cv, disp, writing, seg, slen](bool with_tree) {
-      ByteVec m = wire::request_header(writing ? wire::Op::WriteView
-                                               : wire::Op::ReadView);
-      wire::put_i64(m, cv->id);
-      wire::put_i64(m, disp);
-      wire::put_i64(m, seg.slo);
-      if (!writing) wire::put_i64(m, slen);
-      if (with_tree) {
-        wire::put_i64(m, to_off(cv->tree.size()));
-        wire::put_bytes(m, cv->tree);
-      } else {
-        wire::put_i64(m, 0);
-      }
-      return m;
-    };
-    SubReq r;
-    r.server = seg.server;
-    r.cls = writing ? sim::MsgClass::Data : sim::MsgClass::Meta;
-    r.msg = build(
-        !cv->installed[to_size(seg.server)].load(std::memory_order_relaxed));
-    if (writing)
-      r.payload_runs.push_back(payload);
-    else
-      r.dests.push_back(
-          rdata.subspan(to_size(seg.slo - stream_lo), to_size(slen)));
-    r.view = cv;
-    r.rebuild_with_tree = [build] { return build(true); };
-    reqs.push_back(std::move(r));
+  reqs.reserve(nreqs);
+  for (Off k = 0; reqs.size() < nreqs; k += chunk) {
+    for (const VSeg& seg : segs) {
+      const Off lo = seg.slo + k;
+      if (lo >= seg.shi) continue;
+      SubReq r;
+      r.server = seg.server;
+      r.cls = writing ? sim::MsgClass::Data : sim::MsgClass::Meta;
+      r.view = cv.get();
+      r.disp = disp;
+      r.slo = lo;
+      r.slen = std::min(chunk, seg.shi - lo);
+      reqs.push_back(std::move(r));
+    }
   }
-  transact(reqs);
+  transact(reqs, fill, drain);
   if (writing) pool_->grow_size(abs_hi);
   return n;
 }
 
+Off ServerFile::view_write_stream(const dt::Type& filetype, Off disp,
+                                  Off stream_lo, Off n, const Fill& fill) {
+  const Off got = view_access(filetype, disp, stream_lo, n, &fill, nullptr);
+  note_write(got);
+  return got;
+}
+
+Off ServerFile::view_read_stream(const dt::Type& filetype, Off disp,
+                                 Off stream_lo, Off n, const Drain& drain) {
+  const Off got = view_access(filetype, disp, stream_lo, n, nullptr, &drain);
+  note_read(got);
+  return got;
+}
+
 Off ServerFile::view_write(const dt::Type& filetype, Off disp, Off stream_lo,
                            ConstByteSpan data) {
-  const Off n = view_access(filetype, disp, stream_lo, data, {});
-  note_write(n);
-  return n;
+  return view_write_stream(
+      filetype, disp, stream_lo, to_off(data.size()),
+      [&](Byte* p, Off s, Off n) {
+        std::memcpy(p, data.data() + (s - stream_lo), to_size(n));
+      });
 }
 
 Off ServerFile::view_read(const dt::Type& filetype, Off disp, Off stream_lo,
                           ByteSpan out) {
-  const Off n =
-      view_access(filetype, disp, stream_lo, {}, out);
-  note_read(n);
-  return n;
+  return view_read_stream(
+      filetype, disp, stream_lo, to_off(out.size()),
+      [&](const Byte* p, Off s, Off n) {
+        std::memcpy(out.data() + (s - stream_lo), p, to_size(n));
+      });
 }
 
 // ---- admin ---------------------------------------------------------------

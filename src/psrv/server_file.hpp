@@ -17,6 +17,11 @@
 // Monotone navigable filetypes make the stream<->file mapping monotone,
 // so a view access splits at shard boundaries by pure navigation and each
 // server receives exactly its slice of the data — no wire duplication.
+// Each slice travels as requests of at most one PoolConfig::stripe of
+// stream bytes: the stream forms pack a write's payload straight into
+// each request as it is sent and unpack a read's replies straight into
+// user memory as they arrive, so the client stages nothing and the
+// servers work while the client packs.
 #pragma once
 
 #include <cstring>
@@ -62,6 +67,10 @@ class ServerFile final : public pfs::FileBackend, public pfs::ViewIo {
                  ConstByteSpan data) override;
   Off view_read(const dt::Type& filetype, Off disp, Off stream_lo,
                 ByteSpan out) override;
+  Off view_write_stream(const dt::Type& filetype, Off disp, Off stream_lo,
+                        Off n, const Fill& fill) override;
+  Off view_read_stream(const dt::Type& filetype, Off disp, Off stream_lo,
+                       Off n, const Drain& drain) override;
 
  protected:
   Off do_pread(Off offset, ByteSpan out) override;
@@ -74,14 +83,19 @@ class ServerFile final : public pfs::FileBackend, public pfs::ViewIo {
 
   /// Send every sub-request (credit-gated) and drain the responses in
   /// order on one endpoint; throws the first server-reported error after
-  /// draining.  Handles the UnknownView retry for view requests.
-  void transact(std::vector<SubReq>& reqs);
+  /// draining.  View requests are built at send time, a write's payload
+  /// packed by `fill`, and a read's replies handed to `drain`; handles
+  /// the UnknownView retry for them.
+  void transact(std::vector<SubReq>& reqs, const Fill* fill = nullptr,
+                const Drain* drain = nullptr);
 
   /// Look up / install the client-side cache entry for a filetype.
   std::shared_ptr<ClientView> intern_view(const dt::Type& filetype);
 
-  Off view_access(const dt::Type& filetype, Off disp, Off stream_lo,
-                  ConstByteSpan wdata, ByteSpan rdata);
+  /// One view access of `n` stream bytes: a write when `fill` is set,
+  /// else a read into `drain`.
+  Off view_access(const dt::Type& filetype, Off disp, Off stream_lo, Off n,
+                  const Fill* fill, const Drain* drain);
 
   std::shared_ptr<ServerPool> pool_;
   RequestClass cls_;

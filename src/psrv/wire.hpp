@@ -22,6 +22,10 @@
 // server clips to its shard); tree_len may be 0 when the client believes
 // the server already caches view_id — the server answers UnknownView if
 // it does not (e.g. after eviction) and the client retries with the tree.
+// The client sends each server's slice of a view access as requests of
+// at most one stripe of stream bytes; a WriteView's payload is packed
+// straight into its request, and a ReadView's reply payload is unpacked
+// straight into user memory.
 //
 // Response layout:
 //   status Ok          n, payload (reads)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 
 #include "fotf/plan.hpp"
@@ -369,6 +370,167 @@ TEST(PsrvBackend, ViewCacheEvictionTriggersUnknownViewRetry) {
   EXPECT_GT(t.view_misses, 0u);
 }
 
+/// One independent listless write, then read, of `stream` through a
+/// strided user buffer (8-byte blocks at a 24-byte stride) at byte
+/// offset `offset` of the view `ft` displaced by `disp`.  Returns the
+/// stream read back; `wr` and `rd` get the two ops' stats.
+ByteVec nc_view_round_trip(const pfs::FilePtr& fs, const dt::Type& ft,
+                           Off disp, Off offset, const ByteVec& stream,
+                           mpiio::IoOpStats& wr, mpiio::IoOpStats& rd) {
+  ByteVec got;
+  sim::Runtime::run(1, [&](sim::Comm& comm) {
+    mpiio::Options o;
+    o.method = mpiio::Method::Listless;
+    mpiio::File f = mpiio::File::open(comm, fs, o);
+    f.set_view(disp, dt::byte(), ft);
+    auto buf = iotest::make_nc_buffer(stream);
+    f.write_at(offset, buf.storage.data(), buf.count, buf.memtype);
+    wr = f.last_stats();
+    auto back = iotest::make_nc_buffer(ByteVec(stream.size(), Byte{0}));
+    f.read_at(offset, back.storage.data(), back.count, back.memtype);
+    rd = f.last_stats();
+    got = iotest::nc_buffer_stream(back);
+  });
+  return got;
+}
+
+TEST(PsrvStream, NcMemtypeAtUnalignedOffsetSplitsIntoStripeRequests) {
+  // Stream bytes [20, 180) of 8-byte blocks at a 16-byte stride, from
+  // file byte 8: stream [20, 64) lands on server 0 and [64, 180) on
+  // server 1, so with 64-byte stripes each op is 1 + 2 requests, packed
+  // from and unpacked into a strided buffer.
+  PoolConfig cfg = small_pool_config();
+  cfg.nservers = 2;
+  cfg.capacity = 4 * cfg.stripe;
+  auto f = make_file(RequestClass::View, cfg);
+  const dt::Type ft = iotest::noncontig_filetype(8, 8, 2, 0);
+  const Off disp = 8, offset = 20, nbytes = 160;
+  const ByteVec stream = iotest::payload_stream(6, nbytes);
+  mpiio::IoOpStats wr, rd;
+  EXPECT_EQ(nc_view_round_trip(f, ft, disp, offset, stream, wr, rd), stream);
+
+  auto ref = pfs::MemFile::create();
+  mpiio::IoOpStats rwr, rrd;
+  EXPECT_EQ(nc_view_round_trip(ref, ft, disp, offset, stream, rwr, rrd),
+            stream);
+  ByteVec img = iotest::backend_image(f);
+  ByteVec want = iotest::backend_image(ref);
+  iotest::pad_to_common(img, want);
+  EXPECT_EQ(img, want);
+
+  // Each op sends every server ceil(slice / stripe) requests.
+  std::uint64_t ops = 0;
+  for (int s = 0; s < cfg.nservers; ++s) {
+    const ServerStats st = f->pool()->server_stats(s);
+    const std::uint64_t slice = st.view_bytes / 2;  // per op
+    ASSERT_GT(slice, 0u) << "server " << s;
+    const std::uint64_t stripe = static_cast<std::uint64_t>(cfg.stripe);
+    EXPECT_EQ(st.view_ops, 2 * ((slice + stripe - 1) / stripe))
+        << "server " << s;
+    ops += st.view_ops;
+  }
+  EXPECT_EQ(ops, 2u * 3u);
+}
+
+TEST(PsrvStream, ViewOpChargesPackAndUnpackToCopyTime) {
+  // The pack into each request and the unpack out of each reply run
+  // inside the view call; they are copy time, not file time.  The op is
+  // large enough that counting them in both would exceed its wall time.
+  PoolConfig cfg = small_pool_config();
+  cfg.stripe = 16 << 10;
+  cfg.capacity = 3 * cfg.stripe;
+  auto f = make_file(RequestClass::View, cfg);
+  const dt::Type ft = iotest::noncontig_filetype(8, 8, 2, 0);
+  const ByteVec stream = iotest::payload_stream(2, 256 << 10);
+  mpiio::IoOpStats wr, rd;
+  EXPECT_EQ(nc_view_round_trip(f, ft, 0, 0, stream, wr, rd), stream);
+  for (const mpiio::IoOpStats* st : {&wr, &rd}) {
+    EXPECT_GT(st->copy_s, 0.0);
+    EXPECT_GT(st->file_s, 0.0);
+    EXPECT_LE(st->copy_s + st->file_s, st->total_s);
+  }
+}
+
+TEST(PsrvStream, UnknownViewRetryRefillsMultiRequestWrites) {
+  // A one-entry view cache and two alternating views, each write several
+  // requests per server: every switch back meets an evicted view, and
+  // each retried request packs its payload again.
+  const dt::Type fta = iotest::noncontig_filetype(4, 8, 2, 0);
+  const dt::Type ftb = iotest::noncontig_filetype(2, 16, 2, 0);
+  const Off nbytes = 96;
+  const ByteVec sa = iotest::payload_stream(1, nbytes);
+  const ByteVec sb = iotest::payload_stream(2, nbytes);
+  const auto run = [&](int cache_cap, Off& filled, ByteVec& ra, ByteVec& rb) {
+    PoolConfig cfg = small_pool_config();
+    cfg.stripe = 16;
+    cfg.view_cache_cap = cache_cap;
+    auto f = make_file(RequestClass::View, cfg);
+    const auto write = [&](const dt::Type& ft, const ByteVec& s) {
+      f->view_write_stream(ft, 0, 0, nbytes, [&](Byte* p, Off lo, Off n) {
+        std::memcpy(p, s.data() + lo, to_size(n));
+        filled += n;
+      });
+    };
+    for (int round = 0; round < 3; ++round) {
+      write(fta, sa);
+      write(ftb, sb);
+    }
+    ra.assign(to_size(nbytes), Byte{0});
+    rb.assign(to_size(nbytes), Byte{0});
+    f->view_read(fta, 0, 0, ra);
+    f->view_read(ftb, 0, 0, rb);
+    EXPECT_GT(f->pool()->server_stats(0).view_ops, 6u);  // > 1 per op
+    return f;
+  };
+  Off filled = 0, ref_filled = 0;
+  ByteVec ra, rb, refa, refb;
+  auto f = run(1, filled, ra, rb);
+  auto ref = run(64, ref_filled, refa, refb);
+  EXPECT_EQ(ra, sa);
+  EXPECT_EQ(rb, sb);
+  EXPECT_EQ(refa, sa);
+  EXPECT_EQ(refb, sb);
+  ByteVec img = iotest::backend_image(f);
+  ByteVec want = iotest::backend_image(ref);
+  iotest::pad_to_common(img, want);
+  EXPECT_EQ(img, want);
+  EXPECT_GT(f->pool()->total_server_stats().view_misses, 0u);
+  EXPECT_EQ(ref->pool()->total_server_stats().view_misses, 0u);
+  EXPECT_EQ(ref_filled, 6 * nbytes);
+  EXPECT_GT(filled, ref_filled);
+}
+
+TEST(PsrvStream, ThrowingCallbackLeavesTheEndpointClean) {
+  // A fill or drain that throws mid-op stops the sends, but every
+  // response already owed is still consumed: the next op on the same
+  // (only) endpoint sees its own responses, not stale ones.
+  PoolConfig cfg = small_pool_config();
+  cfg.stripe = 16;
+  cfg.client_slots = 1;
+  auto f = make_file(RequestClass::View, cfg);
+  const dt::Type ft = iotest::noncontig_filetype(4, 8, 2, 0);
+  const Off nbytes = 96;
+  const ByteVec stream = iotest::payload_stream(3, nbytes);
+  int calls = 0;
+  const auto fill = [&](Byte* p, Off s, Off n) {
+    if (++calls == 3) throw std::runtime_error("fill failed");
+    std::memcpy(p, stream.data() + s, to_size(n));
+  };
+  EXPECT_THROW(f->view_write_stream(ft, 0, 0, nbytes, fill),
+               std::runtime_error);
+  f->view_write(ft, 0, 0, stream);
+  calls = 0;
+  EXPECT_THROW(f->view_read_stream(ft, 0, 0, nbytes,
+                                   [&](const Byte*, Off, Off) {
+                                     if (++calls == 2)
+                                       throw std::runtime_error("drain");
+                                   }),
+               std::runtime_error);
+  ByteVec back(to_size(nbytes));
+  f->view_read(ft, 0, 0, back);
+  EXPECT_EQ(back, stream);
+}
+
 TEST(PsrvBackend, ShardFaultsSurfaceAsIoErrors) {
   PoolConfig cfg = small_pool_config();
   cfg.make_shard = [](int server) -> pfs::FilePtr {
@@ -444,16 +606,49 @@ TEST(PsrvDecorators, TracedViewIoCountsBytesExactlyOnce) {
   ByteVec back(32);
   EXPECT_EQ(vio->view_read(ft, 0, 0, back), 32);
   EXPECT_EQ(back, stream);
+
+  // The stream forms, over all three servers: the tracer forwards them
+  // unstaged, so the callbacks see the server requests' stripe-sized
+  // pieces, never one staged buffer of the whole range.
+  const dt::Type wide = iotest::noncontig_filetype(4, 8, 2, 0);
+  const Off nbytes = 160;
+  const ByteVec wstream = iotest::payload_stream(5, nbytes);
+  const Off stripe = f->pool()->config().stripe;
+  int calls = 0;
+  EXPECT_EQ(vio->view_write_stream(wide, 0, 0, nbytes,
+                                   [&](Byte* p, Off s, Off n) {
+                                     EXPECT_LE(n, stripe);
+                                     std::memcpy(p, wstream.data() + s,
+                                                 to_size(n));
+                                     ++calls;
+                                   }),
+            nbytes);
+  EXPECT_GT(calls, 1);
+  calls = 0;
+  ByteVec wback(to_size(nbytes));
+  EXPECT_EQ(vio->view_read_stream(wide, 0, 0, nbytes,
+                                  [&](const Byte* p, Off s, Off n) {
+                                    EXPECT_LE(n, stripe);
+                                    std::memcpy(wback.data() + s, p,
+                                                to_size(n));
+                                    ++calls;
+                                  }),
+            nbytes);
+  EXPECT_GT(calls, 1);
+  EXPECT_EQ(wback, wstream);
+
   // Each layer counts its own stats once: payload bytes, not payload
   // times the number of layers.
   const pfs::FileStats outer = traced->stats();
-  EXPECT_EQ(outer.write_bytes, 32u);
-  EXPECT_EQ(outer.read_bytes, 32u);
-  EXPECT_EQ(outer.write_ops, 1u);
-  EXPECT_EQ(outer.read_ops, 1u);
+  EXPECT_EQ(outer.write_bytes, 32u + 160u);
+  EXPECT_EQ(outer.read_bytes, 32u + 160u);
+  EXPECT_EQ(outer.write_ops, 2u);
+  EXPECT_EQ(outer.read_ops, 2u);
   const pfs::FileStats inner = f->stats();
-  EXPECT_EQ(inner.write_bytes, 32u);
-  EXPECT_EQ(inner.read_bytes, 32u);
+  EXPECT_EQ(inner.write_bytes, 32u + 160u);
+  EXPECT_EQ(inner.read_bytes, 32u + 160u);
+  EXPECT_EQ(inner.write_ops, 2u);
+  EXPECT_EQ(inner.read_ops, 2u);
 }
 
 TEST(PsrvDecorators, EngineFallsBackThroughMaskingDecorators) {

@@ -249,6 +249,27 @@ TEST_P(ZerocopyEngine, OffIsByteIdenticalAndCountsNothing) {
   EXPECT_EQ(wr_off.fallback, 0u);
 }
 
+TEST_P(ZerocopyEngine, OneRunInstancesStageAtDefaultMinRun) {
+  // resized(hvector(1, 8, 24)): one 8-byte run per 24-byte instance.  Its
+  // average run is 8 B, below the default llio_zerocopy_min_run, so on
+  // either engine no window ships zero-copy descriptors; the bytes match
+  // the staged run.
+  const int nprocs = 3;
+  const Off nbytes = 384;
+  ZcStats wr, rd, wr_off, rd_off;
+  const ByteVec on = run_dense_nc(zc_options(GetParam(), Zerocopy::Auto),
+                                  nprocs, nbytes, wr, rd, 1);
+  const ByteVec off = run_dense_nc(zc_options(GetParam(), Zerocopy::Off),
+                                   nprocs, nbytes, wr_off, rd_off, 1);
+  EXPECT_EQ(on, off);
+  EXPECT_EQ(wr.windows, 0u);
+  EXPECT_EQ(rd.windows, 0u);
+  EXPECT_EQ(wr.runs, 0u);
+  EXPECT_EQ(wr.saved, 0);
+  EXPECT_GT(wr.fallback, 0u);
+  EXPECT_GT(rd.fallback, 0u);
+}
+
 TEST(ZerocopyPlanDecline, FallsBackStagedIdentically) {
   // A memtype with more runs per instance than a PackPlan holds makes the
   // listless mover's mem_runs decline (in O(1), from the block count),
@@ -598,10 +619,10 @@ TEST_P(ZerocopyFuzz, DirectWindowsByteIdenticalEverywhere) {
               " fbs=" + std::to_string(fbs);
           EXPECT_EQ(on, off) << where;
           // The APs' slices save at most nprocs * nbytes of staging; the
-          // rest is IOP windows that went direct.  On the listless engine
-          // the strided buffer's 8-byte runs fall below min_run, so its
-          // APs stage and save nothing.
-          const bool ap_stages = nc_mem && m == Method::Listless;
+          // rest is IOP windows that went direct.  On either engine the
+          // strided buffer's 8-byte runs fall below min_run, so its APs
+          // stage and save nothing.
+          const bool ap_stages = nc_mem;
           EXPECT_GT(wr_on.saved, ap_stages ? 0 : nprocs * nbytes) << where;
           if (ap_stages) {
             EXPECT_GT(wr_on.fallback, 0u) << where;
