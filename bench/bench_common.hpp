@@ -27,7 +27,6 @@
 #include "dtype/datatype.hpp"
 #include "mpiio/file.hpp"
 #include "mpiio/info.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pfs/backend_spec.hpp"
 #include "pfs/mem_file.hpp"
@@ -108,34 +107,10 @@ struct BenchPoint {
   Off data_bytes_sent = 0;
   mpiio::IoOpStats op_stats;  ///< last op, folded (operator+=) over ranks
 
-  /// File-op latency over the measured loop, all ranks pooled (needs
-  /// llio_metrics=on so the backend is wrapped in a pfs::TracedFile;
-  /// zero-count otherwise).
-  obs::HistogramSummary pread_lat_us;
-  obs::HistogramSummary pwrite_lat_us;
-
   double mbps_pp() const {
     return seconds > 0
                ? static_cast<double>(bytes_pp) / seconds / (1024.0 * 1024.0)
                : 0.0;
-  }
-
-  /// Extra JSON fields (leading comma) with the latency quantiles, for
-  /// splicing into a bench's json: line; empty when metrics were off.
-  std::string latency_json() const {
-    if (pread_lat_us.count == 0 && pwrite_lat_us.count == 0) return {};
-    std::string out;
-    if (pread_lat_us.count > 0)
-      out += strprintf(
-          ",\"pread_us_p50\":%.3f,\"pread_us_p95\":%.3f,"
-          "\"pread_us_p99\":%.3f",
-          pread_lat_us.p50, pread_lat_us.p95, pread_lat_us.p99);
-    if (pwrite_lat_us.count > 0)
-      out += strprintf(
-          ",\"pwrite_us_p50\":%.3f,\"pwrite_us_p95\":%.3f,"
-          "\"pwrite_us_p99\":%.3f",
-          pwrite_lat_us.p50, pwrite_lat_us.p95, pwrite_lat_us.p99);
-    return out;
   }
 };
 
@@ -220,12 +195,11 @@ inline BenchPoint run_noncontig(const NoncontigConfig& cfg) {
 
     comm.barrier();
     if (comm.rank() == 0) {
-      // Scope the trace and the metrics histograms to the measured loop:
-      // warm-up and calibration ops would otherwise pollute both, and the
-      // trace would stop reconciling with last_stats().
+      // Scope the trace to the measured loop: warm-up and calibration ops
+      // would otherwise pollute it, and it would stop reconciling with
+      // last_stats().
       // Every rank is parked at the barrier above, so nothing races this.
       if (obs::trace_enabled()) obs::Tracer::instance().clear();
-      if (obs::metrics_enabled()) obs::Registry::instance().reset_values();
       if (cfg.on_measure_start) cfg.on_measure_start();
     }
     comm.barrier();
@@ -245,7 +219,7 @@ inline BenchPoint run_noncontig(const NoncontigConfig& cfg) {
       folded += f.last_stats();
     }
     // Job-level observability close (collective): aggregates every rank's
-    // phases/histograms and writes the llio_report JSON when asked for.
+    // phases/counters and writes the llio_report JSON when asked for.
     if (!f.options().report_path.empty()) f.close();
   });
 
@@ -256,11 +230,6 @@ inline BenchPoint run_noncontig(const NoncontigConfig& cfg) {
   p.list_bytes_sent = list_bytes.load();
   p.data_bytes_sent = data_bytes.load();
   p.op_stats = folded;
-  if (obs::metrics_enabled()) {
-    auto& reg = obs::Registry::instance();
-    p.pread_lat_us = reg.histogram_summary("file.pread_us");
-    p.pwrite_lat_us = reg.histogram_summary("file.pwrite_us");
-  }
   return p;
 }
 

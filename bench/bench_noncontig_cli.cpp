@@ -15,8 +15,8 @@
 //                     e.g. --hint romio_ds_write=disable
 //     --stats         print the per-op stats breakdown (format_stats)
 //     --report [P]    job-level observability report: traces the run
-//                     (llio_trace=spans, llio_metrics=on, repeats pinned
-//                     to 1 so the trace covers exactly the measured op)
+//                     (llio_trace=spans, repeats pinned to 1 so the
+//                     trace covers exactly the measured op)
 //                     and sets llio_report so File::close() writes the
 //                     cross-rank JSON (schema llio_report/v1, with the
 //                     critical path over that trace) to P (default
@@ -117,15 +117,12 @@ void run_one(const CliArgs& a, mpiio::Method m, bool write) {
   if (!a.report_path.empty()) {
     // One measured op, traced: the report's critical path then covers
     // exactly the op whose last_stats() the bench prints (run_noncontig
-    // clears the tracer and the metrics registry right before the
-    // measured loop).
+    // clears the tracer right before the measured loop).
     cfg.min_seconds = 0;
     // Default-enable; never downgrade a level already set via a --hint or
-    // the LLIO_TRACE / LLIO_METRICS environment.
+    // the LLIO_TRACE environment.
     if (!cfg.hints.get("llio_trace") && !obs::trace_enabled())
       cfg.hints.set("llio_trace", "spans");
-    if (!cfg.hints.get("llio_metrics") && !obs::metrics_enabled())
-      cfg.hints.set("llio_metrics", "on");
     if (!cfg.hints.get("llio_report"))
       cfg.hints.set("llio_report", a.report_path);
   }
@@ -138,9 +135,9 @@ void run_one(const CliArgs& a, mpiio::Method m, bool write) {
               static_cast<long long>(p.list_bytes_sent));
   std::printf(
       "json:{\"bench\":\"noncontig_cli\",\"method\":\"%s\",\"op\":\"%s\","
-      "\"mbps_pp\":%.3f,\"repeats\":%d%s}\n",
+      "\"mbps_pp\":%.3f,\"repeats\":%d}\n",
       mpiio::method_name(m), write ? "write" : "read", p.mbps_pp(),
-      p.repeats, p.latency_json().c_str());
+      p.repeats);
   if (a.stats)
     std::printf("%s", mpiio::format_stats(p.op_stats).c_str());
   if (!a.report_path.empty())

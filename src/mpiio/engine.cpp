@@ -118,30 +118,21 @@ std::unique_ptr<StreamMover> IoEngine::make_mover(const void* buf, Off count,
 
 namespace {
 /// Brackets one operation: clears the per-op record on entry and, on
-/// exit, folds it into the cumulative counters and — while metrics are
-/// on — into the per-rank op.<phase>_us histograms.  The op's wall time
-/// is an obs::Phase opened after this guard (closed before it).
+/// exit, folds it into the cumulative counters.  The op's wall time is an
+/// obs::Phase opened after this guard (closed before it).
 class OpRecord {
  public:
-  OpRecord(IoOpStats& stats, IoOpStats& cumulative,
-           obs::LocalRegistry& metrics)
-      : stats_(stats), cumulative_(cumulative), metrics_(metrics) {
+  OpRecord(IoOpStats& stats, IoOpStats& cumulative)
+      : stats_(stats), cumulative_(cumulative) {
     stats_ = IoOpStats{};
   }
-  ~OpRecord() {
-    cumulative_ += stats_;
-    if (obs::metrics_enabled())
-      for (const auto& [name, seconds] : report_phases(stats_))
-        metrics_.histogram("op." + name + "_us")
-            .record(static_cast<long long>(seconds * 1e6));
-  }
+  ~OpRecord() { cumulative_ += stats_; }
   OpRecord(const OpRecord&) = delete;
   OpRecord& operator=(const OpRecord&) = delete;
 
  private:
   IoOpStats& stats_;
   IoOpStats& cumulative_;
-  obs::LocalRegistry& metrics_;
 };
 }  // namespace
 
@@ -172,7 +163,7 @@ Off IoEngine::run_op(bool collective, bool write, Off offset_etypes,
   const int k = 2 * static_cast<int>(collective) + static_cast<int>(write);
   const Off stream_lo = check_access(offset_etypes, buf, count, mt);
   std::lock_guard op_lock(op_mu_);
-  OpRecord record(stats_, cumulative_, local_metrics_);
+  OpRecord record(stats_, cumulative_);
   obs::Phase op(stats_.total_s, kNames[k]);
   if (collective) return TwoPhase(*this, write).run(stream_lo, buf, count, mt);
   return indep(write, stream_lo, buf, count, mt);

@@ -18,7 +18,6 @@
 #include "mpiio/options.hpp"
 #include "mpiio/twophase.hpp"
 #include "mpiio/view.hpp"
-#include "obs/metrics.hpp"
 #include "pfs/file_backend.hpp"
 #include "pfs/range_lock.hpp"
 #include "simmpi/comm.hpp"
@@ -62,13 +61,6 @@ class IoEngine {
   /// reset) on this rank.
   const IoOpStats& cumulative_stats() const { return cumulative_; }
   void reset_cumulative_stats() { cumulative_ = IoOpStats{}; }
-
-  /// Per-rank phase histograms (op.total_us / op.pack_us / op.io_us /
-  /// ...), one record per operation while obs::metrics_enabled().  This
-  /// is the rank-local unit the job-level Collector merges at
-  /// File::close; kept out of the process-global Registry because all
-  /// rank-threads of the simulated job share that one.
-  const obs::LocalRegistry& local_metrics() const { return local_metrics_; }
 
   /// Atomic mode (MPI_File_set_atomicity): when enabled, every
   /// independent access holds a byte-range lock over its whole file span,
@@ -127,8 +119,6 @@ class IoEngine {
   /// Validate, serialize and time one operation, then run it.
   Off run_op(bool collective, bool write, Off offset_etypes, const void* buf,
              Off count, const dt::Type& mt);
-
-  obs::LocalRegistry local_metrics_;
 };
 
 }  // namespace llio::mpiio

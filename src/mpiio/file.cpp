@@ -7,7 +7,6 @@
 #include "common/worker_pool.hpp"
 #include "core/listless_engine.hpp"
 #include "listio/list_engine.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pfs/traced_file.hpp"
 #include "psrv/server_file.hpp"
@@ -98,17 +97,16 @@ File::~File() = default;
 File File::open(sim::Comm& comm, pfs::FilePtr backend, const Options& opts) {
   LLIO_REQUIRE(backend != nullptr, Errc::InvalidArgument,
                "open: null backend");
-  // Observability hints act on the process-global tracer/registry.  All
+  // Observability hints act on the process-global tracer.  All
   // ranks of a collective open carry the same Options, so the repeated
   // stores are idempotent.
   if (opts.trace) obs::Tracer::instance().set_level(*opts.trace);
   if (opts.trace_file)
     obs::Tracer::instance().set_output_path(*opts.trace_file);
-  if (opts.metrics) obs::set_metrics_enabled(*opts.metrics);
   // Per-file-op observation needs the TracedFile decorator in the path.
   // Wrapping is per-handle and forwards to the shared inner backend, so
   // peers opening the same backend unwrapped stay coherent.
-  if ((obs::trace_enabled(obs::TraceLevel::Full) || obs::metrics_enabled()) &&
+  if (obs::trace_enabled(obs::TraceLevel::Full) &&
       dynamic_cast<pfs::TracedFile*>(backend.get()) == nullptr) {
     backend = pfs::TracedFile::wrap(std::move(backend));
   }
@@ -384,16 +382,13 @@ obs::JobReport File::close() {
   mine.rank = comm.rank();
   mine.phases = report_phases(c);
   mine.counters = report_counters(c);
-  mine.hists = engine_->local_metrics().histogram_data();
 
   obs::JobReport report = obs::aggregate(comm, mine);
 
-  // Process-global sections: the registry and tracer are
-  // shared by all rank-threads of the simulated job, so every rank
-  // attaches the same view and the reports stay rank-identical (the
-  // allgather above synchronized the ranks, so no op is mid-flight).
-  for (auto& [name, data] : obs::Registry::instance().histogram_data())
-    report.global_hists.emplace_back(name, data.summary());
+  // Backend-wide sections: the backend and the tracer are shared by all
+  // rank-threads of the simulated job, so every rank attaches the same
+  // view and the reports stay rank-identical (the allgather above
+  // synchronized the ranks, so no op is mid-flight).
   // A psrv backend contributes its pool's summed server-side counters
   // (unwrapping the TracedFile decorator if observation added one).
   {
@@ -402,7 +397,7 @@ obs::JobReport File::close() {
       b = tf->inner().get();
     if (const auto* sf = dynamic_cast<const psrv::ServerFile*>(b)) {
       const psrv::ServerStats ps = sf->pool()->total_server_stats();
-      report.global_counters = {
+      report.global_counters.insert(report.global_counters.end(), {
           {"psrv.requests", ps.requests},
           {"psrv.contig_ops", ps.contig_ops},
           {"psrv.list_ops", ps.list_ops},
@@ -411,8 +406,16 @@ obs::JobReport File::close() {
           {"psrv.bytes_out", ps.bytes_out},
           {"psrv.batched_extents", ps.batched_extents},
           {"psrv.max_queue_depth", ps.max_queue_depth},
-      };
+      });
     }
+  }
+  // A queue-depth engine contributes its since-open totals.
+  if (const auto ai = backend_->async_info()) {
+    report.global_counters.insert(report.global_counters.end(), {
+        {"aio.submitted", ai->stats.submitted},
+        {"aio.completed", ai->stats.completed},
+        {"aio.inflight_peak", ai->stats.inflight_peak},
+    });
   }
   if (obs::trace_enabled())
     report.critical = obs::critical_path(obs::Tracer::instance().snapshot());

@@ -161,13 +161,13 @@ class File {
   /// Collective: job-level observability close (the MPI_File_close-time
   /// aggregation point).  Every rank flushes its trace buffer and
   /// contributes its cumulative phase decomposition (pack / exchange /
-  /// preread / io / wait), counters, and per-rank phase histograms;
-  /// every rank returns the same obs::JobReport — cross-rank
-  /// min/median/max per phase, merged histograms, straggler rank and
+  /// preread / io / wait) and counters; every rank returns the same
+  /// obs::JobReport — cross-rank min/median/max per phase, straggler
+  /// rank, the backend's psrv and queue-depth engine counters, and the
   /// critical path over the trace (when tracing is on).  Rank 0 writes
-  /// the report JSON to Options::report_path when set.  The handle stays usable afterwards: close() finalizes
-  /// observability, not the backend (simulated backends have no OS
-  /// handle to release).
+  /// the report JSON to Options::report_path when set.  The handle stays
+  /// usable afterwards: close() finalizes observability, not the backend
+  /// (simulated backends have no OS handle to release).
   obs::JobReport close();
 
   /// Statistics of this rank's most recent operation.

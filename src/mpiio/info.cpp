@@ -120,14 +120,6 @@ Options apply_info(const Info& info, Options base) {
       LLIO_REQUIRE(!value.empty(), Errc::InvalidArgument,
                    "hint llio_trace_file: empty path");
       base.trace_file = value;
-    } else if (key == "llio_metrics") {
-      if (value == "on")
-        base.metrics = true;
-      else if (value == "off")
-        base.metrics = false;
-      else
-        throw_error(Errc::InvalidArgument,
-                    "hint llio_metrics: expected on/off");
     } else if (key == "llio_report") {
       LLIO_REQUIRE(!value.empty(), Errc::InvalidArgument,
                    "hint llio_report: empty path");
@@ -172,10 +164,9 @@ Info options_to_info(const Options& o) {
            strprintf("%lld", (long long)o.zerocopy_max_runs));
   if (!o.backend.empty()) info.set("llio_backend", o.backend);
   // Observability hints appear only when explicitly set: unset means
-  // "leave the process-global tracer/registry alone".
+  // "leave the process-global tracer alone".
   if (o.trace) info.set("llio_trace", obs::trace_level_name(*o.trace));
   if (o.trace_file) info.set("llio_trace_file", *o.trace_file);
-  if (o.metrics) info.set("llio_metrics", *o.metrics ? "on" : "off");
   if (!o.report_path.empty()) info.set("llio_report", o.report_path);
   return info;
 }

@@ -28,8 +28,6 @@
 //                        tracer at open
 //   llio_trace_file      path the Chrome trace JSON is written to at
 //                        process exit
-//   llio_metrics         "on" | "off" — process-global metrics registry
-//                        (latency/size histograms, counters)
 //
 // Unknown keys are preserved but ignored (MPI_Info semantics).
 #pragma once

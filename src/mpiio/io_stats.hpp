@@ -15,13 +15,11 @@ namespace llio::mpiio {
 ///   merge   Sum or Max — how operator+= folds two records;
 ///   report  the name the field carries in the llio_report/v1 JobReport,
 ///           or nullptr to keep it out.  A seconds field reports as a
-///           RankSnapshot phase and the per-rank histogram
-///           `op.<report>_us`; an integer field as a RankSnapshot counter
-///           (summed across ranks, so never a Max field).
-/// struct IoOpStats, operator+=, format_stats, report_phases /
-/// report_counters (the JobReport snapshot and the engine's per-rank
-/// op.<phase>_us histograms) are all generated from it.  To add a field,
-/// add a row.
+///           RankSnapshot phase; an integer field as a RankSnapshot
+///           counter (summed across ranks, so never a Max field).
+/// struct IoOpStats, operator+=, format_stats and report_phases /
+/// report_counters (the JobReport snapshot) are all generated from it.
+/// To add a field, add a row.
 #define LLIO_IO_OP_STATS_FIELDS(X)                                          \
   /* wall time of the whole operation */                                  \
   X(double, total_s, Sum, "total")                                        \

@@ -112,22 +112,20 @@ struct Options {
   /// Empty = the harness's own default.
   std::string backend = {};
 
-  /// Observability (hints llio_trace / llio_trace_file / llio_metrics).
-  /// The tracer and metrics registry are process-global; File::open
-  /// applies any value set here on top of the environment-seeded
-  /// defaults (LLIO_TRACE / LLIO_TRACE_FILE / LLIO_METRICS).  Unset =
-  /// leave the global setting alone.  When tracing sits at Full or
-  /// metrics are on, the backend is wrapped in a pfs::TracedFile so
-  /// individual file accesses are recorded.
+  /// Observability (hints llio_trace / llio_trace_file).  The tracer is
+  /// process-global; File::open applies any value set here on top of the
+  /// environment-seeded defaults (LLIO_TRACE / LLIO_TRACE_FILE).  Unset =
+  /// leave the global setting alone.  When tracing sits at Full, the
+  /// backend is wrapped in a pfs::TracedFile so individual file accesses
+  /// are recorded as spans.
   std::optional<obs::TraceLevel> trace = std::nullopt;
   std::optional<std::string> trace_file = std::nullopt;
-  std::optional<bool> metrics = std::nullopt;
 
   /// Job-level observability report (hint llio_report): File::close()
-  /// aggregates every rank's phase decomposition, counters, and
-  /// histograms into an obs::JobReport, and rank 0 writes its JSON
-  /// (schema llio_report/v1) to this path.  Empty = close() still
-  /// aggregates and returns the report, but writes nothing.
+  /// aggregates every rank's phase decomposition and counters into an
+  /// obs::JobReport, and rank 0 writes its JSON (schema llio_report/v1)
+  /// to this path.  Empty = close() still aggregates and returns the
+  /// report, but writes nothing.
   std::string report_path = {};
 };
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/worker_pool.hpp"
-#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "pfs/range_lock.hpp"
 
@@ -336,14 +335,6 @@ void run_pipelined(SieveContext& ctx, int depth, Off buffer_bytes,
   ctx.stats.file_write_ops += worker.write_ops;
   ctx.stats.io_wait_s += wait_s;
   ctx.stats.overlap_s += std::max(0.0, worker.seconds - wait_s);
-
-  if (obs::metrics_enabled()) {
-    obs::Registry& reg = obs::Registry::instance();
-    reg.histogram("pipeline.io_wait_us")
-        .record(static_cast<long long>(wait_s * 1e6));
-    reg.counter("pipeline.windows").add(static_cast<std::uint64_t>(index));
-    reg.counter("pipeline.runs").add(1);
-  }
 
   if (err) std::rethrow_exception(err);
 }

@@ -16,8 +16,6 @@ namespace llio::obs {
 //   u32 rank
 //   u32 nphases { u32 len, bytes, f64 seconds }*
 //   u32 ncounters { u32 len, bytes, u64 value }*
-//   u32 nhists { u32 len, bytes, u64 count, i64 sum, i64 min, i64 max,
-//                u32 nbuckets { u32 index, u64 count }* }*
 
 namespace {
 
@@ -74,19 +72,6 @@ ByteVec RankSnapshot::serialize() const {
     put_str(out, name);
     put<std::uint64_t>(out, v);
   }
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(hists.size()));
-  for (const auto& [name, h] : hists) {
-    put_str(out, name);
-    put<std::uint64_t>(out, h.count);
-    put<long long>(out, h.sum);
-    put<long long>(out, h.min);
-    put<long long>(out, h.max);
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(h.buckets.size()));
-    for (const auto& [idx, c] : h.buckets) {
-      put<std::uint32_t>(out, static_cast<std::uint32_t>(idx));
-      put<std::uint64_t>(out, c);
-    }
-  }
   return out;
 }
 
@@ -107,24 +92,6 @@ RankSnapshot RankSnapshot::deserialize(ConstByteSpan raw) {
     std::string name = r.get_str();
     const std::uint64_t v = r.get<std::uint64_t>();
     s.counters.push_back({std::move(name), v});
-  }
-  const std::uint32_t nhists = r.get<std::uint32_t>();
-  s.hists.reserve(nhists);
-  for (std::uint32_t i = 0; i < nhists; ++i) {
-    std::string name = r.get_str();
-    HistogramData h;
-    h.count = r.get<std::uint64_t>();
-    h.sum = r.get<long long>();
-    h.min = r.get<long long>();
-    h.max = r.get<long long>();
-    const std::uint32_t nbuckets = r.get<std::uint32_t>();
-    h.buckets.reserve(nbuckets);
-    for (std::uint32_t b = 0; b < nbuckets; ++b) {
-      const int idx = static_cast<int>(r.get<std::uint32_t>());
-      const std::uint64_t c = r.get<std::uint64_t>();
-      h.buckets.push_back({idx, c});
-    }
-    s.hists.push_back({std::move(name), std::move(h)});
   }
   LLIO_REQUIRE(r.pos == raw.size(), Errc::Protocol,
                "RankSnapshot: trailing bytes");
@@ -215,20 +182,6 @@ JobReport Collector::build(const std::vector<RankSnapshot>& ranks) {
     job.counters_per_rank.push_back({name, std::move(per_rank)});
   }
 
-  std::map<std::string, MergedHistogram> hists;
-  for (std::size_t i = 0; i < order.size(); ++i)
-    for (const auto& [name, h] : order[i]->hists) {
-      MergedHistogram& m = hists[name];
-      m.name = name;
-      m.per_rank.resize(order.size());
-      m.per_rank[i] = h.summary();
-      m.merged.merge(h);
-    }
-  for (auto& [name, m] : hists) {
-    m.per_rank.resize(order.size());
-    job.hists.push_back(std::move(m));
-  }
-
   if (const PhaseStats* total = job.phase("total");
       total != nullptr && total->imbalance > kStragglerThreshold) {
     job.straggler_rank = total->max_rank;
@@ -310,35 +263,6 @@ CriticalPathReport critical_path(const std::vector<TraceEvent>& events) {
 
 // ---- report JSON -------------------------------------------------------
 
-namespace {
-
-std::string summary_json(const HistogramSummary& s) {
-  return strprintf(
-      "{\"count\":%llu,\"mean\":%.3f,\"p50\":%.3f,\"p95\":%.3f,"
-      "\"p99\":%.3f,\"min\":%lld,\"max\":%lld}",
-      static_cast<unsigned long long>(s.count), s.mean, s.p50, s.p95, s.p99,
-      s.min, s.max);
-}
-
-std::string data_json(const HistogramData& h) {
-  const HistogramSummary s = h.summary();
-  std::string out = strprintf(
-      "{\"count\":%llu,\"sum\":%lld,\"min\":%lld,\"max\":%lld,"
-      "\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f,\"buckets\":[",
-      static_cast<unsigned long long>(h.count), h.sum, h.min, h.max, s.p50,
-      s.p95, s.p99);
-  bool first = true;
-  for (const auto& [idx, c] : h.buckets) {
-    if (!first) out += ',';
-    first = false;
-    out += strprintf("[%d,%llu]", idx, static_cast<unsigned long long>(c));
-  }
-  out += "]}";
-  return out;
-}
-
-}  // namespace
-
 std::string JobReport::to_json() const {
   // Metric/phase names are our own C identifiers — nothing to escape.
   std::string out = strprintf("{\"schema\":\"llio_report/v1\",\"nranks\":%d,",
@@ -374,20 +298,7 @@ std::string JobReport::to_json() const {
                        static_cast<unsigned long long>(per_rank[r]));
     out += "]";
   }
-  out += "},\"histograms\":[";
-  for (std::size_t i = 0; i < hists.size(); ++i) {
-    const MergedHistogram& m = hists[i];
-    if (i != 0) out += ',';
-    out += strprintf("{\"name\":\"%s\",\"merged\":", m.name.c_str());
-    out += data_json(m.merged);
-    out += ",\"per_rank\":[";
-    for (std::size_t r = 0; r < m.per_rank.size(); ++r) {
-      if (r != 0) out += ',';
-      out += summary_json(m.per_rank[r]);
-    }
-    out += "]}";
-  }
-  out += strprintf("],\"straggler\":{\"rank\":%d,\"imbalance\":%.3f}",
+  out += strprintf("},\"straggler\":{\"rank\":%d,\"imbalance\":%.3f}",
                    straggler_rank, straggler_imbalance);
   if (critical) {
     const CriticalPathReport& c = *critical;
@@ -401,13 +312,7 @@ std::string JobReport::to_json() const {
         c.exchange_us, c.attributed_frac, c.limiter(), c.io_limited_windows,
         c.pack_limited_windows, c.other_limited_windows);
   }
-  out += ",\"global_histograms\":{";
-  for (std::size_t i = 0; i < global_hists.size(); ++i) {
-    if (i != 0) out += ',';
-    out += strprintf("\"%s\":", global_hists[i].first.c_str());
-    out += summary_json(global_hists[i].second);
-  }
-  out += "},\"global_counters\":{";
+  out += ",\"global_counters\":{";
   for (std::size_t i = 0; i < global_counters.size(); ++i)
     out += strprintf(i == 0 ? "\"%s\":%llu" : ",\"%s\":%llu",
                      global_counters[i].first.c_str(),

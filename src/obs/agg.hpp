@@ -1,19 +1,16 @@
 // Job-level observability: cross-rank metric aggregation.
 //
-// PR 3's tracer and registry are per-process; the collective engines'
+// The tracer is per-process; the collective engines'
 // behavior is per-*job* — one straggler rank in the exchange stalls every
 // window on every rank, and no single rank's numbers can show that.  This
 // layer closes the gap:
 //
 //   * RankSnapshot — one rank's contribution: the IoOpStats phase
-//     decomposition (pack / exchange / preread / io / wait), counters, and
-//     the engine's per-rank phase histograms as mergeable HistogramData.
+//     decomposition (pack / exchange / preread / io / wait) and counters.
 //     Serializes to a flat byte vector for the wire.
 //   * Collector::build — fold N RankSnapshots into a JobReport: per-phase
-//     min/median/max/imbalance across ranks, merged histograms whose
-//     quantiles reconcile with the per-rank values within one bucket
-//     (deterministic nearest-rank selection on identical bucket edges),
-//     counters summed and per rank, and straggler identification.
+//     min/median/max/imbalance across ranks, counters summed and per
+//     rank, and straggler identification.
 //   * aggregate(comm, mine) — the collective form: allgather the
 //     serialized snapshots, build on every rank (all ranks return the
 //     same report).  Templated over the comm type so obs stays below
@@ -34,7 +31,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace llio::obs {
@@ -46,8 +42,6 @@ struct RankSnapshot {
   /// total, from IoOpStats; any name is accepted).
   std::vector<std::pair<std::string, double>> phases;
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  /// Per-rank histograms (op.total_us etc.), mergeable across ranks.
-  std::vector<std::pair<std::string, HistogramData>> hists;
 
   ByteVec serialize() const;
   static RankSnapshot deserialize(ConstByteSpan raw);
@@ -67,14 +61,6 @@ struct PhaseStats {
   /// work; 0 when the phase never ran.
   double imbalance = 0;
   std::vector<double> per_rank_s;  ///< indexed like JobReport::ranks
-};
-
-/// One histogram name merged across ranks, with the per-rank summaries
-/// kept so the merged quantiles can be checked against them.
-struct MergedHistogram {
-  std::string name;
-  HistogramData merged;
-  std::vector<HistogramSummary> per_rank;  ///< indexed like JobReport::ranks
 };
 
 /// Where each pipeline window's wall time went, summed over all windows
@@ -117,7 +103,6 @@ struct JobReport {
   /// show whether the two-phase file domains are balanced.
   std::vector<std::pair<std::string, std::vector<std::uint64_t>>>
       counters_per_rank;
-  std::vector<MergedHistogram> hists;
 
   /// Rank with the largest "total" phase and its max/mean ratio; -1 when
   /// totals are absent or the job is balanced (imbalance below ~1.05 does
@@ -127,15 +112,11 @@ struct JobReport {
 
   std::optional<CriticalPathReport> critical;
 
-  /// Process-global registry sections attached by the caller (rank 0's
-  /// view: psrv per-server service histograms, AsyncIo op latencies,
-  /// TracedFile file-op histograms) — shared-process in the simulation,
-  /// so they complement rather than duplicate the per-rank data.
-  std::vector<std::pair<std::string, HistogramSummary>> global_hists;
-
-  /// Process-global counters attached by the caller (e.g. the psrv pool's
-  /// summed ServerStats: psrv.requests, psrv.max_queue_depth, ...).  Kept
-  /// apart from `counters`, which are per-rank sums.
+  /// Backend-wide counters attached by the caller: the psrv pool's summed
+  /// ServerStats (psrv.requests, psrv.max_queue_depth, ...) and the
+  /// queue-depth engine's totals (aio.submitted, aio.completed,
+  /// aio.inflight_peak).  Every rank shares them, so they are kept apart
+  /// from `counters`, which are per-rank sums.
   std::vector<std::pair<std::string, std::uint64_t>> global_counters;
 
   const PhaseStats* phase(const std::string& name) const;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "pfs/iovec_util.hpp"
 
@@ -46,10 +45,7 @@ void AsyncIo::run_op(Batch* batch, const std::function<void()>& op, Off bytes,
   std::exception_ptr err;
   double seconds = 0;
   {
-    obs::Phase t(seconds, "aio_op", obs::TraceLevel::Spans,
-                 obs::metrics_enabled()
-                     ? lat_hist_.load(std::memory_order_acquire)
-                     : nullptr);
+    obs::Phase t(seconds, "aio_op");
     t.arg("bytes", bytes);
     try {
       op();
@@ -78,13 +74,6 @@ void AsyncIo::submit(Batch& batch, std::function<void()> op, Off bytes) {
   LLIO_REQUIRE(batch.engine_ == nullptr || batch.engine_ == this,
                Errc::InvalidArgument, "AsyncIo: batch belongs elsewhere");
   batch.engine_ = this;
-  if (obs::metrics_enabled() &&
-      lat_hist_.load(std::memory_order_relaxed) == nullptr) {
-    // Registry references are stable; a racing double-resolve stores the
-    // same pointer.
-    lat_hist_.store(&obs::Registry::instance().histogram("aio.op_us"),
-                    std::memory_order_release);
-  }
   if (qd_ == 1) {
     // Inline synchronous path: deterministic order, no pool involvement.
     {
@@ -101,10 +90,7 @@ void AsyncIo::submit(Batch& batch, std::function<void()> op, Off bytes) {
     {
       // Span on the *caller's* track: at qd 1 the op runs inline, and the
       // timeline should show that I/O time where it was actually spent.
-      obs::Phase t(seconds, "aio_op", obs::TraceLevel::Spans,
-                 obs::metrics_enabled()
-                     ? lat_hist_.load(std::memory_order_acquire)
-                     : nullptr);
+      obs::Phase t(seconds, "aio_op");
       t.arg("bytes", bytes);
       t.arg("inline", 1);
       try {

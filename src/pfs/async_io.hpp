@@ -28,14 +28,13 @@
 // lifetime, so submitting from inside another pool job (the collective
 // pipeline's I/O workers call FileBackend::pwritev, which may land here)
 // cannot starve: the reservation guarantees this engine's operations have
-// workers of their own.  Per-op latency lands in the obs histogram
-// registry under "aio.op_us" when metrics are on.
+// workers of their own.  Each operation is an `aio_op` trace span; the
+// engine totals (submitted, completed, peak in flight) are in stats().
 //
 // AsyncQdFile below is the one storage-side owner of an engine: any
 // backend gains queue depth by being wrapped in it.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <functional>
@@ -43,10 +42,6 @@
 
 #include "common/worker_pool.hpp"
 #include "pfs/file_backend.hpp"
-
-namespace llio::obs {
-class Histogram;
-}
 
 namespace llio::pfs {
 
@@ -95,7 +90,6 @@ class AsyncIo {
 
   const int qd_;
   WorkerPool::Reservation reserved_;
-  std::atomic<obs::Histogram*> lat_hist_{nullptr};  ///< lazy, then stable
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

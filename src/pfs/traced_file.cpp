@@ -1,33 +1,24 @@
 #include "pfs/traced_file.hpp"
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 
 namespace llio::pfs {
 
 namespace {
 
-/// One file op: a Full-level span plus, with metrics on, its latency
-/// (µs) and bytes histograms.  `seconds` is the phase's field; nothing
-/// reads it.
+/// One file op: a Full-level span carrying its position and byte count.
+/// `seconds` is the phase's field; nothing reads it.
 struct FileOp {
   double seconds = 0;
   obs::Phase phase;
-  const char* bytes_hist;
 
-  FileOp(const char* span, const char* latency, const char* bytes)
-      : phase(seconds, span, obs::TraceLevel::Full,
-              obs::metrics_enabled()
-                  ? &obs::Registry::instance().histogram(latency)
-                  : nullptr),
-        bytes_hist(bytes) {}
+  explicit FileOp(const char* span)
+      : phase(seconds, span, obs::TraceLevel::Full) {}
 
   void done(const char* key, Off where, Off bytes) {
     phase.arg(key, where);
     phase.arg("bytes", bytes);
-    if (obs::metrics_enabled())
-      obs::Registry::instance().histogram(bytes_hist).record(bytes);
   }
 };
 
@@ -42,27 +33,27 @@ std::shared_ptr<TracedFile> TracedFile::wrap(FilePtr inner) {
 }
 
 Off TracedFile::do_pread(Off offset, ByteSpan out) {
-  FileOp op("file_pread", "file.pread_us", "file.read_bytes");
+  FileOp op("file_pread");
   const Off n = inner_->pread(offset, out);
   op.done("offset", offset, n);
   return n;
 }
 
 void TracedFile::do_pwrite(Off offset, ConstByteSpan data) {
-  FileOp op("file_pwrite", "file.pwrite_us", "file.write_bytes");
+  FileOp op("file_pwrite");
   inner_->pwrite(offset, data);
   op.done("offset", offset, to_off(data.size()));
 }
 
 Off TracedFile::do_preadv(std::span<const IoVec> iov) {
-  FileOp op("file_preadv", "file.pread_us", "file.read_bytes");
+  FileOp op("file_preadv");
   const Off n = inner_->preadv(iov);
   op.done("segments", to_off(iov.size()), n);
   return n;
 }
 
 void TracedFile::do_pwritev(std::span<const ConstIoVec> iov) {
-  FileOp op("file_pwritev", "file.pwrite_us", "file.write_bytes");
+  FileOp op("file_pwritev");
   inner_->pwritev(iov);
   Off total = 0;
   for (const ConstIoVec& v : iov) total += to_off(v.buf.size());
@@ -81,7 +72,7 @@ ViewIo& inner_view_io(const FilePtr& inner) {
 Off TracedFile::view_write(const dt::Type& filetype, Off disp, Off stream_lo,
                            ConstByteSpan data) {
   ViewIo& vio = inner_view_io(inner_);
-  FileOp op("file_view_write", "file.pwrite_us", "file.write_bytes");
+  FileOp op("file_view_write");
   const Off n = vio.view_write(filetype, disp, stream_lo, data);
   op.done("stream_lo", stream_lo, n);
   note_write(n);
@@ -91,7 +82,7 @@ Off TracedFile::view_write(const dt::Type& filetype, Off disp, Off stream_lo,
 Off TracedFile::view_read(const dt::Type& filetype, Off disp, Off stream_lo,
                           ByteSpan out) {
   ViewIo& vio = inner_view_io(inner_);
-  FileOp op("file_view_read", "file.pread_us", "file.read_bytes");
+  FileOp op("file_view_read");
   const Off n = vio.view_read(filetype, disp, stream_lo, out);
   op.done("stream_lo", stream_lo, n);
   note_read(n);
@@ -101,7 +92,7 @@ Off TracedFile::view_read(const dt::Type& filetype, Off disp, Off stream_lo,
 Off TracedFile::view_write_stream(const dt::Type& filetype, Off disp,
                                   Off stream_lo, Off n, const Fill& fill) {
   ViewIo& vio = inner_view_io(inner_);
-  FileOp op("file_view_write", "file.pwrite_us", "file.write_bytes");
+  FileOp op("file_view_write");
   const Off got = vio.view_write_stream(filetype, disp, stream_lo, n, fill);
   op.done("stream_lo", stream_lo, got);
   note_write(got);
@@ -111,7 +102,7 @@ Off TracedFile::view_write_stream(const dt::Type& filetype, Off disp,
 Off TracedFile::view_read_stream(const dt::Type& filetype, Off disp,
                                  Off stream_lo, Off n, const Drain& drain) {
   ViewIo& vio = inner_view_io(inner_);
-  FileOp op("file_view_read", "file.pread_us", "file.read_bytes");
+  FileOp op("file_view_read");
   const Off got = vio.view_read_stream(filetype, disp, stream_lo, n, drain);
   op.done("stream_lo", stream_lo, got);
   note_read(got);

@@ -1,13 +1,12 @@
 // Observability wrapper: records every file access as a trace span
-// (llio_trace=full) and feeds the metrics registry's latency/size
-// histograms (llio_metrics=on).
+// (llio_trace=full) carrying its position and byte count.
 //
-// mpiio::File::open wraps its backend in a TracedFile when either sink is
-// active, so individual pread/pwrite/preadv/pwritev calls show up as
-// slices under the pipeline's window spans and the benches can report
-// p50/p95/p99 file-op latency instead of just the mean.  Wrapping is
-// per-rank and purely additive: calls forward to the shared inner
-// backend, whose own locking and statistics still apply.
+// mpiio::File::open wraps its backend in a TracedFile when tracing sits
+// at Full, so individual pread/pwrite/preadv/pwritev calls show up as
+// slices under the pipeline's window spans; a file-op latency quantile is
+// computed from those spans.  Wrapping is per-rank and purely additive:
+// calls forward to the shared inner backend, whose own locking and
+// statistics still apply.
 #pragma once
 
 #include "pfs/file_backend.hpp"
@@ -31,9 +30,9 @@ class TracedFile final : public FileBackend, public ViewIo {
   }
 
   /// Purely observational wrapper, so — unlike the cost/fault decorators —
-  /// the view-I/O capability is forwarded, interposed so the spans and
-  /// histograms still see those accesses.  Both forms forward as they
-  /// are: the stream form stays unstaged under tracing.
+  /// the view-I/O capability is forwarded, interposed so the spans still
+  /// see those accesses.  Both forms forward as they are: the stream form
+  /// stays unstaged under tracing.
   ViewIo* view_io() override {
     return inner_->view_io() != nullptr ? this : nullptr;
   }

@@ -8,10 +8,8 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/format.hpp"
 #include "core/listless_nav.hpp"
 #include "dtype/serialize.hpp"
-#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "pfs/mem_file.hpp"
 #include "psrv/wire.hpp"
@@ -241,10 +239,6 @@ std::optional<ServerPool::Credit> ServerPool::acquire_credit(int s,
              hwm, static_cast<std::uint64_t>(depth),
              std::memory_order_relaxed)) {
   }
-  if (obs::metrics_enabled())
-    obs::Registry::instance()
-        .histogram(strprintf("psrv.s%d.queue_depth", s))
-        .record(depth);
   return Credit(this, s);
 }
 
@@ -280,11 +274,6 @@ void ServerPool::serve(int idx) {
   pfs::FileBackend& shard = *shards_[to_size(Off{idx})];
   const mpiio::Domain dom = domains_[to_size(Off{idx})];
   AtomicServerStats& st = *stats_[to_size(Off{idx})];
-  obs::Histogram* service_hist =
-      obs::metrics_enabled()
-          ? &obs::Registry::instance().histogram(
-                strprintf("psrv.s%d.service_us", idx))
-          : nullptr;
 
   ViewCache views;
   std::uint64_t use_tick = 0;
@@ -546,8 +535,6 @@ void ServerPool::serve(int idx) {
         service_s;
     st.queue_wait_ns.fetch_add(static_cast<std::uint64_t>(wait_s * 1e9),
                                std::memory_order_relaxed);
-    if (service_hist != nullptr)
-      service_hist->record(static_cast<long long>(service_s * 1e6));
     comm.send(r.src, wire::kTagResponse, std::move(resp), resp_cls);
   };
 

@@ -1,22 +1,20 @@
 // Observability subsystem tests: tracer gating and Chrome JSON output,
-// the obs::Phase timer and the IoOpStats field table, metrics
-// histograms/quantiles, TracedFile accounting against IoOpStats,
-// and the pipelined write's trace spans against the engine's own wait
-// numbers.
+// the obs::Phase timer and the IoOpStats field table, TracedFile's file
+// spans against IoOpStats, and the pipelined write's trace spans against
+// the engine's own wait numbers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 
 #include "io_test_util.hpp"
 #include "mpiio/info.hpp"
 #include "mpiio/io_stats.hpp"
-#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_check.hpp"
@@ -27,81 +25,21 @@ namespace {
 
 using iotest::noncontig_filetype;
 
-/// The tracer and registry are process-global; scope every test's
-/// configuration and restore the quiet defaults on the way out.
+/// The tracer is process-global; scope every test's configuration and
+/// restore the quiet default on the way out.
 struct ObsSandbox {
-  ObsSandbox(obs::TraceLevel level, bool metrics) {
+  explicit ObsSandbox(obs::TraceLevel level) {
     obs::Tracer::instance().set_level(level);
     obs::Tracer::instance().clear();
-    obs::set_metrics_enabled(metrics);
-    obs::Registry::instance().reset_values();
   }
   ~ObsSandbox() {
     obs::Tracer::instance().set_level(obs::TraceLevel::Off);
     obs::Tracer::instance().clear();
-    obs::set_metrics_enabled(false);
-    obs::Registry::instance().reset_values();
   }
 };
 
-TEST(Histogram, SmallValuesAreExact) {
-  obs::Histogram h;
-  for (long long v = 0; v < 16; ++v) h.record(v);
-  const obs::HistogramSummary s = h.summary();
-  EXPECT_EQ(s.count, 16u);
-  EXPECT_EQ(s.min, 0);
-  EXPECT_EQ(s.max, 15);
-  EXPECT_DOUBLE_EQ(s.mean, 7.5);
-  // Values < 16 land in exact unit buckets.
-  EXPECT_NEAR(h.quantile(0.5), 8.0, 1.0);
-  EXPECT_NEAR(h.quantile(1.0), 15.0, 1e-9);
-}
-
-TEST(Histogram, QuantilesWithinLogBucketError) {
-  obs::Histogram h;
-  for (long long v = 1; v <= 100000; ++v) h.record(v);
-  // Each octave splits into 4 sub-buckets: <= ~12% relative error, plus
-  // interpolation.  Allow 15%.
-  EXPECT_NEAR(h.quantile(0.50), 50000.0, 0.15 * 50000.0);
-  EXPECT_NEAR(h.quantile(0.95), 95000.0, 0.15 * 95000.0);
-  EXPECT_NEAR(h.quantile(0.99), 99000.0, 0.15 * 99000.0);
-  const obs::HistogramSummary s = h.summary();
-  EXPECT_EQ(s.count, 100000u);
-  EXPECT_EQ(s.min, 1);
-  EXPECT_EQ(s.max, 100000);
-}
-
-TEST(Histogram, ResetZeroes) {
-  obs::Histogram h;
-  h.record(42);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.summary().count, 0u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-}
-
-TEST(Registry, StableReferencesAndJson) {
-  ObsSandbox sandbox(obs::TraceLevel::Off, true);
-  auto& reg = obs::Registry::instance();
-  obs::Counter& c = reg.counter("test.ops");
-  c.add(3);
-  EXPECT_EQ(&c, &reg.counter("test.ops"));  // same object on re-lookup
-  reg.gauge("test.depth").set(7);
-  reg.histogram("test.lat_us").record(1000);
-  const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"test.ops\":3"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"test.depth\":7"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"test.lat_us\""), std::string::npos) << json;
-  const std::string table = reg.to_table();
-  EXPECT_NE(table.find("test.ops"), std::string::npos) << table;
-  // reset_values keeps registrations but zeroes contents.
-  reg.reset_values();
-  EXPECT_EQ(reg.counter("test.ops").value(), 0u);
-  EXPECT_EQ(reg.histogram_summary("test.lat_us").count, 0u);
-}
-
 TEST(Tracer, OffEmitsNothing) {
-  ObsSandbox sandbox(obs::TraceLevel::Off, false);
+  ObsSandbox sandbox(obs::TraceLevel::Off);
   {
     obs::Span s("should_not_record");
     EXPECT_FALSE(s.active());
@@ -112,7 +50,7 @@ TEST(Tracer, OffEmitsNothing) {
 }
 
 TEST(Tracer, LevelGatingAndArgs) {
-  ObsSandbox sandbox(obs::TraceLevel::Spans, false);
+  ObsSandbox sandbox(obs::TraceLevel::Spans);
   {
     obs::Span full_only("full_span", obs::TraceLevel::Full);
     EXPECT_FALSE(full_only.active());
@@ -135,7 +73,7 @@ TEST(Tracer, LevelGatingAndArgs) {
 }
 
 TEST(Phase, AccumulatesAcrossScopesWithTracingOff) {
-  ObsSandbox sandbox(obs::TraceLevel::Off, false);
+  ObsSandbox sandbox(obs::TraceLevel::Off);
   double field = 0;
   {
     obs::Phase p(field, "phase_off");
@@ -153,11 +91,10 @@ TEST(Phase, AccumulatesAcrossScopesWithTracingOff) {
 }
 
 TEST(Phase, SpanAndHistogramShareTheFieldInterval) {
-  ObsSandbox sandbox(obs::TraceLevel::Spans, false);
+  ObsSandbox sandbox(obs::TraceLevel::Spans);
   double field = 0;
-  obs::Histogram hist;
   {
-    obs::Phase p(field, "timed", obs::TraceLevel::Spans, &hist);
+    obs::Phase p(field, "timed");
     EXPECT_TRUE(p.active());
     p.arg("what", "ranges");
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -170,12 +107,10 @@ TEST(Phase, SpanAndHistogramShareTheFieldInterval) {
   // The same two clock reads: the span duration is the field increment.
   EXPECT_GT(field, 0.0);
   EXPECT_DOUBLE_EQ(events[0].dur_us, field * 1e6);
-  EXPECT_EQ(hist.count(), 1u);
-  EXPECT_EQ(hist.summary().max, static_cast<long long>(field * 1e6));
 }
 
 TEST(Phase, FullLevelUnderSpansTimesButEmitsNothing) {
-  ObsSandbox sandbox(obs::TraceLevel::Spans, false);
+  ObsSandbox sandbox(obs::TraceLevel::Spans);
   double field = 0;
   {
     obs::Phase p(field, "full_only", obs::TraceLevel::Full);
@@ -206,7 +141,7 @@ TEST(IoOpStats, EveryFieldFollowsItsMergeRuleAndFormats) {
 }
 
 TEST(Tracer, ThreadTrackGuardAssignsAndRestores) {
-  ObsSandbox sandbox(obs::TraceLevel::Spans, false);
+  ObsSandbox sandbox(obs::TraceLevel::Spans);
   const int outer_pid = obs::current_pid();
   {
     obs::ThreadTrackGuard track(5, 2, "rank 5", "io worker 2");
@@ -221,7 +156,7 @@ TEST(Tracer, ThreadTrackGuardAssignsAndRestores) {
 }
 
 TEST(Tracer, ClearInvalidatesEventsBufferedInOtherThreads) {
-  ObsSandbox sandbox(obs::TraceLevel::Spans, false);
+  ObsSandbox sandbox(obs::TraceLevel::Spans);
   std::atomic<bool> recorded{false}, cleared{false};
   std::thread t([&] {
     { obs::Span s("stale"); }
@@ -240,7 +175,7 @@ TEST(Tracer, ClearInvalidatesEventsBufferedInOtherThreads) {
 }
 
 TEST(Tracer, ChromeJsonValidates) {
-  ObsSandbox sandbox(obs::TraceLevel::Spans, false);
+  ObsSandbox sandbox(obs::TraceLevel::Spans);
   {
     obs::ThreadTrackGuard track(0, 0, "rank 0", "compute");
     obs::Span s("window");
@@ -282,20 +217,15 @@ TEST(InfoHints, ObservabilityRoundTrip) {
   EXPECT_FALSE(mpiio::options_to_info(o).get("llio_trace").has_value());
   o.trace = obs::TraceLevel::Full;
   o.trace_file = "out.json";
-  o.metrics = true;
   const mpiio::Info info = mpiio::options_to_info(o);
   EXPECT_EQ(info.get("llio_trace"), "full");
   EXPECT_EQ(info.get("llio_trace_file"), "out.json");
-  EXPECT_EQ(info.get("llio_metrics"), "on");
   const mpiio::Options back = mpiio::apply_info(info, mpiio::Options{});
   ASSERT_TRUE(back.trace.has_value());
   EXPECT_EQ(*back.trace, obs::TraceLevel::Full);
   EXPECT_EQ(back.trace_file, "out.json");
-  EXPECT_EQ(back.metrics, true);
   EXPECT_THROW(
       mpiio::apply_info(mpiio::Info{{"llio_trace", "verbose"}}, {}), Error);
-  EXPECT_THROW(
-      mpiio::apply_info(mpiio::Info{{"llio_metrics", "yes"}}, {}), Error);
   EXPECT_THROW(
       mpiio::apply_info(mpiio::Info{{"llio_trace_file", ""}}, {}), Error);
 }
@@ -304,7 +234,7 @@ TEST(InfoHints, ObservabilityRoundTrip) {
 /// return the folded per-rank stats.  The interesting trace content —
 /// spans from concurrent I/O workers nested against compute windows —
 /// accumulates in the global tracer.
-mpiio::IoOpStats run_pipelined_write(bool metrics_wrap) {
+mpiio::IoOpStats run_pipelined_write() {
   const int P = 2;
   const Off sblock = 64, nblock = 256;  // 16 KiB per rank
   const Off nbytes = nblock * sblock;
@@ -316,7 +246,6 @@ mpiio::IoOpStats run_pipelined_write(bool metrics_wrap) {
     o.method = mpiio::Method::Listless;
     o.file_buffer_size = 4096;  // 4 windows per IOP domain
     o.pipeline_depth = 2;
-    if (metrics_wrap) o.metrics = true;
     mpiio::File f = mpiio::File::open(comm, fs, o);
     f.set_view(0, dt::byte(),
                noncontig_filetype(nblock, sblock, P, comm.rank()));
@@ -329,8 +258,8 @@ mpiio::IoOpStats run_pipelined_write(bool metrics_wrap) {
 }
 
 TEST(PipelineTrace, ConcurrentWorkerSpansValidate) {
-  ObsSandbox sandbox(obs::TraceLevel::Spans, false);
-  const mpiio::IoOpStats stats = run_pipelined_write(false);
+  ObsSandbox sandbox(obs::TraceLevel::Spans);
+  const mpiio::IoOpStats stats = run_pipelined_write();
   const auto events = obs::Tracer::instance().snapshot();
   ASSERT_FALSE(events.empty());
 
@@ -377,25 +306,38 @@ TEST(PipelineTrace, ConcurrentWorkerSpansValidate) {
 }
 
 TEST(TracedFile, ByteCountsMatchIoOpStats) {
-  ObsSandbox sandbox(obs::TraceLevel::Off, true);
-  const mpiio::IoOpStats stats = run_pipelined_write(true);
+  // llio_trace=full makes File::open wrap the backend in a TracedFile:
+  // one file_* span per backend call, its "bytes" arg the bytes moved.
+  ObsSandbox sandbox(obs::TraceLevel::Full);
+  const mpiio::IoOpStats stats = run_pipelined_write();
   ASSERT_GT(stats.file_write_bytes, 0);
 
-  auto& reg = obs::Registry::instance();
-  const obs::HistogramSummary wr = reg.histogram_summary("file.write_bytes");
-  const obs::HistogramSummary rd = reg.histogram_summary("file.read_bytes");
-  EXPECT_EQ(wr.count, stats.file_write_ops);
-  EXPECT_EQ(rd.count, stats.file_read_ops);
-  // sum == mean * count exactly (the histogram keeps an exact sum).
-  EXPECT_EQ(std::llround(wr.mean * static_cast<double>(wr.count)),
-            stats.file_write_bytes);
-  EXPECT_EQ(std::llround(rd.mean * static_cast<double>(rd.count)),
-            stats.file_read_bytes);
-  EXPECT_GT(reg.histogram_summary("file.pwrite_us").count, 0u);
+  const std::set<std::string> writes = {"file_pwrite", "file_pwritev",
+                                        "file_view_write"};
+  const std::set<std::string> reads = {"file_pread", "file_preadv",
+                                       "file_view_read"};
+  std::uint64_t write_spans = 0, read_spans = 0;
+  Off write_bytes = 0, read_bytes = 0;
+  for (const obs::TraceEvent& ev : obs::Tracer::instance().snapshot()) {
+    if (ev.phase != 'X') continue;
+    const bool w = writes.count(ev.name) != 0;
+    if (!w && reads.count(ev.name) == 0) continue;
+    Off bytes = -1;
+    for (const obs::TraceArg& a : ev.args)
+      if (!a.is_text && a.key == "bytes") bytes = a.value;
+    ASSERT_GE(bytes, 0) << ev.name;
+    (w ? write_spans : read_spans) += 1;
+    (w ? write_bytes : read_bytes) += bytes;
+  }
+  EXPECT_GT(write_spans, 0u);
+  EXPECT_EQ(write_spans, stats.file_write_ops);
+  EXPECT_EQ(read_spans, stats.file_read_ops);
+  EXPECT_EQ(write_bytes, stats.file_write_bytes);
+  EXPECT_EQ(read_bytes, stats.file_read_bytes);
 }
 
 TEST(TracedFile, WrapIsIdempotentAndForwards) {
-  ObsSandbox sandbox(obs::TraceLevel::Off, true);
+  ObsSandbox sandbox(obs::TraceLevel::Off);
   auto inner = pfs::MemFile::create();
   pfs::FilePtr wrapped = pfs::TracedFile::wrap(inner);
   ASSERT_NE(dynamic_cast<pfs::TracedFile*>(wrapped.get()), nullptr);
@@ -406,10 +348,6 @@ TEST(TracedFile, WrapIsIdempotentAndForwards) {
   ByteVec back(128, Byte{0});
   EXPECT_EQ(wrapped->pread(0, back), 128);
   EXPECT_EQ(back, data);
-  EXPECT_EQ(obs::Registry::instance()
-                .histogram_summary("file.write_bytes")
-                .count,
-            1u);
 }
 
 }  // namespace

@@ -1,157 +1,25 @@
-// Job-level observability tests: mergeable histogram data (unit + fuzz),
-// RankSnapshot wire roundtrip, Collector phase statistics and straggler
-// identification, the collective aggregate() over a multi-rank world with
-// an injected slow rank, and the critical-path attribution.
+// Job-level observability tests: RankSnapshot wire roundtrip, Collector
+// phase statistics and straggler identification, the collective
+// aggregate() over a multi-rank world with an injected slow rank, the
+// backend counters the report carries, and the critical-path
+// attribution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <climits>
-#include <cmath>
 #include <cstdio>
+#include <map>
 #include <mutex>
-#include <random>
 #include <vector>
 
 #include "io_test_util.hpp"
 #include "mpiio/file.hpp"
 #include "obs/agg.hpp"
-#include "obs/metrics.hpp"
 #include "pfs/mem_file.hpp"
 #include "pfs/throttled_file.hpp"
 #include "simmpi/comm.hpp"
 
 namespace llio {
 namespace {
-
-/// The registry and tracer are process-global; every test here scopes
-/// its configuration and restores the quiet defaults on the way out.
-struct ObsSandbox {
-  explicit ObsSandbox(bool metrics) {
-    obs::set_metrics_enabled(metrics);
-    obs::Registry::instance().reset_values();
-  }
-  ~ObsSandbox() {
-    obs::set_metrics_enabled(false);
-    obs::Registry::instance().reset_values();
-  }
-};
-
-// ---- log-linear bucket geometry ----------------------------------------
-
-// Bucket 251 covers up to exactly LLONG_MAX (its octave is msb 62), so
-// indices 252..255 are unreachable padding; the geometry checks stop there.
-constexpr int kLastReachableBucket = 251;
-
-TEST(HistogramBuckets, EdgeRoundtripAndMonotonic) {
-  long long prev_lo = -1;
-  for (int idx = 0; idx <= kLastReachableBucket; ++idx) {
-    long long lo = 0, hi = 0;
-    obs::histogram_bucket_bounds(idx, lo, hi);
-    ASSERT_LE(lo, hi) << "bucket " << idx;
-    // A bucket's own bounds must map back to the bucket: this is the
-    // exact property the merged-quantile reconciliation rests on.
-    EXPECT_EQ(obs::histogram_bucket_index(lo), idx);
-    EXPECT_EQ(obs::histogram_bucket_index(hi), idx);
-    EXPECT_GT(lo, prev_lo) << "bucket " << idx;
-    prev_lo = lo;
-  }
-  // Index is monotonic over a dense value sweep across the exact/log
-  // boundary (values < 16 are exact unit buckets).
-  int last = obs::histogram_bucket_index(0);
-  for (long long v = 1; v < 4096; ++v) {
-    const int idx = obs::histogram_bucket_index(v);
-    EXPECT_GE(idx, last) << "value " << v;
-    last = idx;
-  }
-  EXPECT_EQ(obs::histogram_bucket_index(LLONG_MAX), kLastReachableBucket);
-  EXPECT_EQ(obs::histogram_bucket_index(-5), 0);  // clamped, not UB
-}
-
-// ---- HistogramData merge ------------------------------------------------
-
-TEST(HistogramMerge, MergeEqualsHistogramOfUnion) {
-  obs::HistogramData a, b, all;
-  for (long long v = 1; v <= 500; v += 3) { a.record(v * 7); all.record(v * 7); }
-  for (long long v = 1; v <= 300; v += 2) { b.record(v * 13); all.record(v * 13); }
-  obs::HistogramData merged = a;
-  merged.merge(b);
-  EXPECT_EQ(merged.count, all.count);
-  EXPECT_EQ(merged.sum, all.sum);
-  EXPECT_EQ(merged.min, all.min);
-  EXPECT_EQ(merged.max, all.max);
-  ASSERT_EQ(merged.buckets.size(), all.buckets.size());
-  for (std::size_t i = 0; i < merged.buckets.size(); ++i) {
-    EXPECT_EQ(merged.buckets[i].first, all.buckets[i].first);
-    EXPECT_EQ(merged.buckets[i].second, all.buckets[i].second);
-  }
-  // Identical sparse bucket lists give identical quantiles: merge order
-  // cannot change the answer.
-  for (double q : {0.5, 0.95, 0.99})
-    EXPECT_DOUBLE_EQ(merged.quantile(q), all.quantile(q));
-}
-
-TEST(HistogramMerge, EmptyAndOverflowBuckets) {
-  obs::HistogramData empty;
-  EXPECT_EQ(empty.count, 0u);
-  EXPECT_DOUBLE_EQ(empty.quantile(0.99), 0.0);
-
-  obs::HistogramData h;
-  h.record(LLONG_MAX);  // lands in the last reachable bucket
-  h.record(0);
-  obs::HistogramData merged = empty;
-  merged.merge(h);
-  EXPECT_EQ(merged.count, 2u);
-  EXPECT_EQ(merged.max, LLONG_MAX);
-  // Quantiles clamp to the observed [min, max] even from that bucket.
-  EXPECT_LE(merged.quantile(1.0), static_cast<double>(LLONG_MAX));
-  EXPECT_GE(merged.quantile(0.0), 0.0);
-  obs::HistogramData other = h;
-  other.merge(empty);  // merging an empty histogram is the identity
-  EXPECT_EQ(other.count, 2u);
-  EXPECT_EQ(other.sum, h.sum);
-}
-
-TEST(HistogramMerge, FuzzQuantilesWithinOneBucketOfExact) {
-  std::mt19937 rng(20260808);  // fixed seed: the test is deterministic
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t nranks = 1 + rng() % 7;
-    const int n = 50 + static_cast<int>(rng() % 400);
-    std::uniform_int_distribution<long long> dist(0, 1LL << (4 + round % 18));
-    std::vector<long long> values;
-    std::vector<obs::HistogramData> parts(nranks);
-    for (int i = 0; i < n; ++i) {
-      const long long v = dist(rng);
-      values.push_back(v);
-      parts[rng() % nranks].record(v);
-    }
-    obs::HistogramData merged;
-    std::uint64_t total = 0;
-    for (const obs::HistogramData& p : parts) {
-      merged.merge(p);
-      total += p.count;
-    }
-    ASSERT_EQ(merged.count, static_cast<std::uint64_t>(n));
-    ASSERT_EQ(merged.count, total);
-    std::sort(values.begin(), values.end());
-    for (double q : {0.5, 0.9, 0.95, 0.99}) {
-      // Nearest-rank exact quantile over the raw values.
-      const std::size_t rank = std::min(
-          values.size() - 1,
-          static_cast<std::size_t>(
-              std::max(1.0, std::ceil(q * static_cast<double>(n)))) - 1);
-      const long long exact = values[rank];
-      const double est = merged.quantile(q);
-      const int exact_bucket = obs::histogram_bucket_index(exact);
-      const int est_bucket =
-          obs::histogram_bucket_index(static_cast<long long>(est));
-      EXPECT_LE(std::abs(exact_bucket - est_bucket), 1)
-          << "round " << round << " q " << q << " exact " << exact
-          << " est " << est;
-      // Determinism: asking twice gives the identical answer.
-      EXPECT_DOUBLE_EQ(est, merged.quantile(q));
-    }
-  }
-}
 
 // ---- RankSnapshot wire format ------------------------------------------
 
@@ -160,9 +28,6 @@ TEST(RankSnapshot, SerializeRoundtrip) {
   s.rank = 3;
   s.phases = {{"total", 1.25}, {"io", 0.5}, {"pack", 0.0}};
   s.counters = {{"bytes_moved", 123456789ull}, {"file_write_ops", 7ull}};
-  obs::HistogramData h;
-  for (long long v : {1, 50, 900, 70000}) h.record(v);
-  s.hists = {{"op.total_us", h}};
 
   const ByteVec raw = s.serialize();
   const obs::RankSnapshot back =
@@ -173,11 +38,6 @@ TEST(RankSnapshot, SerializeRoundtrip) {
   EXPECT_DOUBLE_EQ(back.phases[0].second, 1.25);
   ASSERT_EQ(back.counters.size(), s.counters.size());
   EXPECT_EQ(back.counters[0].second, 123456789ull);
-  ASSERT_EQ(back.hists.size(), 1u);
-  EXPECT_EQ(back.hists[0].first, "op.total_us");
-  EXPECT_EQ(back.hists[0].second.count, 4u);
-  EXPECT_EQ(back.hists[0].second.sum, h.sum);
-  EXPECT_DOUBLE_EQ(back.hists[0].second.quantile(0.5), h.quantile(0.5));
 
   // Truncated payloads are rejected, not misread.
   EXPECT_THROW(obs::RankSnapshot::deserialize(
@@ -192,9 +52,6 @@ obs::RankSnapshot synthetic_rank(int rank, double total_s, double io_s) {
   s.rank = rank;
   s.phases = {{"total", total_s}, {"io", io_s}};
   s.counters = {{"bytes_moved", 100ull}};
-  obs::HistogramData h;
-  h.record(static_cast<long long>(total_s * 1e6));
-  s.hists = {{"op.total_us", h}};
   return s;
 }
 
@@ -219,10 +76,6 @@ TEST(Collector, PhaseSpreadAndStraggler) {
   // Counters sum across ranks.
   ASSERT_FALSE(r.counters.empty());
   EXPECT_EQ(r.counters[0].second, 300ull);
-  // Merged histogram count is the sum of the per-rank counts.
-  ASSERT_EQ(r.hists.size(), 1u);
-  EXPECT_EQ(r.hists[0].merged.count, 3u);
-  ASSERT_EQ(r.hists[0].per_rank.size(), 3u);
   // The report JSON carries the schema tag CI keys on.
   EXPECT_NE(r.to_json().find("llio_report/v1"), std::string::npos);
 }
@@ -272,7 +125,6 @@ TEST(Collector, KeepsPerRankCounters) {
 // ---- collective aggregate over a multi-rank world -----------------------
 
 TEST(Aggregate, MultiRankReportNamesInjectedStraggler) {
-  ObsSandbox sandbox(/*metrics=*/true);
   constexpr int kRanks = 4;
   constexpr int kSlowRank = 2;
   constexpr int kOps = 3;
@@ -295,7 +147,6 @@ TEST(Aggregate, MultiRankReportNamesInjectedStraggler) {
       backend = pfs::ThrottledFile::wrap(shared, cfg);
     }
     mpiio::Options o;
-    o.metrics = true;
     o.report_path = report_path;
     mpiio::File f = mpiio::File::open(comm, backend, o);
     ByteVec buf(to_size(len), Byte{0x5a});
@@ -312,33 +163,6 @@ TEST(Aggregate, MultiRankReportNamesInjectedStraggler) {
     // The throttled rank dominates the job and is named.
     EXPECT_EQ(r.straggler_rank, kSlowRank);
     EXPECT_GT(r.straggler_imbalance, 1.05);
-    // Merged per-phase histogram counts reconcile with the per-rank ones.
-    bool saw_total = false;
-    for (const obs::MergedHistogram& h : r.hists) {
-      std::uint64_t sum = 0;
-      for (const obs::HistogramSummary& pr : h.per_rank) sum += pr.count;
-      EXPECT_EQ(h.merged.count, sum) << h.name;
-      if (h.name == "op.total_us") {
-        saw_total = true;
-        EXPECT_EQ(h.merged.count,
-                  static_cast<std::uint64_t>(kRanks * kOps));
-        // The merged p99 lies within one log-linear bucket of the
-        // per-rank p99 envelope (identical bucket edges on every rank).
-        int lo_bucket = INT_MAX, hi_bucket = INT_MIN;
-        for (const obs::HistogramSummary& pr : h.per_rank) {
-          if (pr.count == 0) continue;
-          const int b = obs::histogram_bucket_index(
-              static_cast<long long>(pr.p99));
-          lo_bucket = std::min(lo_bucket, b);
-          hi_bucket = std::max(hi_bucket, b);
-        }
-        const int merged_bucket = obs::histogram_bucket_index(
-            static_cast<long long>(h.merged.quantile(0.99)));
-        EXPECT_GE(merged_bucket, lo_bucket - 1);
-        EXPECT_LE(merged_bucket, hi_bucket + 1);
-      }
-    }
-    EXPECT_TRUE(saw_total);
   }
 
   // Rank 0 wrote the JSON report.
@@ -451,6 +275,51 @@ TEST(Aggregate, ReportCarriesSkewPhase) {
     ASSERT_NE(sk, nullptr);
     EXPECT_GT(sk->max_s, 0.01);
   }
+}
+
+// A queue-depth backend's engine totals reach the report as backend-wide
+// counters: an independent direct write over posix qd=4 submits through
+// AsyncQdFile, and the report shows it.
+TEST(Aggregate, ReportCarriesAsyncEngineCounters) {
+  constexpr int kRanks = 2;
+  const Off nblock = 64, sblock = 64;
+  const Off nbytes = nblock * sblock;
+  const std::string report_path =
+      testing::TempDir() + "llio_report_aio_test.json";
+  std::remove(report_path.c_str());
+  const pfs::FilePtr fs =
+      iotest::make_backend("posix:" + testing::TempDir() + ",qd=4");
+  std::mutex mu;
+  std::vector<obs::JobReport> reports;
+  sim::Runtime::run(kRanks, [&](sim::Comm& comm) {
+    mpiio::Options o;
+    o.ds_write = mpiio::Sieving::Never;  // romio_ds_write=disable
+    o.report_path = report_path;
+    mpiio::File f = mpiio::File::open(comm, fs, o);
+    f.set_view(0, dt::byte(),
+               iotest::noncontig_filetype(nblock, sblock, kRanks,
+                                          comm.rank()));
+    const ByteVec stream = iotest::payload_stream(comm.rank(), nbytes);
+    f.write_at(0, stream.data(), nbytes, dt::byte());
+    const obs::JobReport r = f.close();
+    std::lock_guard lock(mu);
+    reports.push_back(r);
+  });
+  ASSERT_EQ(reports.size(), static_cast<std::size_t>(kRanks));
+  for (const obs::JobReport& r : reports) {
+    std::map<std::string, std::uint64_t> g(r.global_counters.begin(),
+                                           r.global_counters.end());
+    EXPECT_GT(g["aio.submitted"], 0u);
+    EXPECT_EQ(g["aio.completed"], g["aio.submitted"]);
+    EXPECT_GE(g["aio.inflight_peak"], 1u);
+  }
+  std::FILE* fp = std::fopen(report_path.c_str(), "rb");
+  ASSERT_NE(fp, nullptr);
+  std::string json(1 << 16, '\0');
+  json.resize(std::fread(json.data(), 1, json.size(), fp));
+  std::fclose(fp);
+  EXPECT_NE(json.find("\"aio.submitted\":"), std::string::npos) << json;
+  std::remove(report_path.c_str());
 }
 
 // ---- critical path ------------------------------------------------------
