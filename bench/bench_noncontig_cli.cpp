@@ -23,7 +23,7 @@
 //                     report.json)
 //
 // Prints B_pp plus the overhead decomposition (ol-list bytes shipped,
-// copy/exchange/file time shares).
+// copy/exchange/file time shares).  Exits 2 on a bad flag or hint.
 #include <cstring>
 #include <string>
 
@@ -151,11 +151,19 @@ int main(int argc, char** argv) {
   std::printf("noncontig: Nblock=%lld Sblock=%lldB P=%d %s %s\n",
               (long long)a.nblock, (long long)a.sblock, a.procs,
               a.combo.c_str(), a.collective ? "collective" : "independent");
-  for (mpiio::Method m : {mpiio::Method::ListBased, mpiio::Method::Listless}) {
-    if (a.method == "list" && m != mpiio::Method::ListBased) continue;
-    if (a.method == "listless" && m != mpiio::Method::Listless) continue;
-    if (a.do_write) run_one(a, m, true);
-    if (a.do_read) run_one(a, m, false);
+  try {
+    for (mpiio::Method m :
+         {mpiio::Method::ListBased, mpiio::Method::Listless}) {
+      if (a.method == "list" && m != mpiio::Method::ListBased) continue;
+      if (a.method == "listless" && m != mpiio::Method::Listless) continue;
+      if (a.do_write) run_one(a, m, true);
+      if (a.do_read) run_one(a, m, false);
+    }
+  } catch (const Error& e) {
+    // A malformed hint (e.g. a bad llio_backend spec) exits like a bad
+    // flag does.
+    std::fprintf(stderr, "bench_noncontig_cli: %s\n", e.what());
+    return 2;
   }
   return 0;
 }

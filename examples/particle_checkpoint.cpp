@@ -6,6 +6,7 @@
 // paper's introduction describes.
 //
 //   build/examples/particle_checkpoint [particles_per_rank P]
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
   const int P = argc > 2 ? std::atoi(argv[2]) : 3;
 
   auto storage = pfs::MemFile::create();
-  bool ok = true;
+  std::atomic<bool> ok{true};
 
   sim::Runtime::run(P, [&](sim::Comm& comm) {
     std::vector<Particle> particles(to_size(nper));
@@ -84,12 +85,13 @@ int main(int argc, char** argv) {
   });
 
   const Off expect = Off{P} * nper * kRecordBytes;
+  const bool verified = ok && storage->size() == expect;
   std::printf("checkpoint of %lld particles x %d ranks: %lld bytes "
               "(%.0f%% of the in-memory size) — %s\n",
               (long long)nper, P, (long long)storage->size(),
               100.0 * static_cast<double>(expect) /
                   static_cast<double>(Off{P} * nper *
                                       to_off(sizeof(Particle))),
-              (ok && storage->size() == expect) ? "verified" : "MISMATCH");
-  return 0;
+              verified ? "verified" : "MISMATCH");
+  return verified ? 0 : 1;
 }

@@ -21,6 +21,7 @@ int main() {
   // A shared "file" in memory; swap for pfs::PosixFile::open(path) to use
   // a real file.
   auto storage = pfs::MemFile::create();
+  bool verified = false;
 
   sim::Runtime::run(P, [&](sim::Comm& comm) {
     // Open with the listless engine (the paper's contribution); pass
@@ -51,8 +52,10 @@ int main() {
     std::vector<double> back(ndoubles, -1.0);
     file.read_at_all(0, back.data(), ndoubles, dt::double_());
 
-    bool ok = back == mine;
+    // Every rank's read-back counts, not only rank 0's.
+    const bool ok = comm.allreduce_min(back == mine ? 1 : 0) == 1;
     if (comm.rank() == 0) {
+      verified = ok;
       std::printf("rank 0 read back: %.0f %.0f %.0f ... (%s)\n", back[0],
                   back[1], back[2], ok ? "verified" : "MISMATCH");
     }
@@ -63,5 +66,5 @@ int main() {
               static_cast<long long>(storage->size()),
               *reinterpret_cast<const double*>(storage->contents().data() +
                                                64));
-  return 0;
+  return verified ? 0 : 1;
 }

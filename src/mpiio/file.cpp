@@ -1,7 +1,6 @@
 #include "mpiio/file.hpp"
 
 #include <fstream>
-#include <mutex>
 
 #include "common/error.hpp"
 #include "common/worker_pool.hpp"
@@ -13,59 +12,31 @@
 
 namespace llio::mpiio {
 
-/// Shared-file-pointer state: one per backend among concurrently open
-/// handles (rank-threads share the address space).
-struct File::SharedFp {
-  std::mutex mu;
-  Off etypes = 0;
-
-  Off load() {
-    std::lock_guard lock(mu);
-    return etypes;
-  }
-
-  void store(Off v) {
-    std::lock_guard lock(mu);
-    etypes = v;
-  }
-
-  Off fetch_add(Off v) {
-    std::lock_guard lock(mu);
-    const Off old = etypes;
-    etypes += v;
-    return old;
-  }
-};
-
 namespace {
 
-/// Per-open shared state: the range-lock table protecting sieving
-/// read-modify-write and the shared file pointer.  Created by rank 0 and
-/// distributed collectively — rank-threads share the address space, so a
-/// broadcast of the owner's shared_ptr (copied before rank 0 leaves the
-/// closing barrier) hands every rank the same instance.
-struct OpenShared {
-  std::shared_ptr<pfs::RangeLock> locks;
-  std::shared_ptr<File::SharedFp> fp;
-};
+using LockTable = std::shared_ptr<pfs::RangeLock>;
 
-OpenShared exchange_open_shared(sim::Comm& comm) {
-  OpenShared mine;
+/// The range-lock table protecting sieving read-modify-write and atomic
+/// mode, one per collective open.  Created by rank 0 and distributed
+/// collectively — rank-threads share the address space, so a broadcast
+/// of the owner's shared_ptr (copied before rank 0 leaves the closing
+/// barrier) hands every rank the same instance.
+LockTable exchange_open_locks(sim::Comm& comm) {
+  LockTable mine;
   if (comm.rank() == 0) {
-    mine.locks = std::make_shared<pfs::RangeLock>();
-    mine.fp = std::make_shared<File::SharedFp>();
-    const OpenShared* self = &mine;
+    mine = std::make_shared<pfs::RangeLock>();
+    const LockTable* self = &mine;
     ByteVec raw(sizeof(self));
     std::memcpy(raw.data(), &self, sizeof(self));
     comm.bcast(0, raw);
     comm.barrier();  // keep `mine` alive until every rank copied it
   } else {
     const ByteVec raw = comm.bcast(0, {});
-    LLIO_REQUIRE(raw.size() == sizeof(const OpenShared*), Errc::Protocol,
+    LLIO_REQUIRE(raw.size() == sizeof(const LockTable*), Errc::Protocol,
                  "open: bad shared-state broadcast");
-    const OpenShared* remote;
+    const LockTable* remote;
     std::memcpy(&remote, raw.data(), sizeof(remote));
-    mine = *remote;  // shared_ptr copies; refcounts are thread-safe
+    mine = *remote;  // shared_ptr copy; refcounts are thread-safe
     comm.barrier();
   }
   return mine;
@@ -114,12 +85,9 @@ File File::open(sim::Comm& comm, pfs::FilePtr backend, const Options& opts) {
   // the same ceiling (idempotent across a collective open: all ranks
   // carry the same Options).
   backend->set_iov_batch_max(opts.iov_batch_max);
-  OpenShared shared = exchange_open_shared(comm);
-  auto engine = make_engine(comm, backend, std::move(shared.locks), opts);
+  auto engine = make_engine(comm, backend, exchange_open_locks(comm), opts);
   engine->set_view(default_view());
-  File f(std::move(engine), backend);
-  f.shared_fp_ = std::move(shared.fp);
-  return f;
+  return File(std::move(engine), backend);
 }
 
 File File::open(sim::Comm& comm, pfs::FilePtr backend, const Info& info,
@@ -131,9 +99,8 @@ void File::set_view(Off disp, const dt::Type& etype,
                     const dt::Type& filetype) {
   engine_->set_view(View{disp, etype, filetype});
   pointer_etypes_ = 0;
-  // MPI_File_set_view resets the shared pointer as well (collective).
-  engine_->comm().barrier();
-  if (engine_->comm().rank() == 0) shared_fp_->store(0);
+  // Collective: every rank's accesses before the call finish before any
+  // rank's accesses after it.
   engine_->comm().barrier();
 }
 
@@ -191,18 +158,6 @@ Off File::read(void* buf, Off count, const dt::Type& mt) {
 
 Off File::write(const void* buf, Off count, const dt::Type& mt) {
   const Off n = engine_->write_at(pointer_etypes_, buf, count, mt);
-  advance(n);
-  return n;
-}
-
-Off File::read_all(void* buf, Off count, const dt::Type& mt) {
-  const Off n = read_at_all(pointer_etypes_, buf, count, mt);
-  advance(n);
-  return n;
-}
-
-Off File::write_all(const void* buf, Off count, const dt::Type& mt) {
-  const Off n = write_at_all(pointer_etypes_, buf, count, mt);
   advance(n);
   return n;
 }
@@ -265,75 +220,6 @@ Off File::read_at_all_end(void* buf) {
   split_state_ = SplitState::Idle;
   split_buf_ = nullptr;
   return split_result_;
-}
-
-Off File::etypes_of(Off bytes) const {
-  const Off esz = engine_->view().etype->size();
-  LLIO_REQUIRE(bytes % esz == 0, Errc::InvalidArgument,
-               "shared-pointer access must move a whole number of etypes");
-  return bytes / esz;
-}
-
-Off File::tell_shared() const { return shared_fp_->load(); }
-
-void File::seek_shared(Off offset_etypes, Whence whence) {
-  sim::Comm& comm = engine_->comm();
-  comm.barrier();
-  if (comm.rank() == 0) {
-    Off base = 0;
-    switch (whence) {
-      case Whence::Set: base = 0; break;
-      case Whence::Cur: base = shared_fp_->load(); break;
-      case Whence::End:
-        base = size() / engine_->view().etype->size();
-        break;
-    }
-    const Off target = base + offset_etypes;
-    LLIO_REQUIRE(target >= 0, Errc::InvalidArgument,
-                 "seek_shared: negative position");
-    shared_fp_->store(target);
-  }
-  comm.barrier();
-}
-
-Off File::read_shared(void* buf, Off count, const dt::Type& mt) {
-  const Off et = etypes_of(count * mt->size());
-  const Off at = shared_fp_->fetch_add(et);
-  return engine_->read_at(at, buf, count, mt);
-}
-
-Off File::write_shared(const void* buf, Off count, const dt::Type& mt) {
-  const Off et = etypes_of(count * mt->size());
-  const Off at = shared_fp_->fetch_add(et);
-  return engine_->write_at(at, buf, count, mt);
-}
-
-Off File::read_ordered(void* buf, Off count, const dt::Type& mt) {
-  sim::Comm& comm = engine_->comm();
-  const Off et = etypes_of(count * mt->size());
-  comm.barrier();  // quiesce pending shared-pointer updates
-  const Off base = shared_fp_->load();
-  const Off pre = comm.exscan_sum(et);
-  const Off n = engine_->read_at(base + pre, buf, count, mt);
-  const Off total = comm.allreduce_sum(et);
-  comm.barrier();
-  if (comm.rank() == 0) shared_fp_->store(base + total);
-  comm.barrier();
-  return n;
-}
-
-Off File::write_ordered(const void* buf, Off count, const dt::Type& mt) {
-  sim::Comm& comm = engine_->comm();
-  const Off et = etypes_of(count * mt->size());
-  comm.barrier();
-  const Off base = shared_fp_->load();
-  const Off pre = comm.exscan_sum(et);
-  const Off n = engine_->write_at(base + pre, buf, count, mt);
-  const Off total = comm.allreduce_sum(et);
-  comm.barrier();
-  if (comm.rank() == 0) shared_fp_->store(base + total);
-  comm.barrier();
-  return n;
 }
 
 Off File::size() const { return backend_->size(); }

@@ -30,11 +30,22 @@
 namespace llio::mpiio {
 
 /// Handle for a nonblocking independent operation (MPI_Request analogue).
-/// wait() returns the bytes moved and rethrows any operation error; the
-/// destructor waits if the request was never completed explicitly.
+/// wait() returns the bytes moved and rethrows any operation error.  A
+/// request dropped or overwritten before wait() blocks until its
+/// operation finishes and discards the result: the operation holds raw
+/// pointers to the engine and the buffer, so it must not outlive them.
 class Request {
  public:
   Request() = default;
+  Request(Request&&) noexcept = default;
+  Request& operator=(Request&& other) noexcept {
+    if (this != &other) {
+      drain();
+      fut_ = std::move(other.fut_);
+    }
+    return *this;
+  }
+  ~Request() { drain(); }
 
   /// Block until the operation finishes; returns bytes moved.
   Off wait() {
@@ -55,6 +66,11 @@ class Request {
  private:
   friend class File;
   explicit Request(std::future<Off> fut) : fut_(std::move(fut)) {}
+
+  /// Wait without get(): a stored error stays in the shared state.
+  void drain() noexcept {
+    if (fut_.valid()) fut_.wait();
+  }
 
   std::future<Off> fut_;
 };
@@ -93,8 +109,6 @@ class File {
   Off tell() const;  ///< current position in etype units
   Off read(void* buf, Off count, const dt::Type& memtype);
   Off write(const void* buf, Off count, const dt::Type& memtype);
-  Off read_all(void* buf, Off count, const dt::Type& memtype);
-  Off write_all(const void* buf, Off count, const dt::Type& memtype);
 
   // -- nonblocking independent access (MPI_File_iread_at/iwrite_at) ------
   //
@@ -122,21 +136,6 @@ class File {
   void read_at_all_begin(Off offset, void* buf, Off count,
                          const dt::Type& memtype);
   Off read_at_all_end(void* buf);
-
-  // -- shared file pointer (MPI_File_*_shared / *_ordered) ---------------
-  //
-  // The shared pointer is per (backend, concurrently open handles): all
-  // handles opened on the same backend share it, as MPI handles on the
-  // same (comm, file) do.  read/write_shared atomically claim their range
-  // (access order across ranks is unspecified); the *_ordered collectives
-  // serialize in rank order.
-
-  Off tell_shared() const;
-  void seek_shared(Off offset_etypes, Whence whence = Whence::Set);  // coll.
-  Off read_shared(void* buf, Off count, const dt::Type& memtype);
-  Off write_shared(const void* buf, Off count, const dt::Type& memtype);
-  Off read_ordered(void* buf, Off count, const dt::Type& memtype);   // coll.
-  Off write_ordered(const void* buf, Off count, const dt::Type& memtype);
 
   // -- file management ----------------------------------------------------
 
@@ -185,22 +184,14 @@ class File {
   /// The engine (for engine-specific introspection in benches/tests).
   IoEngine& engine();
 
-  /// Implementation detail of the shared file pointer (public so the
-  /// collective open machinery can exchange it).
-  struct SharedFp;
-
  private:
   File(std::unique_ptr<IoEngine> engine, pfs::FilePtr backend);
 
   /// Advance the individual pointer by the etypes consumed by `bytes`.
   void advance(Off bytes);
 
-  /// Etypes an access of `bytes` bytes moves (must divide evenly).
-  Off etypes_of(Off bytes) const;
-
   std::unique_ptr<IoEngine> engine_;
   pfs::FilePtr backend_;
-  std::shared_ptr<SharedFp> shared_fp_;
   Off pointer_etypes_ = 0;
 
   enum class SplitState { Idle, Writing, Reading };

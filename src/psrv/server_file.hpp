@@ -1,7 +1,6 @@
 // Client-side handle onto a ServerPool: a pfs::FileBackend, so the whole
 // existing stack (both engines, the pipelined collective path, mergeview,
-// shared file pointers, the C API) runs unchanged on top of networked
-// file servers.
+// atomic mode) runs unchanged on top of networked file servers.
 //
 // The request class decides how backend calls translate to the wire:
 //   Contig — every contiguous extent is its own round trip (the

@@ -470,19 +470,6 @@ Off Comm::allreduce_max(Off v) {
                         [](Off a, Off b) { return std::max(a, b); });
 }
 
-Off Comm::exscan_sum(Off v) {
-  ByteVec raw(sizeof(Off));
-  std::memcpy(raw.data(), &v, sizeof(Off));
-  auto all = allgather(raw, MsgClass::Meta);
-  Off sum = 0;
-  for (int r = 0; r < rank_; ++r) {
-    Off other;
-    std::memcpy(&other, all[to_size(Off{r})].data(), sizeof(Off));
-    sum += other;
-  }
-  return sum;
-}
-
 const CommStats& Comm::stats() const { return ctx_->stats(rank_); }
 
 void Comm::reset_stats() { ctx_->stats(rank_) = CommStats{}; }

@@ -164,10 +164,6 @@ class Comm {
   Off allreduce_min(Off v);
   Off allreduce_max(Off v);
 
-  /// Exclusive prefix sum: rank r receives the sum of ranks 0..r-1
-  /// (rank 0 receives 0).
-  Off exscan_sum(Off v);
-
   /// This rank's send-side statistics.
   const CommStats& stats() const;
   void reset_stats();

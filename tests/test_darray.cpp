@@ -193,9 +193,8 @@ TEST(Darray, BlockMatchesSubarray) {
 
 TEST(Darray, UsableAsFileview) {
   // A column-cyclic matrix written via a darray fileview round-trips.
-  const Off m = 16, n = 12;
   const int P = 3;
-  auto check = [&](Order order) {
+  auto check = [&](Off m, Off n, Order order) {
     for (int r = 0; r < P; ++r) {
       const Off gs_f[] = {m, n};
       const Distrib d[] = {Distrib::None, Distrib::Cyclic};
@@ -203,10 +202,12 @@ TEST(Darray, UsableAsFileview) {
       const Off ps[] = {1, P};
       const Type t = darray(P, r, gs_f, d, da, ps, order, double_());
       EXPECT_TRUE(t->is_monotone()) << "rank " << r;
-      EXPECT_GT(t->size(), 0);
+      // n is a multiple of 2P, so every rank owns n / P whole columns.
+      EXPECT_EQ(t->size(), m * (n / P) * 8) << "rank " << r;
     }
   };
-  check(Order::Fortran);
+  check(16, 12, Order::Fortran);
+  check(8, 6, Order::Fortran);
 }
 
 TEST(Darray, Validation) {

@@ -201,6 +201,24 @@ TEST(FileApi, NonblockingOverlapsWithCallerWork) {
   });
 }
 
+TEST(FileApi, DroppedRequestFinishesBeforeScopeEnds) {
+  // A request replaced or dropped without wait() still finishes first:
+  // its operation holds raw pointers to the engine and to the buffer,
+  // and both die with the rank's scope.
+  pfs::ThrottleConfig cfg;
+  cfg.op_latency_s = 0.05;
+  auto inner = pfs::MemFile::create();
+  auto fs = pfs::ThrottledFile::wrap(inner, cfg);
+  const ByteVec want = iotest::payload_stream(0, 4096);
+  sim::Runtime::run(1, [&](sim::Comm& comm) {
+    File f = File::open(comm, fs);
+    const ByteVec data = want;
+    Request r = f.iwrite_at(0, data.data(), 2048, dt::byte());
+    r = f.iwrite_at(2048, data.data() + 2048, 2048, dt::byte());
+  });
+  EXPECT_EQ(inner->contents(), want);
+}
+
 TEST(FileApi, MixedSyncAndAsyncOpsSerialize) {
   auto fs = pfs::MemFile::create();
   sim::Runtime::run(1, [&](sim::Comm& comm) {

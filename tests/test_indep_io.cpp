@@ -161,6 +161,9 @@ TEST_P(IndepOffsets, FilePointerReadWriteSeek) {
     f.seek(0, File::Whence::Set);
     EXPECT_EQ(f.tell(), 0);
     EXPECT_THROW(f.seek(-1, File::Whence::Set), Error);
+    // The pointer moves in whole etypes only.
+    EXPECT_THROW(f.write(a, 6, dt::byte()), Error);
+    EXPECT_EQ(f.tell(), 0);
   });
 }
 

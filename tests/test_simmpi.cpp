@@ -5,6 +5,7 @@
 #include <cstring>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 #include "common/error.hpp"
 #include "simmpi/comm.hpp"
@@ -174,19 +175,6 @@ TEST(Collectives, AllreduceSumMinMax) {
   });
 }
 
-TEST(Collectives, ExscanSum) {
-  Runtime::run(5, [&](Comm& c) {
-    const Off v = (c.rank() + 1) * 10;  // 10,20,30,40,50
-    Off want = 0;
-    for (int r = 0; r < c.rank(); ++r) want += (r + 1) * 10;
-    EXPECT_EQ(c.exscan_sum(v), want);
-  });
-}
-
-TEST(Collectives, ExscanSingleRankIsZero) {
-  Runtime::run(1, [&](Comm& c) { EXPECT_EQ(c.exscan_sum(42), 0); });
-}
-
 TEST(Collectives, BarrierSeparatesPhases) {
   std::atomic<int> phase1{0};
   std::atomic<bool> ok{true};
@@ -280,6 +268,11 @@ TEST(Abort, FailingRankUnblocksBarrier) {
     if (c.rank() == 2) throw_error(Errc::Io, "boom");
     c.barrier();
   }), Error);
+  // An exception that is not an llio::Error surfaces with its own type.
+  EXPECT_THROW(Runtime::run(2, [&](Comm& c) {
+    if (c.rank() == 1) throw std::runtime_error("rank body exploded");
+    c.barrier();
+  }), std::runtime_error);
 }
 
 TEST(PointToPoint, TryRecvAnyDrainsWithoutBlocking) {
